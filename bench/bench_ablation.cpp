@@ -1,5 +1,5 @@
 /// \file bench_ablation.cpp
-/// Ablation of SLGF2's three mechanisms (DESIGN.md experiment ABL): the
+/// Ablation of SLGF2's three mechanisms (README, paper-figures section): the
 /// either-hand superseding rule, the backup-path phase, and the perimeter
 /// rectangle confinement — each disabled in turn, plus SLGF and full SLGF2
 /// as anchors. FA model (the regime the mechanisms target). Thin wrapper

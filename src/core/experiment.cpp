@@ -113,25 +113,15 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
   // Per-cell scratch — the pair buffer and the oracle's grouping arrays —
   // comes from a worker-local monotonic arena: reset per cell, high-water
   // block kept, so steady-state cells stop touching the general heap for
-  // it. Allocation placement cannot change results; `config.cell_arena`
-  // only exists so bench_micro can measure the before/after.
+  // it. Allocation placement cannot change results.
   thread_local Arena cell_scratch;
-  const bool use_arena = config.cell_arena;
-  if (use_arena) cell_scratch.reset();
-  ArenaVector<std::pair<NodeId, NodeId>> arena_pairs{
+  cell_scratch.reset();
+  ArenaVector<std::pair<NodeId, NodeId>> pairs{
       ArenaAllocator<std::pair<NodeId, NodeId>>(cell_scratch)};
-  std::vector<std::pair<NodeId, NodeId>> heap_pairs;
 
   // Same pairs for every scheme: the comparison is paired.
   start = std::chrono::steady_clock::now();
-  std::span<const std::pair<NodeId, NodeId>> pairs;
-  if (use_arena) {
-    draw_cell_pairs(config, network, n, net_index, arena_pairs);
-    pairs = arena_pairs;
-  } else {
-    draw_cell_pairs(config, network, n, net_index, heap_pairs);
-    pairs = heap_pairs;
-  }
+  draw_cell_pairs(config, network, n, net_index, pairs);
   timings->pair_draw_seconds += seconds_since(start);
   timings->pairs_requested += static_cast<std::uint64_t>(
       std::max(config.pairs_per_network, 0));
@@ -140,8 +130,7 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
   // One BFS + one Dijkstra per distinct source, shared by every pair from
   // that source and every scheme.
   start = std::chrono::steady_clock::now();
-  OracleBatch oracles(network.graph(), pairs,
-                      use_arena ? &cell_scratch : nullptr);
+  OracleBatch oracles(network.graph(), pairs, &cell_scratch);
   timings->oracle_seconds += seconds_since(start);
   timings->bfs_searches += oracles.distinct_sources();
   timings->dijkstra_searches += oracles.distinct_sources();

@@ -55,11 +55,6 @@ struct SweepConfig {
   /// the calling thread (no pool), N = pool of N. Results are bit-identical
   /// for every value.
   int threads = 0;
-  /// Allocate per-cell scratch (the pair buffer, the oracle's grouping
-  /// arrays) from a worker-local monotonic arena (util/arena.h) instead of
-  /// the general heap. Results are identical either way; the knob exists
-  /// for the bench_micro before/after datapoint.
-  bool cell_arena = true;
   /// When both are positive, each cell's safety labeling is computed by a
   /// spatial-tile ShardedNetwork (shard/sharded_network.h) over a
   /// tile_rows x tile_cols grid and adopted into the cell's Network. The

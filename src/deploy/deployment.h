@@ -34,8 +34,7 @@ struct DeploymentConfig {
   // FA-model knobs. The paper leaves the forbidden-area geometry
   // unspecified ("randomly set some forbidden areas ... to study the impact
   // of larger holes"); these defaults are calibrated so that the holes are
-  // large enough to be routed around rather than absorbed by density —
-  // see DESIGN.md and EXPERIMENTS.md.
+  // large enough to be routed around rather than absorbed by density.
   int min_forbidden_areas = 3;
   int max_forbidden_areas = 5;
   double min_forbidden_extent = 45.0;  ///< meters, per axis / radius

@@ -8,12 +8,13 @@
 /// local minimum by walking the hole boundary instead of blind perimeter
 /// probing.
 ///
-/// Implementation notes (documented substitution, see DESIGN.md): we keep
-/// the TENT rule exact (perpendicular-bisector intersection inside the
-/// radio disc) and build each boundary with the right-hand sweep on the
-/// full unit-disk graph, omitting the original's crossing-edge "untie"
-/// refinement; boundaries that fail to close within a step cap are
-/// discarded (their stuck nodes then fall back to face routing).
+/// Implementation notes: we keep the TENT rule exact (perpendicular-bisector
+/// intersection inside the radio disc) and build each boundary with the
+/// right-hand sweep on the full unit-disk graph, omitting the original's
+/// crossing-edge "untie" refinement. GF tolerates that simplification:
+/// boundaries that fail to close within a step cap are discarded and their
+/// stuck nodes fall back to face routing, as does a recovery that loops a
+/// kept boundary without progress.
 
 #include <vector>
 
@@ -35,9 +36,9 @@ bool tent_rule_stuck(const UnitDiskGraph& g, NodeId u);
 /// Precomputed boundary information for a network.
 class BoundHoleInfo {
  public:
-  /// Detects stuck nodes and builds boundaries. `max_cycle_factor` caps a
-  /// boundary walk at max_cycle_factor * n steps before discarding it.
-  explicit BoundHoleInfo(const UnitDiskGraph& g, std::size_t max_cycle_factor = 2);
+  /// Detects stuck nodes and builds boundaries. A boundary walk that has
+  /// not closed after 2n steps is discarded.
+  explicit BoundHoleInfo(const UnitDiskGraph& g);
 
   bool is_stuck(NodeId u) const noexcept { return stuck_[u]; }
   std::size_t stuck_count() const noexcept;

@@ -1,6 +1,8 @@
 /// \file theorem_test.cpp
 /// Executable statements of the paper's two theorems, as far as they are
-/// decidable from the implemented model (see DESIGN.md Section 7).
+/// decidable from the implemented model: each test states the direction or
+/// consequence it checks, and the caveat below names the one gap between
+/// Definition 1's quadrants and LGF's bounded zones.
 ///
 /// Theorem 1: "Any LGF routing can be blocked by a local minimum if and
 /// only if one type-i unsafe node is used."
@@ -49,7 +51,7 @@ TEST(Theorem1, SafeNodesAlwaysHaveQuadrantSuccessors) {
 /// (perimeter phase begins), m is type-k unsafe for the zone type k of m
 /// toward the destination — i.e. blocks only happen on unsafe nodes.
 ///
-/// Caveat (documented in DESIGN.md): Definition 1 labels via the unbounded
+/// Caveat: Definition 1 labels via the unbounded
 /// quadrant Q_k while LGF forwards within the bounded zone Z_k(u,d), so a
 /// *safe* node can still be zone-blocked when d is very close (its safe
 /// successors lie beyond the zone). The theorem therefore holds for blocks
