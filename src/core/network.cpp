@@ -46,21 +46,30 @@ Network::Network(Deployment deployment, double edge_band, TaskPool* build_pool)
   interest_area_ = std::make_unique<InterestArea>(*graph_, band_);
 }
 
-Network::Network(DerivedTag, const Network& base, UnitDiskGraph graph)
+Network::Network(DerivedTag, const Network& base, UnitDiskGraph graph,
+                 bool moved)
     : deployment_(base.deployment_),
       build_pool_(base.build_pool_),
       band_(base.band_),
       lazy_(std::make_unique<LazyState>()) {
   graph_ = std::make_unique<UnitDiskGraph>(std::move(graph));
-  // Moved siblings carry new coordinates; keep the deployment in sync (a
-  // no-op copy for failure siblings, whose positions are identical).
-  deployment_.positions = graph_->positions();
-  interest_area_ = std::make_unique<InterestArea>(*graph_, band_);
+  if (moved) {
+    // New coordinates: keep the deployment in sync and re-derive the area,
+    // whose hull moved with the nodes.
+    deployment_.positions = graph_->positions();
+    interest_area_ = std::make_unique<InterestArea>(*graph_, band_);
+  } else {
+    // Same positions, fewer alive nodes: hull and edge flags carry over.
+    interest_area_ = std::make_unique<InterestArea>(
+        base.interest_area_->after_failures(*graph_));
+  }
 }
 
 Network Network::with_failures(const std::vector<NodeId>& failed,
                                IncrementalStats* stats) const {
-  Network degraded(DerivedTag{}, *this, graph_->with_failures(failed, build_pool_));
+  Network degraded(DerivedTag{}, *this,
+                   graph_->with_failures(failed, build_pool_),
+                   /*moved=*/false);
   if (stats != nullptr) *stats = IncrementalStats{};
   if (has_safety()) {
     // Continue the old fixpoint instead of recomputing it: failures only
@@ -83,7 +92,8 @@ Network Network::with_failures(const std::vector<NodeId>& failed,
 Network Network::with_moves(const std::vector<Vec2>& positions,
                             IncrementalStats* stats, EdgeDiff* diff) const {
   Network moved(DerivedTag{}, *this,
-                graph_->with_moves(positions, diff, build_pool_));
+                graph_->with_moves(positions, diff, build_pool_),
+                /*moved=*/true);
   if (stats != nullptr) *stats = IncrementalStats{};
   if (has_safety()) {
     // Continue the old fixpoint through the bidirectional updater instead

@@ -127,9 +127,11 @@ class Network {
                                       Slgf2Options slgf2_options = {}) const;
 
   /// A degraded copy of this network: `failed` nodes marked dead (positions
-  /// kept, edges removed — UnitDiskGraph::with_failures, sharing the
-  /// spatial grid) and the interest area recomputed over the degraded
-  /// graph. If this network's safety labeling has been built, the copy's
+  /// kept, edges removed — UnitDiskGraph::with_failures patches the rows
+  /// and shares the spatial grid) and the interest area carried over
+  /// (InterestArea::after_failures: the hull and edge flags span dead
+  /// positions too, so only the interior set drops the casualties). If
+  /// this network's safety labeling has been built, the copy's
   /// labeling is derived from it by the *incremental* updater
   /// (update_safety_after_failures) instead of a from-scratch
   /// compute_safety — identical statuses and anchors (tests enforce
@@ -171,10 +173,12 @@ class Network {
       Rng& rng, int max_tries = 64) const;
 
  private:
-  /// Tag-dispatched constructor behind with_failures: adopts a pre-built
-  /// (degraded) graph instead of building one from the deployment.
+  /// Tag-dispatched constructor behind with_failures / with_moves: adopts a
+  /// pre-built graph instead of building one from the deployment. A
+  /// `moved` sibling re-derives its interest area; a failure sibling
+  /// carries the base's.
   struct DerivedTag {};
-  Network(DerivedTag, const Network& base, UnitDiskGraph graph);
+  Network(DerivedTag, const Network& base, UnitDiskGraph graph, bool moved);
 
   /// Heap-allocated so Network stays movable (std::once_flag is not).
   /// The `*_built` flags let has_*() observe without racing the builders.

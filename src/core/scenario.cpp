@@ -307,7 +307,8 @@ int run_failure_dynamics(const ScenarioOptions& opts, ScenarioReport& report) {
     if (!connected(dead_graph, s, d)) continue;
     ++connected_trials;
 
-    InterestArea degraded_area(dead_graph, dead_graph.range());
+    InterestArea degraded_area =
+        before.interest_area().after_failures(dead_graph);
     SafetyInfo degraded_info = before.safety();
     auto inc_stats = update_safety_after_failures(dead_graph, degraded_area,
                                                   casualties, degraded_info);

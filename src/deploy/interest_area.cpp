@@ -26,6 +26,10 @@ InterestArea::InterestArea(const UnitDiskGraph& g,
   }
 }
 
+InterestArea InterestArea::after_failures(const UnitDiskGraph& g) const {
+  return InterestArea(g, edge_, hull_);
+}
+
 std::size_t InterestArea::edge_count() const noexcept {
   return static_cast<std::size_t>(std::count(edge_.begin(), edge_.end(), true));
 }

@@ -37,6 +37,14 @@ class InterestArea {
   InterestArea(const UnitDiskGraph& g, std::vector<bool> edge_flags,
                std::vector<Vec2> hull);
 
+  /// The classification of `g`, a graph over this area's positions with
+  /// some nodes dead (`UnitDiskGraph::with_failures`). The hull and the
+  /// edge flags read every position, dead ones included, so they carry over
+  /// unchanged and only the interior set drops the dead — equal to
+  /// `InterestArea(g, edge_band)` for the band this area was built with,
+  /// without the hull and the per-node boundary distances.
+  InterestArea after_failures(const UnitDiskGraph& g) const;
+
   bool is_edge_node(NodeId u) const noexcept { return edge_[u]; }
 
   /// Interior node ids (candidate sources/destinations).

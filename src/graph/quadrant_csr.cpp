@@ -1,9 +1,10 @@
 #include "graph/quadrant_csr.h"
 
-#include <cassert>
+#include <cstdint>
 #include <cstring>
 
 #include "graph/unit_disk.h"
+#include "util/check.h"
 #include "util/task_pool.h"
 
 namespace spr {
@@ -45,7 +46,9 @@ QuadrantZones QuadrantZones::build(const UnitDiskGraph& g, TaskPool* pool) {
   QuadrantZones z;
   const std::size_t n = g.size();
   const std::size_t edges = g.directed_edge_count();
-  assert(edges <= UINT32_MAX);
+  // Bucket ends are uint32: a larger graph would wrap them silently.
+  SPR_CHECK(edges <= UINT32_MAX, "quadrant zones: ", edges,
+            " directed edges overflow the uint32 bucket ends");
   z.fwd_ids_.resize(edges);
   z.rev_ids_.resize(edges);
   z.fwd_end_.resize(4 * n);
@@ -68,8 +71,12 @@ QuadrantZones QuadrantZones::patch(const UnitDiskGraph& g,
   QuadrantZones z;
   const std::size_t n = g.size();
   const std::size_t edges = g.directed_edge_count();
-  assert(edges <= UINT32_MAX);
-  assert(old_zones.size() == n && stale.size() >= n);
+  SPR_CHECK(edges <= UINT32_MAX, "quadrant zones: ", edges,
+            " directed edges overflow the uint32 bucket ends");
+  SPR_DCHECK(old_zones.size() == n, "patch: old zones cover ",
+             old_zones.size(), " rows, graph has ", n);
+  SPR_DCHECK(stale.size() >= n, "patch: ", stale.size(),
+             " stale flags for ", n, " rows");
   z.fwd_ids_.resize(edges);
   z.rev_ids_.resize(edges);
   z.fwd_end_.resize(4 * n);
@@ -85,7 +92,9 @@ QuadrantZones QuadrantZones::patch(const UnitDiskGraph& g,
     const auto old_begin =
         static_cast<std::uint32_t>(old_graph.neighbor_offset(u));
     const std::size_t deg = g.degree(u);
-    assert(deg == old_graph.degree(u));
+    SPR_DCHECK(deg == old_graph.degree(u), "patch: row ", u,
+               " changed degree (", old_graph.degree(u), " -> ", deg,
+               ") but is not marked stale");
     if (deg > 0) {
       std::memcpy(z.fwd_ids_.data() + row_begin,
                   old_zones.fwd_ids_.data() + old_begin, deg * sizeof(NodeId));

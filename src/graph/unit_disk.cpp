@@ -43,17 +43,6 @@ UnitDiskGraph::UnitDiskGraph(std::vector<Vec2> positions, double range,
   build(alive, build_pool);
 }
 
-UnitDiskGraph::UnitDiskGraph(std::vector<Vec2> positions, double range,
-                             Rect bounds, const std::vector<bool>& alive,
-                             std::shared_ptr<const SpatialGrid> grid,
-                             TaskPool* build_pool)
-    : positions_(std::move(positions)),
-      range_(range),
-      bounds_(bounds),
-      grid_(std::move(grid)) {
-  build(alive, build_pool);
-}
-
 UnitDiskGraph UnitDiskGraph::from_parts(std::vector<Vec2> positions,
                                         double range, Rect bounds,
                                         std::vector<bool> alive,
@@ -120,9 +109,7 @@ void UnitDiskGraph::build(const std::vector<bool>& alive,
   const std::size_t n = positions_.size();
   offsets_.assign(n + 1, 0);
   adjacency_.clear();
-  if (grid_ == nullptr) {
-    grid_ = std::make_shared<SpatialGrid>(positions_, bounds_, range_);
-  }
+  grid_ = std::make_shared<SpatialGrid>(positions_, bounds_, range_);
   if (n == 0) return;
 
   // Per-node radius queries are independent; with a pool they fan out in
@@ -211,8 +198,7 @@ UnitDiskGraph UnitDiskGraph::with_moves(const std::vector<Vec2>& new_positions,
   // both paths against fresh builds); only the edge delta still needs the
   // tandem walk.
   if (2 * moved.size() > n) {
-    UnitDiskGraph fresh(positions, range_, bounds_, alive_, nullptr,
-                        build_pool);
+    UnitDiskGraph fresh(positions, range_, bounds_, alive_, build_pool);
     // Whole-field motion leaves almost every quadrant row stale, so the
     // "patch" of the quadrant view is a fresh build too — done eagerly
     // because a built parent view means the safety continuation needs it.
@@ -404,24 +390,42 @@ UnitDiskGraph UnitDiskGraph::with_moves(const std::vector<Vec2>& new_positions,
 }
 
 UnitDiskGraph UnitDiskGraph::with_failures(const std::vector<NodeId>& failed,
-                                           TaskPool* build_pool) const {
-  std::vector<bool> alive = alive_;
-  for (NodeId u : failed) {
-    if (u < alive.size()) alive[u] = false;
-  }
-  // Positions are unchanged, so the copy shares this graph's grid instead of
-  // re-bucketing all points for every failure batch.
-  UnitDiskGraph out(positions_, range_, bounds_, alive, grid_, build_pool);
+                                           TaskPool* /*build_pool*/) const {
+  const std::size_t n = positions_.size();
   // Positions don't change under failures, so only the rows whose neighbor
-  // list changed — the casualties and their ex-neighbors — go stale in the
-  // quadrant view; everyone else block-copies.
-  if (has_zones()) {
-    std::vector<bool> stale(positions_.size(), false);
-    for (NodeId u : failed) {
-      if (u >= positions_.size()) continue;
-      stale[u] = true;
-      for (NodeId v : neighbors(u)) stale[v] = true;
+  // list changed — the casualties and their ex-neighbors — go stale, in the
+  // CSR and in the quadrant view alike.
+  std::vector<bool> alive = alive_;
+  std::vector<bool> stale(n, false);
+  for (NodeId u : failed) {
+    if (u >= n) continue;
+    alive[u] = false;
+    stale[u] = true;
+    for (NodeId v : neighbors(u)) stale[v] = true;
+  }
+  // Patch the rows instead of re-running the radius queries: an alive
+  // node's new row is its old row minus the dead (sorted order survives the
+  // filter), a dead row is empty, and every other row block-copies.
+  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<NodeId> adjacency;
+  adjacency.reserve(adjacency_.size());
+  for (NodeId u = 0; u < n; ++u) {
+    offsets[u] = adjacency.size();
+    if (!alive[u]) continue;
+    const auto row = neighbors(u);
+    if (!stale[u]) {
+      adjacency.insert(adjacency.end(), row.begin(), row.end());
+      continue;
     }
+    for (const NodeId v : row) {
+      if (alive[v]) adjacency.push_back(v);
+    }
+  }
+  offsets[n] = adjacency.size();
+  // The copy shares this graph's grid: the point set never re-buckets.
+  UnitDiskGraph out(PatchedTag{}, positions_, range_, bounds_, grid_,
+                    std::move(alive), std::move(offsets), std::move(adjacency));
+  if (has_zones()) {
     out.adopt_zones(QuadrantZones::patch(out, *this, zones_cache_->zones, stale));
   }
   return out;

@@ -114,9 +114,15 @@ class UnitDiskGraph {
   std::size_t edge_count() const noexcept { return adjacency_.size() / 2; }
   double average_degree() const noexcept;
 
-  /// A copy of this graph with the given nodes marked dead (edges removed).
+  /// A copy of this graph with the given nodes marked dead (edges removed;
+  /// out-of-range and already-dead ids are ignored). Patched, not rebuilt:
+  /// each alive row is its old row minus the dead, rows without a dead
+  /// neighbor block-copy, and no radius query runs — the CSR is identical
+  /// to a from-scratch build with the same aliveness (tests enforce it).
   /// Reuses this graph's spatial grid (positions are identical), so repeated
-  /// failure batches never re-bucket the point set.
+  /// failure batches never re-bucket the point set. The patch is one linear
+  /// pass; `build_pool` is accepted for symmetry with `with_moves` and is
+  /// not used.
   UnitDiskGraph with_failures(const std::vector<NodeId>& failed,
                               TaskPool* build_pool = nullptr) const;
 
@@ -139,11 +145,8 @@ class UnitDiskGraph {
   const SpatialGrid& grid() const noexcept { return *grid_; }
 
  private:
-  UnitDiskGraph(std::vector<Vec2> positions, double range, Rect bounds,
-                const std::vector<bool>& alive,
-                std::shared_ptr<const SpatialGrid> grid, TaskPool* build_pool);
-
-  /// Adopts fully built CSR arrays (the with_moves patch path).
+  /// Adopts fully built CSR arrays (from_parts and the with_failures /
+  /// with_moves patch paths).
   struct PatchedTag {};
   UnitDiskGraph(PatchedTag, std::vector<Vec2> positions, double range,
                 Rect bounds, std::shared_ptr<const SpatialGrid> grid,

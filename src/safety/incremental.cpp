@@ -7,6 +7,7 @@
 
 #include "graph/spatial_grid.h"
 #include "util/arena.h"
+#include "util/task_pool.h"
 
 namespace spr {
 
@@ -49,6 +50,88 @@ void apply_flips(const FlatLabeler& labeler, SafetyInfo& info) {
 }
 
 }  // namespace
+
+void mark_move_frontier(const UnitDiskGraph& before,
+                        const InterestArea& area_before,
+                        const UnitDiskGraph& after,
+                        const InterestArea& area_after,
+                        const SafetyInfo& old_info, std::uint64_t* touched,
+                        std::uint64_t* demote_seed,
+                        std::uint64_t* promote_src, TaskPool* pool) {
+  const std::size_t n = after.size();
+
+  // Pre-pass: a node's flip inputs can only have changed if it moved, a
+  // neighbor (old or new) moved, or its adjacency changed — and adjacency
+  // only changes at a moved endpoint.
+  for (NodeId u = 0; u < n; ++u) {
+    if (before.position(u) == after.position(u)) continue;
+    set_bit(touched, u);
+    for (NodeId v : before.neighbors(u)) set_bit(touched, v);
+    for (NodeId v : after.neighbors(u)) set_bit(touched, v);
+  }
+
+  // A pair's flip condition can only change when a node joined or left its
+  // quadrant: an edge appeared or disappeared, or a surviving neighbor's
+  // relative quadrant flipped. Both snapshots' quadrant views list exactly
+  // those memberships, ascending, so one tandem walk per (node, type) of
+  // the old and new bucket sees every case without a position load.
+  // Losing a member can demote. Gaining one matters only for a pair that is
+  // still unsafe (a safe pair has nothing to raise) and only when the
+  // gained member is *old-safe* in that type: a promotion chain in the new
+  // fixpoint ascends through old-unsafe nodes of one connected cluster and
+  // must terminate at a pair whose quadrant gained an old-safe supporter
+  // (an old-unsafe gain supports nothing by itself, and a promoted gain
+  // lies in the same cluster as its own terminal source). Edge-band churn
+  // is the other input: a pair that left the band loses its pin
+  // (demotable), one that entered it is pinned safe (a promotion source for
+  // its dependents while still unsafe).
+  const QuadrantZones& old_zones = before.zones(pool);
+  const QuadrantZones& new_zones = after.zones(pool);
+  parallel_for_blocked(pool, n, 1024, [&](std::size_t lo, std::size_t hi) {
+    for (NodeId u = static_cast<NodeId>(lo); u < hi; ++u) {
+      if (!after.alive(u)) continue;
+      const SafetyTuple& own = old_info.tuple(u);
+      if (test_bit(touched, u)) {
+        for (int ti = 0; ti < 4; ++ti) {
+          const ZoneType t = kAllZoneTypes[ti];
+          const auto old_q = old_zones.members(u, t);
+          const auto new_q = new_zones.members(u, t);
+          const bool unsafe = !own.is_safe(t);
+          bool lost = false;
+          bool gained = false;
+          std::size_t oi = 0, ni = 0;
+          while (oi < old_q.size() || ni < new_q.size()) {
+            if (ni == new_q.size() ||
+                (oi < old_q.size() && old_q[oi] < new_q[ni])) {
+              lost = true;
+              ++oi;
+            } else if (oi == old_q.size() || new_q[ni] < old_q[oi]) {
+              gained = gained || (unsafe && old_info.is_safe(new_q[ni], t));
+              ++ni;
+            } else {
+              ++oi;
+              ++ni;
+            }
+          }
+          if (lost) set_bit(demote_seed, FlatLabeler::key(u, ti));
+          if (gained) set_bit(promote_src, FlatLabeler::key(u, ti));
+        }
+      }
+      const bool was_edge = area_before.is_edge_node(u);
+      const bool is_edge = area_after.is_edge_node(u);
+      if (was_edge == is_edge) continue;
+      for (int ti = 0; ti < 4; ++ti) {
+        if (was_edge) {
+          set_bit(demote_seed, FlatLabeler::key(u, ti));
+        } else if (!own.is_safe(kAllZoneTypes[ti])) {
+          // Newly pinned: the cluster raise re-raises the pair itself, and
+          // dependents may gain support through the promotion cascade.
+          set_bit(promote_src, FlatLabeler::key(u, ti));
+        }
+      }
+    }
+  });
+}
 
 IncrementalStats update_safety_after_failures(const UnitDiskGraph& degraded,
                                               const InterestArea& area,
@@ -120,115 +203,15 @@ IncrementalStats update_safety_after_moves(const UnitDiskGraph& before,
   const std::size_t node_words = (n + 63) / 64;
   const std::size_t key_words = (4 * n + 63) / 64;
 
-  // Phase 1 — the move frontier, per (node, type). A pair's flip condition
-  // can only change when a node joined or left its quadrant: an edge
-  // appeared or disappeared, or a surviving neighbor's relative quadrant
-  // flipped (both endpoints' positions enter the test, so a tandem walk of
-  // the old and new sorted neighbor lists sees every case; quadrants
-  // partition the plane, so `zone_type` names the one quadrant affected).
-  // Losing a member can demote. Gaining one matters only when the gained
-  // member is *old-safe* in that type: a promotion chain in the new
-  // fixpoint ascends through old-unsafe nodes of one connected cluster
-  // and must terminate at a pair whose quadrant gained an old-safe
-  // supporter (an old-unsafe gain supports nothing by itself, and a
-  // promoted gain lies in the same cluster as its own terminal source) —
-  // so only those gains seed cluster resets. Edge-band churn is the other
-  // input: a pair that left the band loses its pin (demotable), one that
-  // entered it is pinned safe (a promotion source for its dependents).
+  // Phase 1 — the move frontier, per (node, type): demotion seeds where a
+  // quadrant lost a member or a pin, promotion sources where a still-unsafe
+  // pair gained an old-safe supporter or a pin. The labeler was just
+  // started from `info`, so the tuples hold exactly its bits.
   std::uint64_t* demote_seed = zeroed_words(arena, key_words);
   std::uint64_t* promote_src = zeroed_words(arena, key_words);
-
-  // Pre-pass: a node's flip inputs can only have changed if it moved, a
-  // neighbor (old or new) moved, or its adjacency changed — everyone else
-  // skips the delta walk entirely, so localized motion costs O(moved * deg)
-  // rather than O(E).
   std::uint64_t* touched = zeroed_words(arena, node_words);
-  for (NodeId u = 0; u < n; ++u) {
-    if (before.position(u) == after.position(u)) continue;
-    set_bit(touched, u);
-    for (NodeId v : before.neighbors(u)) set_bit(touched, v);
-    for (NodeId v : after.neighbors(u)) set_bit(touched, v);
-  }
-
-  // The delta walk visits each undirected edge once (from its lower
-  // endpoint) and emits both directions from one set of position loads.
-  auto mark_demote = [&](NodeId u, ZoneType t) {
-    set_bit(demote_seed, FlatLabeler::key(u, zone_index(t)));
-  };
-  auto mark_promote = [&](NodeId u, NodeId gained, ZoneType t) {
-    // A gained member promotes only if it arrives old-safe (an unsafe gain
-    // supports nothing; a promoted gain shares its cluster's source).
-    if (labeler.safe_bit(gained, zone_index(t))) {
-      set_bit(promote_src, FlatLabeler::key(u, zone_index(t)));
-    }
-  };
-  auto quadrant_delta = [&](NodeId u) {
-    Vec2 pu_old = before.position(u);
-    Vec2 pu_new = after.position(u);
-    const bool u_moved = !(pu_old == pu_new);
-    auto old_list = before.neighbors(u);
-    auto new_list = after.neighbors(u);
-    std::size_t oi = 0, ni = 0;
-    while (oi < old_list.size() && old_list[oi] <= u) ++oi;
-    while (ni < new_list.size() && new_list[ni] <= u) ++ni;
-    while (oi < old_list.size() || ni < new_list.size()) {
-      NodeId vo = oi < old_list.size() ? old_list[oi] : kInvalidNode;
-      NodeId vn = ni < new_list.size() ? new_list[ni] : kInvalidNode;
-      if (vn == kInvalidNode || (vo != kInvalidNode && vo < vn)) {
-        // Edge (u, vo) vanished: each endpoint loses the other from the
-        // quadrant it occupied.
-        Vec2 pv_old = before.position(vo);
-        mark_demote(u, zone_type(pu_old, pv_old));
-        mark_demote(vo, zone_type(pv_old, pu_old));
-        ++oi;
-      } else if (vo == kInvalidNode || vn < vo) {
-        // Edge (u, vn) appeared: each endpoint gains the other.
-        Vec2 pv_new = after.position(vn);
-        mark_promote(u, vn, zone_type(pu_new, pv_new));
-        mark_promote(vn, u, zone_type(pv_new, pu_new));
-        ++ni;
-      } else {
-        // Surviving edge: quadrant membership may still have flipped.
-        Vec2 pv_old = before.position(vo);
-        Vec2 pv_new = after.position(vo);
-        if (u_moved || !(pv_old == pv_new)) {
-          ZoneType t_old = zone_type(pu_old, pv_old);
-          ZoneType t_new = zone_type(pu_new, pv_new);
-          if (t_old != t_new) {
-            mark_demote(u, t_old);
-            mark_promote(u, vo, t_new);
-          }
-          ZoneType r_old = zone_type(pv_old, pu_old);
-          ZoneType r_new = zone_type(pv_new, pu_new);
-          if (r_old != r_new) {
-            mark_demote(vo, r_old);
-            mark_promote(vo, u, r_new);
-          }
-        }
-        ++oi;
-        ++ni;
-      }
-    }
-  };
-  for (NodeId u = 0; u < n; ++u) {
-    if (!after.alive(u)) continue;
-    if (test_bit(touched, u)) quadrant_delta(u);
-    bool was_edge = area_before.is_edge_node(u);
-    bool is_edge = area_after.is_edge_node(u);
-    if (was_edge && !is_edge) {
-      for (int ti = 0; ti < 4; ++ti) {
-        set_bit(demote_seed, FlatLabeler::key(u, ti));
-      }
-    } else if (!was_edge && is_edge) {
-      // Newly pinned: the pin itself is applied below; dependents may gain
-      // support through the promotion cascade.
-      for (int ti = 0; ti < 4; ++ti) {
-        if (!labeler.safe_bit(u, ti)) {
-          set_bit(promote_src, FlatLabeler::key(u, ti));
-        }
-      }
-    }
-  }
+  mark_move_frontier(before, area_before, after, area_after, info, touched,
+                     demote_seed, promote_src, pool);
 
   // Phase 2 — promotion: re-raise to safe the connected type-t unsafe
   // cluster (new-graph edges) of every unsafe promotion source. Any pair

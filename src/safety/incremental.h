@@ -25,6 +25,7 @@
 /// standard demotion worklist then closes over exactly the affected region
 /// and lands on the same greatest fixpoint `compute_safety` computes.
 
+#include <cstdint>
 #include <vector>
 
 #include "deploy/interest_area.h"
@@ -74,11 +75,12 @@ IncrementalStats update_safety_after_failures(const UnitDiskGraph& degraded,
 /// with some nodes moved (`UnitDiskGraph::with_moves` — same aliveness,
 /// edges added and removed). Bidirectional:
 ///
-///  * every (node, type) whose quadrant gained a member — an added edge, a
-///    surviving edge whose relative quadrant flipped, or a node newly
-///    pinned as an edge node — is a *promotion source*: its connected
-///    type-t unsafe cluster (new-graph edges) is optimistically re-raised
-///    to safe, which provably covers every pair the new fixpoint promotes;
+///  * every still-unsafe (node, type) whose quadrant gained an old-safe
+///    member — an added edge, or a surviving edge whose relative quadrant
+///    flipped — or that was newly pinned as an edge node is a *promotion
+///    source*: its connected type-t unsafe cluster (new-graph edges) is
+///    optimistically re-raised to safe, which provably covers every pair
+///    the new fixpoint promotes;
 ///  * every pair that lost a quadrant member, left the edge-node band, or
 ///    was optimistically raised seeds the standard demotion worklist,
 ///    which closes downward onto the greatest fixpoint.
@@ -86,17 +88,46 @@ IncrementalStats update_safety_after_failures(const UnitDiskGraph& degraded,
 /// Postcondition: `info == compute_safety(after, area_after)`, statuses and
 /// anchors (tests assert full equality at every staged-mobility epoch).
 ///
-/// The delta walk stays scalar (it reads both snapshots' positions), but
-/// its bitmaps, the cluster raises, the demotion worklist and the anchor
-/// pass all run on the flat kernel with arena-retained scratch — a
-/// steady-state repin epoch does no general-heap allocation inside the
-/// updater. With a `pool` the cluster raises, large frontiers and the
-/// anchor pass fan out; results are bit-identical for every worker count.
+/// The delta walk (`mark_move_frontier`), its bitmaps, the cluster raises,
+/// the demotion worklist and the anchor pass all run with arena-retained
+/// scratch — a steady-state repin epoch does no general-heap allocation
+/// inside the updater. With a `pool` the delta walk, the cluster raises,
+/// large frontiers and the anchor pass fan out; results are bit-identical
+/// for every worker count.
 IncrementalStats update_safety_after_moves(const UnitDiskGraph& before,
                                            const InterestArea& area_before,
                                            const UnitDiskGraph& after,
                                            const InterestArea& area_after,
                                            SafetyInfo& info,
                                            TaskPool* pool = nullptr);
+
+/// The move frontier of one mobility epoch: the delta walk shared by
+/// `update_safety_after_moves` and `ShardedNetwork::apply_moves`. `before` /
+/// `area_before` and `after` / `area_after` are the epoch's two snapshots
+/// and `old_info` the labeling of `before`. Sets bits in two key-indexed
+/// bitmaps (`FlatLabeler::key`, 4·n bits each, zeroed by the caller):
+///
+///  * `demote_seed` — every pair that lost a quadrant member (a vanished
+///    edge, or a surviving neighbor whose relative quadrant flipped away)
+///    or left the edge-node band;
+///  * `promote_src` — every pair that is still unsafe and gained an
+///    old-safe quadrant member, or entered the band.
+///
+/// `touched` (n bits, zeroed) is scratch for the nodes whose flip inputs
+/// may have changed: a node that moved, or an old or new neighbor of one
+/// (the caller owns it, so the monolithic updater keeps it in its arena).
+/// Every other node skips the walk, so localized motion costs
+/// O(moved · degree). A touched node compares its four quadrant buckets
+/// in both snapshots' views (`UnitDiskGraph::zones`, built here if absent)
+/// and writes only its own four keys, so the walk fans out over `pool` in
+/// 1024-node blocks — 64 key words each, never shared — with bitmaps
+/// identical for every worker count.
+void mark_move_frontier(const UnitDiskGraph& before,
+                        const InterestArea& area_before,
+                        const UnitDiskGraph& after,
+                        const InterestArea& area_after,
+                        const SafetyInfo& old_info, std::uint64_t* touched,
+                        std::uint64_t* demote_seed,
+                        std::uint64_t* promote_src, TaskPool* pool);
 
 }  // namespace spr

@@ -16,10 +16,6 @@ void set_bit(std::uint64_t* bits, std::uint32_t i) {
   bits[i >> 6] |= 1ull << (i & 63);
 }
 
-bool test_bit(const std::uint64_t* bits, std::uint32_t i) {
-  return (bits[i >> 6] >> (i & 63)) & 1u;
-}
-
 /// Calls fn(key) for every set bit, ascending.
 template <typename Fn>
 void for_each_key(const std::uint64_t* bits, std::size_t words, Fn&& fn) {
@@ -340,7 +336,8 @@ void ShardedNetwork::apply_failures(const std::vector<NodeId>& failed) {
 
   auto next_global =
       std::make_unique<UnitDiskGraph>(global_->with_failures(failed, pool_));
-  auto next_area = std::make_unique<InterestArea>(*next_global, band_);
+  auto next_area =
+      std::make_unique<InterestArea>(area_->after_failures(*next_global));
   for (const NodeId f : failed) {
     if (f < n) info_.tuple(f) = SafetyTuple{};
   }
@@ -468,92 +465,17 @@ void ShardedNetwork::apply_moves(const std::vector<Vec2>& positions,
 
   begin_epoch(/*from_info=*/true);
 
-  // The move frontier — update_safety_after_moves' delta walk, run on the
-  // glued snapshots with each (node, type) event evaluated at the node
-  // itself (both endpoints are walked, so both directions of every edge
-  // event are seen). Seeds then route to each pair's owner tile.
-  const UnitDiskGraph& before = *old_global;
+  // The move frontier — update_safety_after_moves' own walk, run on the
+  // glued snapshots against the old labeling. Seeds then route to each
+  // pair's owner tile.
   const UnitDiskGraph& after = *global_;
-  const std::size_t node_words = (n + 63) / 64;
   const std::size_t key_words = (4 * n + 63) / 64;
-  std::vector<std::uint64_t> touched(node_words, 0);
+  std::vector<std::uint64_t> touched((n + 63) / 64, 0);
   std::vector<std::uint64_t> demote_seed(key_words, 0);
   std::vector<std::uint64_t> promote_src(key_words, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    if (before.position(u) == after.position(u)) continue;
-    set_bit(touched.data(), u);
-    for (const NodeId v : before.neighbors(u)) set_bit(touched.data(), v);
-    for (const NodeId v : after.neighbors(u)) set_bit(touched.data(), v);
-  }
-
-  // Per-node walk in parallel: a block of 1024 nodes spans exactly 64 key
-  // words, so blocks never share a bitmap word and the scatter is race-free
-  // and deterministic.
-  parallel_for_blocked(pool_, n, 1024, [&](std::size_t lo, std::size_t hi) {
-    for (NodeId u = static_cast<NodeId>(lo); u < hi; ++u) {
-      if (!after.alive(u)) continue;
-      if (test_bit(touched.data(), u)) {
-        const Vec2 pu_old = before.position(u);
-        const Vec2 pu_new = after.position(u);
-        const bool u_moved = !(pu_old == pu_new);
-        const auto old_list = before.neighbors(u);
-        const auto new_list = after.neighbors(u);
-        std::size_t oi = 0, ni = 0;
-        while (oi < old_list.size() || ni < new_list.size()) {
-          const NodeId vo =
-              oi < old_list.size() ? old_list[oi] : kInvalidNode;
-          const NodeId vn =
-              ni < new_list.size() ? new_list[ni] : kInvalidNode;
-          if (vn == kInvalidNode || (vo != kInvalidNode && vo < vn)) {
-            // Lost a quadrant member: demotable.
-            set_bit(demote_seed.data(),
-                    FlatLabeler::key(
-                        u, zone_index(zone_type(pu_old, before.position(vo)))));
-            ++oi;
-          } else if (vo == kInvalidNode || vn < vo) {
-            // Gained a member: a promotion source only when it arrives
-            // old-safe (the terminal case of any promotion chain).
-            const ZoneType t = zone_type(pu_new, after.position(vn));
-            if (info_.is_safe(vn, t)) {
-              set_bit(promote_src.data(), FlatLabeler::key(u, zone_index(t)));
-            }
-            ++ni;
-          } else {
-            // Surviving edge: relative quadrant may have flipped.
-            const Vec2 pv_old = before.position(vo);
-            const Vec2 pv_new = after.position(vo);
-            if (u_moved || !(pv_old == pv_new)) {
-              const ZoneType t_old = zone_type(pu_old, pv_old);
-              const ZoneType t_new = zone_type(pu_new, pv_new);
-              if (t_old != t_new) {
-                set_bit(demote_seed.data(),
-                        FlatLabeler::key(u, zone_index(t_old)));
-                if (info_.is_safe(vo, t_new)) {
-                  set_bit(promote_src.data(),
-                          FlatLabeler::key(u, zone_index(t_new)));
-                }
-              }
-            }
-            ++oi;
-            ++ni;
-          }
-        }
-      }
-      const bool was_edge = old_area->is_edge_node(u);
-      const bool is_edge = area_->is_edge_node(u);
-      if (was_edge && !is_edge) {
-        for (int ti = 0; ti < 4; ++ti) {
-          set_bit(demote_seed.data(), FlatLabeler::key(u, ti));
-        }
-      } else if (!was_edge && is_edge) {
-        for (int ti = 0; ti < 4; ++ti) {
-          if (!info_.is_safe(u, kAllZoneTypes[ti])) {
-            set_bit(promote_src.data(), FlatLabeler::key(u, ti));
-          }
-        }
-      }
-    }
-  });
+  mark_move_frontier(*old_global, *old_area, after, *area_, info_,
+                     touched.data(), demote_seed.data(), promote_src.data(),
+                     pool_);
 
   // Promotion exchange: cluster raises run at each source's owner; raises
   // that reach a ghost forward to that node's owner, whose full

@@ -105,24 +105,44 @@ TEST(UnitDiskGraph, WithFailuresSharesGrid) {
   EXPECT_EQ(&g.grid(), &twice.grid());
 }
 
+/// with_failures patches the parent's rows instead of re-running radius
+/// queries; every wave must still produce exactly the graph, and the
+/// quadrant view, of a fresh build with the same aliveness. Three chained
+/// waves on IA and FA, with the zones built before the first so each wave
+/// patches them forward; the later waves repeat ids and name already-dead
+/// and out-of-range nodes, which must be harmless.
 TEST(UnitDiskGraph, WithFailuresMatchesFreshBuild) {
-  Deployment d = random_deployment(250, 12, DeployModel::kForbiddenAreas);
-  UnitDiskGraph g(d.positions, d.radio_range, d.field);
-  std::vector<NodeId> failed = {1, 17, 42, 99, 200};
-  UnitDiskGraph reused = g.with_failures(failed);
+  const std::vector<std::vector<NodeId>> waves = {
+      {1, 17, 42, 99, 200},
+      {17, 5, 5, 250, 123, 7},
+      {0, 249, 42, 100000, 66, 67, 66}};
+  for (const DeployModel model :
+       {DeployModel::kIdeal, DeployModel::kForbiddenAreas}) {
+    Deployment d = random_deployment(250, 12, model);
+    UnitDiskGraph chain(d.positions, d.radio_range, d.field);
+    chain.zones();
+    std::vector<bool> alive(d.positions.size(), true);
+    for (std::size_t w = 0; w < waves.size(); ++w) {
+      chain = chain.with_failures(waves[w]);
+      for (const NodeId u : waves[w]) {
+        if (u < alive.size()) alive[u] = false;
+      }
+      UnitDiskGraph fresh(d.positions, d.radio_range, d.field, alive);
 
-  std::vector<bool> alive(d.positions.size(), true);
-  for (NodeId u : failed) alive[u] = false;
-  UnitDiskGraph fresh(d.positions, d.radio_range, d.field, alive);
-
-  ASSERT_EQ(reused.size(), fresh.size());
-  EXPECT_EQ(reused.edge_count(), fresh.edge_count());
-  for (NodeId u = 0; u < reused.size(); ++u) {
-    EXPECT_EQ(reused.alive(u), fresh.alive(u));
-    auto a = reused.neighbors(u);
-    auto b = fresh.neighbors(u);
-    ASSERT_EQ(a.size(), b.size()) << "node " << u;
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "node " << u;
+      ASSERT_EQ(chain.size(), fresh.size());
+      EXPECT_EQ(chain.edge_count(), fresh.edge_count()) << "wave " << w;
+      for (NodeId u = 0; u < chain.size(); ++u) {
+        EXPECT_EQ(chain.alive(u), fresh.alive(u)) << "wave " << w;
+        auto a = chain.neighbors(u);
+        auto b = fresh.neighbors(u);
+        ASSERT_EQ(a.size(), b.size()) << "wave " << w << " node " << u;
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+            << "wave " << w << " node " << u;
+      }
+      ASSERT_TRUE(chain.has_zones()) << "wave " << w << " dropped the zones";
+      EXPECT_TRUE(chain.zones() == QuadrantZones::build(fresh))
+          << "wave " << w << ": patched quadrant view differs from a build";
+    }
   }
 }
 

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/network.h"
 #include "mobility/waypoint.h"
+#include "shard/sharded_network.h"
 #include "test_helpers.h"
+#include "util/task_pool.h"
 
 namespace spr {
 namespace {
@@ -208,6 +212,114 @@ TEST(IncrementalMoves, StatsCountLabelChanges) {
   EXPECT_LE(went_safe, stats.promotions);
   EXPECT_LE(went_unsafe, stats.flips);
   EXPECT_GT(stats.seeds, 0u);
+}
+
+/// The field workload's shape at 4000 nodes: an FA deployment on a field
+/// scaled to keep the 600-node density, one 0.1% failure wave, then a
+/// +-4 m jitter epoch of every node.
+struct PinnedField {
+  Deployment deployment;
+  std::vector<NodeId> wave;
+  std::vector<Vec2> epoch;
+};
+
+PinnedField pinned_field() {
+  constexpr int kNodes = 4000;
+  DeploymentConfig config;
+  config.node_count = kNodes;
+  config.model = DeployModel::kForbiddenAreas;
+  const double scale = std::sqrt(kNodes / 600.0);
+  config.field = Rect::from_bounds({0.0, 0.0}, {200.0 * scale, 200.0 * scale});
+  config.min_forbidden_extent *= scale;
+  config.max_forbidden_extent *= scale;
+  config.forbidden_margin *= scale;
+  PinnedField field;
+  Rng rng(2009);
+  field.deployment = deploy(config, rng);
+  std::vector<NodeId> order(kNodes);
+  for (NodeId u = 0; u < kNodes; ++u) order[u] = u;
+  for (std::size_t k = 0; k < kNodes / 1000; ++k) {
+    const std::size_t left = order.size() - k;
+    const std::size_t pick = rng.next_below(left);
+    field.wave.push_back(order[pick]);
+    std::swap(order[pick], order[left - 1]);
+  }
+  field.epoch = jitter_positions(field.deployment.positions,
+                                 field.deployment.field, 4.0, rng);
+  return field;
+}
+
+void expect_counters(const IncrementalStats& got, const IncrementalStats& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.seeds, want.seeds) << where;
+  EXPECT_EQ(got.reevaluations, want.reevaluations) << where;
+  EXPECT_EQ(got.flips, want.flips) << where;
+  EXPECT_EQ(got.promotions, want.promotions) << where;
+  EXPECT_EQ(got.anchor_recomputes, want.anchor_recomputes) << where;
+  EXPECT_EQ(got.arena_high_water, want.arena_high_water) << where;
+}
+
+void expect_shard_counters(const ShardStats& got, const ShardStats& want,
+                           const std::string& where) {
+  EXPECT_EQ(got.exchange_rounds, want.exchange_rounds) << where;
+  EXPECT_EQ(got.halo_demotions, want.halo_demotions) << where;
+  EXPECT_EQ(got.halo_raises, want.halo_raises) << where;
+  EXPECT_EQ(got.repartitions, want.repartitions) << where;
+  expect_counters(got.incremental, want.incremental, where);
+}
+
+/// Every work counter of both updaters, on the monolithic path and through
+/// a 2x2 ShardedNetwork, is pinned to recorded values, and the labelings
+/// must still equal compute_safety. A changed counter means the updaters
+/// now do different work even though the labeling stays right — which no
+/// equality test can see. The pool changes the monolithic counters (large
+/// frontiers drain in synchronous rounds), not the shard's.
+TEST(IncrementalMoves, FieldCountersArePinned) {
+  const PinnedField field = pinned_field();
+  // {seeds, reevaluations, flips, promotions, anchor_recomputes,
+  //  arena_high_water} for the wave and the epoch, serial then pooled.
+  const IncrementalStats wave[2] = {{472, 387, 0, 0, 2523, 148520},
+                                    {472, 387, 0, 0, 2523, 148520}};
+  const IncrementalStats epoch[2] = {{13249, 15668, 1700, 2521, 1702, 283024},
+                                     {13249, 15964, 1700, 2521, 1702, 363024}};
+  // {exchange_rounds, halo_demotions, halo_raises, repartitions, kernel}.
+  const ShardStats shard_wave{1, 0, 0, 0, {472, 387, 0, 0, 2523, 148520}};
+  const ShardStats shard_epoch{8, 805, 1, 0,
+                               {13249, 15627, 1700, 2521, 1702, 148520}};
+
+  TaskPool pool(4);
+  for (int pooled = 0; pooled < 2; ++pooled) {
+    TaskPool* build_pool = pooled != 0 ? &pool : nullptr;
+    const std::string where = pooled != 0 ? "pooled" : "serial";
+    Network net(field.deployment, -1.0, build_pool);
+    net.force(Network::kNeedsSafety);
+    IncrementalStats wave_stats, epoch_stats;
+    Network degraded = net.with_failures(field.wave, &wave_stats);
+    Network moved = degraded.with_moves(field.epoch, &epoch_stats);
+    expect_counters(wave_stats, wave[pooled], where + " wave");
+    expect_counters(epoch_stats, epoch[pooled], where + " epoch");
+    EXPECT_EQ(degraded.safety(),
+              compute_safety(degraded.graph(),
+                             InterestArea(degraded.graph(), net.edge_band())))
+        << where;
+    EXPECT_EQ(moved.safety(),
+              compute_safety(moved.graph(),
+                             InterestArea(moved.graph(), net.edge_band())))
+        << where;
+
+    ShardedNetwork::Config config;
+    config.tile_rows = 2;
+    config.tile_cols = 2;
+    ShardedNetwork tiles(net.graph(), -1.0, config, build_pool);
+    tiles.safety();
+    tiles.apply_failures(field.wave);
+    expect_shard_counters(tiles.last_stats(), shard_wave, where + " shard wave");
+    EXPECT_EQ(tiles.safety(), degraded.safety()) << where;
+    tiles.apply_moves(field.epoch);
+    expect_shard_counters(tiles.last_stats(), shard_epoch,
+                          where + " shard epoch");
+    EXPECT_EQ(tiles.safety(), moved.safety()) << where;
+  }
 }
 
 }  // namespace

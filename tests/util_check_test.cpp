@@ -119,6 +119,22 @@ TEST(CheckedInvariants, FromPartsRejectsOutOfRangeNeighborUnderDchecks) {
                CheckError);
 }
 
+TEST(CheckedInvariants, ZonesPatchRejectsUnmarkedChangedRowUnderDchecks) {
+  if (!kDchecksEnabled) {
+    GTEST_SKIP() << "SPR_DCHECK inactive in this build type";
+  }
+  ScopedCheckHandler guard(&throwing_check_handler);
+  const Rect bounds = Rect::from_bounds({0.0, 0.0}, {3.0, 1.0});
+  UnitDiskGraph line(three_positions(), 1.5, bounds);
+  const QuadrantZones& zones = line.zones();
+  UnitDiskGraph degraded = line.with_failures({2});
+  // Node 1 lost its neighbor 2, but no row is marked stale: block-copying
+  // row 1 would keep the dead member in its buckets.
+  EXPECT_THROW(QuadrantZones::patch(degraded, line, zones,
+                                    std::vector<bool>(3, false)),
+               CheckError);
+}
+
 TEST(CheckedInvariants, SubmitToShutDownPoolIsCaught) {
   ScopedCheckHandler guard(&throwing_check_handler);
   TaskPool pool(2);
