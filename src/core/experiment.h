@@ -72,6 +72,8 @@ struct SweepConfig {
 struct SweepPoint {
   int node_count = 0;
   std::map<std::string, RouteAggregate> by_scheme;  ///< keyed by display label
+
+  bool operator==(const SweepPoint&) const = default;
 };
 
 /// One (node_count, network_index) cell's aggregates, keyed like SweepPoint
@@ -88,6 +90,8 @@ struct SliceCell {
   int node_count = 0;
   int net_index = 0;
   CellResult result;
+
+  bool operator==(const SliceCell&) const = default;
 };
 
 /// Progress callback: (node_count, network_index, networks_total). Invoked
@@ -112,6 +116,8 @@ struct SweepTimings {
 
   /// Accumulates another breakdown (the sweep's cell-order reduction).
   void merge(const SweepTimings& other);
+
+  bool operator==(const SweepTimings&) const = default;
 };
 
 /// Runs the sweep; one SweepPoint per node count, in order. Deterministic:

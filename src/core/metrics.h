@@ -47,6 +47,8 @@ struct RouteAggregate {
               const ShortestPath* oracle_len);
 
   void merge(const RouteAggregate& other);
+
+  bool operator==(const RouteAggregate&) const = default;
 };
 
 }  // namespace spr

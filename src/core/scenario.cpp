@@ -30,24 +30,6 @@ namespace spr {
 
 namespace {
 
-bool summaries_identical(const Summary& a, const Summary& b) {
-  return a.count() == b.count() && a.sum() == b.sum() && a.mean() == b.mean() &&
-         a.min() == b.min() && a.max() == b.max() &&
-         a.variance() == b.variance();
-}
-
-bool aggregates_identical(const RouteAggregate& a, const RouteAggregate& b) {
-  return a.requested == b.requested && a.attempted == b.attempted &&
-         a.delivered == b.delivered &&
-         summaries_identical(a.hops, b.hops) &&
-         summaries_identical(a.length, b.length) &&
-         summaries_identical(a.stretch_hops, b.stretch_hops) &&
-         summaries_identical(a.stretch_length, b.stretch_length) &&
-         summaries_identical(a.perimeter_hops, b.perimeter_hops) &&
-         summaries_identical(a.backup_hops, b.backup_hops) &&
-         summaries_identical(a.local_minima, b.local_minima);
-}
-
 /// The paper sweep config with scenario-option overrides applied.
 SweepConfig figure_config(DeployModel model, const ScenarioOptions& opts) {
   SweepConfig config;
@@ -475,6 +457,19 @@ void merge_stream_scheme(StreamSchemeStats& into,
   into.local_minima.merge(from.local_minima);
 }
 
+/// One stream scheme's totals in the sweep-section shape: every injected
+/// copy counts as requested and attempted.
+RouteAggregate stream_scheme_aggregate(const StreamSchemeStats& s) {
+  RouteAggregate agg;
+  agg.requested = s.injected;
+  agg.attempted = s.injected;
+  agg.delivered = s.delivered;
+  agg.hops = s.hops;
+  agg.length = s.length;
+  agg.stretch_hops = s.stretch_hops;
+  return agg;
+}
+
 /// Streaming delivery: long-lived packet streams over StreamSim with
 /// failure waves landing *between the hops* of in-flight packets. Sweeps
 /// the failure fraction (share of nodes that die over the stream's
@@ -696,14 +691,7 @@ int run_streaming_delivery(const ScenarioOptions& opts,
     SweepPoint point;
     point.node_count = static_cast<int>(100.0 * fractions[fi] + 0.5);
     for (const StreamSchemeStats& s : merged[fi]) {
-      RouteAggregate agg;
-      agg.requested = s.injected;
-      agg.attempted = s.injected;
-      agg.delivered = s.delivered;
-      agg.hops = s.hops;
-      agg.length = s.length;
-      agg.stretch_hops = s.stretch_hops;
-      point.by_scheme.emplace(s.label, std::move(agg));
+      point.by_scheme.emplace(s.label, stream_scheme_aggregate(s));
     }
     section.points.push_back(std::move(point));
   }
@@ -991,14 +979,7 @@ int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
       point.node_count = static_cast<int>(10.0 * speeds[si] + 0.5);
       for (const StreamSchemeStats& s :
            merged[ii * speeds.size() + si].schemes) {
-        RouteAggregate agg;
-        agg.requested = s.injected;
-        agg.attempted = s.injected;
-        agg.delivered = s.delivered;
-        agg.hops = s.hops;
-        agg.length = s.length;
-        agg.stretch_hops = s.stretch_hops;
-        point.by_scheme.emplace(s.label, std::move(agg));
+        point.by_scheme.emplace(s.label, stream_scheme_aggregate(s));
       }
       section.points.push_back(std::move(point));
     }
@@ -1281,7 +1262,7 @@ int run_sweep_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
   auto parallel = run_sweep(config, {}, &parallel_timings);
   double parallel_seconds = seconds_since(start);
 
-  bool identical = sweep_results_identical(serial, parallel);
+  bool identical = serial == parallel;
   double speedup =
       parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
   report.textf("serial (threads=1):   %.2fs\n", serial_seconds);
@@ -1542,21 +1523,6 @@ ScenarioSuite& ScenarioSuite::builtin() {
     return s;
   }();
   return suite;
-}
-
-bool sweep_results_identical(const std::vector<SweepPoint>& a,
-                             const std::vector<SweepPoint>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].node_count != b[i].node_count) return false;
-    if (a[i].by_scheme.size() != b[i].by_scheme.size()) return false;
-    for (const auto& [label, agg] : a[i].by_scheme) {
-      auto it = b[i].by_scheme.find(label);
-      if (it == b[i].by_scheme.end()) return false;
-      if (!aggregates_identical(agg, it->second)) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace spr

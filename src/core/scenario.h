@@ -96,10 +96,4 @@ using MetricFn = std::function<double(const RouteAggregate&)>;
 /// areas)"), shared by the scenarios and the benches.
 const char* model_name(DeployModel model) noexcept;
 
-/// Exact equality of two sweep results (bitwise on every summary moment);
-/// the determinism check behind the sweep-scaling scenario, the shard
-/// merge acceptance tests, and the parallel-sweep tests.
-bool sweep_results_identical(const std::vector<SweepPoint>& a,
-                             const std::vector<SweepPoint>& b);
-
 }  // namespace spr

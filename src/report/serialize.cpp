@@ -1,22 +1,16 @@
 #include "report/serialize.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 namespace spr {
 
 // ------------------------------------------------------------ stats form
-
-void summary_stats_to_json(JsonWriter& w, const Summary& s) {
-  w.begin_object();
-  w.key("count").value(s.count());
-  w.key("mean").value(s.mean());
-  w.key("min").value(s.min());
-  w.key("max").value(s.max());
-  w.key("stddev").value(s.stddev());
-  w.end_object();
-}
 
 JsonValue summary_stats(const Summary& s) {
   JsonValue v = JsonValue::object();
@@ -36,19 +30,19 @@ void aggregate_stats_to_json(JsonWriter& w, const RouteAggregate& agg) {
   w.key("delivered").value(agg.delivered);
   w.key("delivery_ratio").value(agg.delivery_ratio());
   w.key("hops");
-  summary_stats_to_json(w, agg.hops);
+  summary_stats(agg.hops).write(w);
   w.key("length");
-  summary_stats_to_json(w, agg.length);
+  summary_stats(agg.length).write(w);
   w.key("stretch_hops");
-  summary_stats_to_json(w, agg.stretch_hops);
+  summary_stats(agg.stretch_hops).write(w);
   w.key("stretch_length");
-  summary_stats_to_json(w, agg.stretch_length);
+  summary_stats(agg.stretch_length).write(w);
   w.key("perimeter_hops");
-  summary_stats_to_json(w, agg.perimeter_hops);
+  summary_stats(agg.perimeter_hops).write(w);
   w.key("backup_hops");
-  summary_stats_to_json(w, agg.backup_hops);
+  summary_stats(agg.backup_hops).write(w);
   w.key("local_minima");
-  summary_stats_to_json(w, agg.local_minima);
+  summary_stats(agg.local_minima).write(w);
   w.end_object();
 }
 
@@ -75,162 +69,6 @@ void sweep_section_to_json(JsonWriter& w, const SweepSection& section) {
   w.end_array();
   w.end_object();
 }
-
-void timings_to_json(JsonWriter& w, const SweepTimings& t) {
-  w.begin_object();
-  w.key("construction_seconds").value(t.construction_seconds);
-  w.key("pair_draw_seconds").value(t.pair_draw_seconds);
-  w.key("oracle_seconds").value(t.oracle_seconds);
-  w.key("routing_seconds").value(t.routing_seconds);
-  w.key("oracle_bfs_searches").value(t.bfs_searches);
-  w.key("oracle_dijkstra_searches").value(t.dijkstra_searches);
-  w.key("pairs_requested").value(t.pairs_requested);
-  w.key("pairs_routed").value(t.pairs_routed);
-  w.end_object();
-}
-
-// ------------------------------------------------------------- full form
-
-namespace {
-
-/// Reads a required finite-number member into `out`.
-bool read_double(const JsonValue& v, const char* key, double& out) {
-  const JsonValue* m = v.find(key);
-  if (m == nullptr || !m->is_number()) return false;
-  out = m->as_double();
-  return true;
-}
-
-bool read_uint(const JsonValue& v, const char* key, std::uint64_t& out) {
-  const JsonValue* m = v.find(key);
-  if (m == nullptr || !m->is_integer()) return false;
-  out = m->as_uint64();
-  return true;
-}
-
-bool read_size(const JsonValue& v, const char* key, std::size_t& out) {
-  std::uint64_t u = 0;
-  if (!read_uint(v, key, u)) return false;
-  out = static_cast<std::size_t>(u);
-  return true;
-}
-
-bool read_int(const JsonValue& v, const char* key, int& out) {
-  const JsonValue* m = v.find(key);
-  if (m == nullptr || !m->is_integer()) return false;
-  std::int64_t i = m->as_int64(INT64_MIN);
-  if (i < INT32_MIN || i > INT32_MAX) return false;
-  out = static_cast<int>(i);
-  return true;
-}
-
-bool read_summary(const JsonValue& v, const char* key, Summary& out) {
-  const JsonValue* m = v.find(key);
-  return m != nullptr && from_json(*m, out);
-}
-
-}  // namespace
-
-void to_json(JsonWriter& w, const Summary& s) {
-  w.begin_object();
-  w.key("values").begin_array();
-  for (double value : s.values()) w.value(value);
-  w.end_array();
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, Summary& out) {
-  const JsonValue* values = v.find("values");
-  if (values == nullptr || !values->is_array()) return false;
-  Summary s;
-  for (const JsonValue& item : values->items()) {
-    if (!item.is_number()) return false;  // null = a non-finite sample; reject
-    s.add(item.as_double());
-  }
-  out = std::move(s);
-  return true;
-}
-
-void to_json(JsonWriter& w, const RouteAggregate& agg) {
-  w.begin_object();
-  w.key("requested").value(agg.requested);
-  w.key("attempted").value(agg.attempted);
-  w.key("delivered").value(agg.delivered);
-  w.key("hops");
-  to_json(w, agg.hops);
-  w.key("length");
-  to_json(w, agg.length);
-  w.key("stretch_hops");
-  to_json(w, agg.stretch_hops);
-  w.key("stretch_length");
-  to_json(w, agg.stretch_length);
-  w.key("perimeter_hops");
-  to_json(w, agg.perimeter_hops);
-  w.key("backup_hops");
-  to_json(w, agg.backup_hops);
-  w.key("local_minima");
-  to_json(w, agg.local_minima);
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, RouteAggregate& out) {
-  if (!v.is_object()) return false;
-  RouteAggregate agg;
-  if (!read_size(v, "requested", agg.requested) ||
-      !read_size(v, "attempted", agg.attempted) ||
-      !read_size(v, "delivered", agg.delivered) ||
-      !read_summary(v, "hops", agg.hops) ||
-      !read_summary(v, "length", agg.length) ||
-      !read_summary(v, "stretch_hops", agg.stretch_hops) ||
-      !read_summary(v, "stretch_length", agg.stretch_length) ||
-      !read_summary(v, "perimeter_hops", agg.perimeter_hops) ||
-      !read_summary(v, "backup_hops", agg.backup_hops) ||
-      !read_summary(v, "local_minima", agg.local_minima)) {
-    return false;
-  }
-  out = std::move(agg);
-  return true;
-}
-
-void to_json(JsonWriter& w, const CellResult& cell) {
-  w.begin_object();
-  for (const auto& [label, agg] : cell) {
-    w.key(label);
-    to_json(w, agg);
-  }
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, CellResult& out) {
-  if (!v.is_object()) return false;
-  CellResult cell;
-  for (const auto& [label, value] : v.members()) {
-    RouteAggregate agg;
-    if (!from_json(value, agg)) return false;
-    if (!cell.emplace(label, std::move(agg)).second) return false;
-  }
-  out = std::move(cell);
-  return true;
-}
-
-void to_json(JsonWriter& w, const SweepPoint& point) {
-  w.begin_object();
-  w.key("nodes").value(point.node_count);
-  w.key("schemes");
-  to_json(w, point.by_scheme);
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, SweepPoint& out) {
-  if (!v.is_object()) return false;
-  SweepPoint point;
-  if (!read_int(v, "nodes", point.node_count)) return false;
-  if (!from_json(v.get("schemes"), point.by_scheme)) return false;
-  out = std::move(point);
-  return true;
-}
-
-// --------------------------------------------------------- stream results
 
 JsonValue stream_stats_json(const StreamStats& stats) {
   auto uint_of = [](std::size_t n) {
@@ -298,233 +136,362 @@ JsonValue stream_stats_json(const StreamStats& stats) {
   return root;
 }
 
-void stream_stats_to_json(JsonWriter& w, const StreamStats& stats) {
-  stream_stats_json(stats).write(w);
-}
-
-void to_json(JsonWriter& w, const IncrementalStats& stats) {
-  w.begin_object();
-  w.key("seeds").value(static_cast<std::uint64_t>(stats.seeds));
-  w.key("reevaluations").value(static_cast<std::uint64_t>(stats.reevaluations));
-  w.key("flips").value(static_cast<std::uint64_t>(stats.flips));
-  w.key("promotions").value(static_cast<std::uint64_t>(stats.promotions));
-  w.key("anchor_recomputes")
-      .value(static_cast<std::uint64_t>(stats.anchor_recomputes));
-  w.key("arena_high_water")
-      .value(static_cast<std::uint64_t>(stats.arena_high_water));
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, IncrementalStats& out) {
-  if (!v.is_object()) return false;
-  IncrementalStats stats;
-  if (!read_size(v, "seeds", stats.seeds) ||
-      !read_size(v, "reevaluations", stats.reevaluations) ||
-      !read_size(v, "flips", stats.flips) ||
-      !read_size(v, "promotions", stats.promotions) ||
-      !read_size(v, "anchor_recomputes", stats.anchor_recomputes)) {
-    return false;
-  }
-  // Absent in artifacts written before the stat existed; default 0.
-  read_size(v, "arena_high_water", stats.arena_high_water);
-  out = stats;
-  return true;
-}
-
-void to_json(JsonWriter& w, const RepinRecord& record) {
-  w.begin_object();
-  w.key("time").value(record.time);
-  w.key("moved").value(static_cast<std::uint64_t>(record.moved));
-  w.key("edges_added").value(static_cast<std::uint64_t>(record.edges_added));
-  w.key("edges_removed")
-      .value(static_cast<std::uint64_t>(record.edges_removed));
-  w.key("packets_in_flight")
-      .value(static_cast<std::uint64_t>(record.packets_in_flight));
-  w.key("packets_dropped")
-      .value(static_cast<std::uint64_t>(record.packets_dropped));
-  w.key("relabel");
-  to_json(w, record.relabel);
-  w.key("verified").value(record.verified);
-  w.key("matches_full_recompute").value(record.matches_full_recompute);
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, RepinRecord& out) {
-  if (!v.is_object()) return false;
-  RepinRecord record;
-  const JsonValue* verified = v.find("verified");
-  const JsonValue* matches = v.find("matches_full_recompute");
-  if (!read_double(v, "time", record.time) ||
-      !read_size(v, "moved", record.moved) ||
-      !read_size(v, "edges_added", record.edges_added) ||
-      !read_size(v, "edges_removed", record.edges_removed) ||
-      !read_size(v, "packets_in_flight", record.packets_in_flight) ||
-      !read_size(v, "packets_dropped", record.packets_dropped) ||
-      !from_json(v.get("relabel"), record.relabel) || verified == nullptr ||
-      !verified->is_bool() || matches == nullptr || !matches->is_bool()) {
-    return false;
-  }
-  record.verified = verified->as_bool();
-  record.matches_full_recompute = matches->as_bool();
-  out = std::move(record);
-  return true;
-}
-
-void to_json(JsonWriter& w, const WaveRecord& record) {
-  w.begin_object();
-  w.key("time").value(record.time);
-  w.key("casualties").value(static_cast<std::uint64_t>(record.casualties));
-  w.key("packets_in_flight")
-      .value(static_cast<std::uint64_t>(record.packets_in_flight));
-  w.key("packets_dropped")
-      .value(static_cast<std::uint64_t>(record.packets_dropped));
-  w.key("relabel");
-  to_json(w, record.relabel);
-  w.key("verified").value(record.verified);
-  w.key("matches_full_recompute").value(record.matches_full_recompute);
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, WaveRecord& out) {
-  if (!v.is_object()) return false;
-  WaveRecord record;
-  const JsonValue* verified = v.find("verified");
-  const JsonValue* matches = v.find("matches_full_recompute");
-  if (!read_double(v, "time", record.time) ||
-      !read_size(v, "casualties", record.casualties) ||
-      !read_size(v, "packets_in_flight", record.packets_in_flight) ||
-      !read_size(v, "packets_dropped", record.packets_dropped) ||
-      !from_json(v.get("relabel"), record.relabel) || verified == nullptr ||
-      !verified->is_bool() || matches == nullptr || !matches->is_bool()) {
-    return false;
-  }
-  record.verified = verified->as_bool();
-  record.matches_full_recompute = matches->as_bool();
-  out = std::move(record);
-  return true;
-}
-
-void to_json(JsonWriter& w, const StreamSchemeStats& stats) {
-  w.begin_object();
-  w.key("label").value(stats.label);
-  w.key("injected").value(static_cast<std::uint64_t>(stats.injected));
-  w.key("delivered").value(static_cast<std::uint64_t>(stats.delivered));
-  w.key("dead_end").value(static_cast<std::uint64_t>(stats.dead_end));
-  w.key("ttl_expired").value(static_cast<std::uint64_t>(stats.ttl_expired));
-  w.key("node_failed").value(static_cast<std::uint64_t>(stats.node_failed));
-  w.key("hops");
-  to_json(w, stats.hops);
-  w.key("length");
-  to_json(w, stats.length);
-  w.key("stretch_hops");
-  to_json(w, stats.stretch_hops);
-  w.key("latency");
-  to_json(w, stats.latency);
-  w.key("replans");
-  to_json(w, stats.replans);
-  w.key("local_minima");
-  to_json(w, stats.local_minima);
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, StreamSchemeStats& out) {
-  if (!v.is_object()) return false;
-  StreamSchemeStats stats;
-  const JsonValue* label = v.find("label");
-  if (label == nullptr || !label->is_string()) return false;
-  stats.label = label->as_string();
-  if (!read_size(v, "injected", stats.injected) ||
-      !read_size(v, "delivered", stats.delivered) ||
-      !read_size(v, "dead_end", stats.dead_end) ||
-      !read_size(v, "ttl_expired", stats.ttl_expired) ||
-      !read_size(v, "node_failed", stats.node_failed) ||
-      !read_summary(v, "hops", stats.hops) ||
-      !read_summary(v, "length", stats.length) ||
-      !read_summary(v, "stretch_hops", stats.stretch_hops) ||
-      !read_summary(v, "latency", stats.latency) ||
-      !read_summary(v, "replans", stats.replans) ||
-      !read_summary(v, "local_minima", stats.local_minima)) {
-    return false;
-  }
-  out = std::move(stats);
-  return true;
-}
-
-void to_json(JsonWriter& w, const StreamStats& stats) {
-  w.begin_object();
-  w.key("virtual_time").value(stats.virtual_time);
-  w.key("events").value(static_cast<std::uint64_t>(stats.events));
-  w.key("repins").value(static_cast<std::uint64_t>(stats.repins));
-  w.key("waves").begin_array();
-  for (const WaveRecord& record : stats.waves) to_json(w, record);
-  w.end_array();
-  w.key("repin_records").begin_array();
-  for (const RepinRecord& record : stats.repin_records) to_json(w, record);
-  w.end_array();
-  w.key("schemes").begin_array();
-  for (const StreamSchemeStats& s : stats.schemes) to_json(w, s);
-  w.end_array();
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, StreamStats& out) {
-  if (!v.is_object()) return false;
-  StreamStats stats;
-  if (!read_double(v, "virtual_time", stats.virtual_time) ||
-      !read_size(v, "events", stats.events) ||
-      !read_size(v, "repins", stats.repins)) {
-    return false;
-  }
-  const JsonValue* waves = v.find("waves");
-  const JsonValue* repins = v.find("repin_records");
-  const JsonValue* schemes = v.find("schemes");
-  if (waves == nullptr || !waves->is_array() || repins == nullptr ||
-      !repins->is_array() || schemes == nullptr || !schemes->is_array()) {
-    return false;
-  }
-  for (const JsonValue& item : waves->items()) {
-    WaveRecord record;
-    if (!from_json(item, record)) return false;
-    stats.waves.push_back(std::move(record));
-  }
-  for (const JsonValue& item : repins->items()) {
-    RepinRecord record;
-    if (!from_json(item, record)) return false;
-    stats.repin_records.push_back(std::move(record));
-  }
-  for (const JsonValue& item : schemes->items()) {
-    StreamSchemeStats s;
-    if (!from_json(item, s)) return false;
-    stats.schemes.push_back(std::move(s));
-  }
-  out = std::move(stats);
-  return true;
-}
-
-void to_json(JsonWriter& w, const SweepTimings& t) { timings_to_json(w, t); }
-
-bool from_json(const JsonValue& v, SweepTimings& out) {
-  if (!v.is_object()) return false;
-  SweepTimings t;
-  if (!read_double(v, "construction_seconds", t.construction_seconds) ||
-      !read_double(v, "pair_draw_seconds", t.pair_draw_seconds) ||
-      !read_double(v, "oracle_seconds", t.oracle_seconds) ||
-      !read_double(v, "routing_seconds", t.routing_seconds) ||
-      !read_uint(v, "oracle_bfs_searches", t.bfs_searches) ||
-      !read_uint(v, "oracle_dijkstra_searches", t.dijkstra_searches) ||
-      !read_uint(v, "pairs_requested", t.pairs_requested) ||
-      !read_uint(v, "pairs_routed", t.pairs_routed)) {
-    return false;
-  }
-  out = t;
-  return true;
-}
-
-// ------------------------------------------------------------ slice files
+// ------------------------------------------------------------- full form
 
 namespace {
+
+/// T's field list: `fields`, its persisted members in wire order, and
+/// optionally `valid`, what the member types cannot check. Specialized
+/// below for every persisted record.
+template <typename T>
+struct Record;
+
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+template <typename T>
+constexpr bool kIsLabelMap = false;
+template <typename T>
+constexpr bool kIsLabelMap<std::map<std::string, T>> = true;
+
+/// The one writer. A Summary is {"values": [...]}, a vector an array, a
+/// label-keyed map an object, a record an object in field-list order.
+template <typename T>
+void write_value(JsonWriter& w, const T& value) {
+  if constexpr (std::is_same_v<T, Summary>) {
+    w.begin_object();
+    w.key("values");
+    write_value(w, value.values());
+    w.end_object();
+  } else if constexpr (kIsVector<T>) {
+    w.begin_array();
+    for (const auto& item : value) write_value(w, item);
+    w.end_array();
+  } else if constexpr (kIsLabelMap<T>) {
+    w.begin_object();
+    for (const auto& [label, item] : value) {
+      w.key(label);
+      write_value(w, item);
+    }
+    w.end_object();
+  } else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, int> ||
+                       std::is_same_v<T, double> ||
+                       std::is_same_v<T, std::string>) {
+    w.value(value);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    w.value(static_cast<std::uint64_t>(value));
+  } else {
+    w.begin_object();
+    std::apply([&](const auto&... field) { (field.write(w, value), ...); },
+               Record<T>::fields);
+    w.end_object();
+  }
+}
+
+/// The one reader, the writer's inverse. Integers must be integral tokens
+/// that fit the member (no sign for counts), samples must be numbers (null
+/// is a non-finite sample), labels must be unique and every required member
+/// present; unknown members are ignored. Writes `out` only on success.
+template <typename T>
+bool read_value(const JsonValue& v, T& out) {
+  if constexpr (std::is_same_v<T, Summary>) {
+    std::vector<double> values;
+    if (!read_value(v.get("values"), values)) return false;
+    Summary s;
+    for (double value : values) s.add(value);
+    out = std::move(s);
+  } else if constexpr (kIsVector<T>) {
+    if (!v.is_array()) return false;
+    T items;
+    for (const JsonValue& item : v.items()) {
+      if (!read_value(item, items.emplace_back())) return false;
+    }
+    out = std::move(items);
+  } else if constexpr (kIsLabelMap<T>) {
+    if (!v.is_object()) return false;
+    T items;
+    for (const auto& [label, item] : v.members()) {
+      typename T::mapped_type value;
+      if (!read_value(item, value) ||
+          !items.emplace(label, std::move(value)).second) {
+        return false;
+      }
+    }
+    out = std::move(items);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) return false;
+    out = v.as_bool();
+  } else if constexpr (std::is_same_v<T, int>) {
+    const std::int64_t i = v.as_int64(INT64_MIN);
+    if (!v.is_integer() || !std::in_range<int>(i)) return false;
+    out = static_cast<int>(i);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    // as_uint64() reads a negative integer as 0, so check the sign first.
+    if (!v.is_integer() || v.as_int64(0) < 0 ||
+        !std::in_range<T>(v.as_uint64())) {
+      return false;
+    }
+    out = static_cast<T>(v.as_uint64());
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (!v.is_number()) return false;
+    out = v.as_double();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!v.is_string()) return false;
+    out = v.as_string();
+  } else {
+    if (!v.is_object()) return false;
+    T record;
+    if (!std::apply(
+            [&](const auto&... field) { return (field.read(v, record) && ...); },
+            Record<T>::fields)) {
+      return false;
+    }
+    if constexpr (requires { Record<T>::valid(record); }) {
+      if (!Record<T>::valid(record)) return false;
+    }
+    out = std::move(record);
+  }
+  return true;
+}
+
+/// One persisted member: its wire key and where it lives in T. Only a
+/// member older artifacts lack is not `required`; when present it is read
+/// as strictly as any other.
+template <typename T, typename M>
+struct Field {
+  const char* key;
+  M T::*member;
+  bool required;
+
+  void write(JsonWriter& w, const T& record) const {
+    w.key(key);
+    write_value(w, record.*member);
+  }
+  bool read(const JsonValue& v, T& record) const {
+    const JsonValue* m = v.find(key);
+    return m == nullptr ? !required : read_value(*m, record.*member);
+  }
+};
+
+template <typename T, typename M>
+constexpr Field<T, M> field(const char* key, M T::*member) {
+  return {key, member, true};
+}
+
+template <typename T, typename M>
+constexpr Field<T, M> optional_field(const char* key, M T::*member) {
+  return {key, member, false};
+}
+
+/// A member with one accepted value, a format version: written as is and
+/// read back only when equal.
+struct Constant {
+  const char* key;
+  int value;
+
+  template <typename T>
+  void write(JsonWriter& w, const T& /*record*/) const {
+    w.key(key).value(value);
+  }
+  template <typename T>
+  bool read(const JsonValue& v, T& /*record*/) const {
+    int found = 0;
+    return read_value(v.get(key), found) && found == value;
+  }
+};
+
 constexpr int kShardFormatVersion = 1;
+
+template <>
+struct Record<RouteAggregate> {
+  static constexpr auto fields = std::tuple{
+      field("requested", &RouteAggregate::requested),
+      field("attempted", &RouteAggregate::attempted),
+      field("delivered", &RouteAggregate::delivered),
+      field("hops", &RouteAggregate::hops),
+      field("length", &RouteAggregate::length),
+      field("stretch_hops", &RouteAggregate::stretch_hops),
+      field("stretch_length", &RouteAggregate::stretch_length),
+      field("perimeter_hops", &RouteAggregate::perimeter_hops),
+      field("backup_hops", &RouteAggregate::backup_hops),
+      field("local_minima", &RouteAggregate::local_minima),
+  };
+};
+
+template <>
+struct Record<SweepPoint> {
+  static constexpr auto fields = std::tuple{
+      field("nodes", &SweepPoint::node_count),
+      field("schemes", &SweepPoint::by_scheme),
+  };
+};
+
+template <>
+struct Record<SweepTimings> {
+  static constexpr auto fields = std::tuple{
+      field("construction_seconds", &SweepTimings::construction_seconds),
+      field("pair_draw_seconds", &SweepTimings::pair_draw_seconds),
+      field("oracle_seconds", &SweepTimings::oracle_seconds),
+      field("routing_seconds", &SweepTimings::routing_seconds),
+      field("oracle_bfs_searches", &SweepTimings::bfs_searches),
+      field("oracle_dijkstra_searches", &SweepTimings::dijkstra_searches),
+      field("pairs_requested", &SweepTimings::pairs_requested),
+      field("pairs_routed", &SweepTimings::pairs_routed),
+  };
+};
+
+template <>
+struct Record<IncrementalStats> {
+  static constexpr auto fields = std::tuple{
+      field("seeds", &IncrementalStats::seeds),
+      field("reevaluations", &IncrementalStats::reevaluations),
+      field("flips", &IncrementalStats::flips),
+      field("promotions", &IncrementalStats::promotions),
+      field("anchor_recomputes", &IncrementalStats::anchor_recomputes),
+      optional_field("arena_high_water", &IncrementalStats::arena_high_water),
+  };
+};
+
+template <>
+struct Record<WaveRecord> {
+  static constexpr auto fields = std::tuple{
+      field("time", &WaveRecord::time),
+      field("casualties", &WaveRecord::casualties),
+      field("packets_in_flight", &WaveRecord::packets_in_flight),
+      field("packets_dropped", &WaveRecord::packets_dropped),
+      field("relabel", &WaveRecord::relabel),
+      field("verified", &WaveRecord::verified),
+      field("matches_full_recompute", &WaveRecord::matches_full_recompute),
+  };
+};
+
+template <>
+struct Record<RepinRecord> {
+  static constexpr auto fields = std::tuple{
+      field("time", &RepinRecord::time),
+      field("moved", &RepinRecord::moved),
+      field("edges_added", &RepinRecord::edges_added),
+      field("edges_removed", &RepinRecord::edges_removed),
+      field("packets_in_flight", &RepinRecord::packets_in_flight),
+      field("packets_dropped", &RepinRecord::packets_dropped),
+      field("relabel", &RepinRecord::relabel),
+      field("verified", &RepinRecord::verified),
+      field("matches_full_recompute", &RepinRecord::matches_full_recompute),
+  };
+};
+
+template <>
+struct Record<StreamSchemeStats> {
+  static constexpr auto fields = std::tuple{
+      field("label", &StreamSchemeStats::label),
+      field("injected", &StreamSchemeStats::injected),
+      field("delivered", &StreamSchemeStats::delivered),
+      field("dead_end", &StreamSchemeStats::dead_end),
+      field("ttl_expired", &StreamSchemeStats::ttl_expired),
+      field("node_failed", &StreamSchemeStats::node_failed),
+      field("hops", &StreamSchemeStats::hops),
+      field("length", &StreamSchemeStats::length),
+      field("stretch_hops", &StreamSchemeStats::stretch_hops),
+      field("latency", &StreamSchemeStats::latency),
+      field("replans", &StreamSchemeStats::replans),
+      field("local_minima", &StreamSchemeStats::local_minima),
+  };
+};
+
+template <>
+struct Record<StreamStats> {
+  static constexpr auto fields = std::tuple{
+      field("virtual_time", &StreamStats::virtual_time),
+      field("events", &StreamStats::events),
+      field("repins", &StreamStats::repins),
+      field("waves", &StreamStats::waves),
+      field("repin_records", &StreamStats::repin_records),
+      field("schemes", &StreamStats::schemes),
+  };
+};
+
+template <>
+struct Record<SliceCell> {
+  static constexpr auto fields = std::tuple{
+      field("node_count", &SliceCell::node_count),
+      field("net_index", &SliceCell::net_index),
+      field("results", &SliceCell::result),
+  };
+};
+
+template <>
+struct Record<SweepSlice> {
+  static constexpr auto fields = std::tuple{
+      Constant{"spr_shard", kShardFormatVersion},
+      field("model", &SweepSlice::model_tag),
+      field("node_counts", &SweepSlice::node_counts),
+      field("networks_per_point", &SweepSlice::networks_per_point),
+      field("pairs_per_network", &SweepSlice::pairs_per_network),
+      field("base_seed", &SweepSlice::base_seed),
+      field("schemes", &SweepSlice::scheme_labels),
+      field("shard_index", &SweepSlice::slice_index),
+      field("shard_count", &SweepSlice::slice_count),
+      field("cells", &SweepSlice::cells),
+  };
+
+  /// A known model, no negative node count, and a slice index inside its
+  /// count (the bounds `spr_cli sweep --slice` enforces when writing).
+  static bool valid(const SweepSlice& slice) {
+    DeployModel model = DeployModel::kIdeal;
+    return deploy_model_from_tag(slice.model_tag, model) &&
+           std::ranges::none_of(slice.node_counts,
+                                [](int n) { return n < 0; }) &&
+           slice.slice_count >= 1 && slice.slice_index >= 0 &&
+           slice.slice_index < slice.slice_count;
+  }
+};
+
 }  // namespace
+
+void to_json(JsonWriter& w, const Summary& s) { write_value(w, s); }
+bool from_json(const JsonValue& v, Summary& out) { return read_value(v, out); }
+void to_json(JsonWriter& w, const RouteAggregate& agg) { write_value(w, agg); }
+bool from_json(const JsonValue& v, RouteAggregate& out) {
+  return read_value(v, out);
+}
+void to_json(JsonWriter& w, const SweepPoint& point) { write_value(w, point); }
+bool from_json(const JsonValue& v, SweepPoint& out) { return read_value(v, out); }
+void to_json(JsonWriter& w, const CellResult& cell) { write_value(w, cell); }
+bool from_json(const JsonValue& v, CellResult& out) { return read_value(v, out); }
+void to_json(JsonWriter& w, const SweepTimings& t) { write_value(w, t); }
+bool from_json(const JsonValue& v, SweepTimings& out) {
+  return read_value(v, out);
+}
+void to_json(JsonWriter& w, const IncrementalStats& stats) {
+  write_value(w, stats);
+}
+bool from_json(const JsonValue& v, IncrementalStats& out) {
+  return read_value(v, out);
+}
+void to_json(JsonWriter& w, const WaveRecord& record) { write_value(w, record); }
+bool from_json(const JsonValue& v, WaveRecord& out) { return read_value(v, out); }
+void to_json(JsonWriter& w, const RepinRecord& record) {
+  write_value(w, record);
+}
+bool from_json(const JsonValue& v, RepinRecord& out) {
+  return read_value(v, out);
+}
+void to_json(JsonWriter& w, const StreamSchemeStats& stats) {
+  write_value(w, stats);
+}
+bool from_json(const JsonValue& v, StreamSchemeStats& out) {
+  return read_value(v, out);
+}
+void to_json(JsonWriter& w, const StreamStats& stats) { write_value(w, stats); }
+bool from_json(const JsonValue& v, StreamStats& out) {
+  return read_value(v, out);
+}
+void to_json(JsonWriter& w, const SweepSlice& slice) { write_value(w, slice); }
+bool from_json(const JsonValue& v, SweepSlice& out) { return read_value(v, out); }
+
+// ------------------------------------------------------------ slice files
 
 SweepSlice make_slice(const SweepConfig& config, int slice_index,
                       int slice_count, std::vector<SliceCell> cells) {
@@ -541,82 +508,6 @@ SweepSlice make_slice(const SweepConfig& config, int slice_index,
   slice.slice_count = slice_count;
   slice.cells = std::move(cells);
   return slice;
-}
-
-void to_json(JsonWriter& w, const SweepSlice& slice) {
-  w.begin_object();
-  w.key("spr_shard").value(kShardFormatVersion);
-  w.key("model").value(slice.model_tag);
-  w.key("node_counts").begin_array();
-  for (int n : slice.node_counts) w.value(n);
-  w.end_array();
-  w.key("networks_per_point").value(slice.networks_per_point);
-  w.key("pairs_per_network").value(slice.pairs_per_network);
-  w.key("base_seed").value(slice.base_seed);
-  w.key("schemes").begin_array();
-  for (const auto& label : slice.scheme_labels) w.value(label);
-  w.end_array();
-  w.key("shard_index").value(slice.slice_index);
-  w.key("shard_count").value(slice.slice_count);
-  w.key("cells").begin_array();
-  for (const auto& cell : slice.cells) {
-    w.begin_object();
-    w.key("node_count").value(cell.node_count);
-    w.key("net_index").value(cell.net_index);
-    w.key("results");
-    to_json(w, cell.result);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, SweepSlice& out) {
-  if (!v.is_object()) return false;
-  int version = 0;
-  if (!read_int(v, "spr_shard", version) || version != kShardFormatVersion) {
-    return false;
-  }
-  SweepSlice slice;
-  const JsonValue* model = v.find("model");
-  if (model == nullptr || !model->is_string()) return false;
-  slice.model_tag = model->as_string();
-  DeployModel parsed_model;
-  if (!deploy_model_from_tag(slice.model_tag, parsed_model)) return false;
-
-  const JsonValue* counts = v.find("node_counts");
-  if (counts == nullptr || !counts->is_array()) return false;
-  for (const JsonValue& n : counts->items()) {
-    std::int64_t count = n.is_integer() ? n.as_int64(INT64_MIN) : INT64_MIN;
-    if (count < 0 || count > INT32_MAX) return false;
-    slice.node_counts.push_back(static_cast<int>(count));
-  }
-  if (!read_int(v, "networks_per_point", slice.networks_per_point) ||
-      !read_int(v, "pairs_per_network", slice.pairs_per_network) ||
-      !read_uint(v, "base_seed", slice.base_seed) ||
-      !read_int(v, "shard_index", slice.slice_index) ||
-      !read_int(v, "shard_count", slice.slice_count)) {
-    return false;
-  }
-  const JsonValue* schemes = v.find("schemes");
-  if (schemes == nullptr || !schemes->is_array()) return false;
-  for (const JsonValue& label : schemes->items()) {
-    if (!label.is_string()) return false;
-    slice.scheme_labels.push_back(label.as_string());
-  }
-  const JsonValue* cells = v.find("cells");
-  if (cells == nullptr || !cells->is_array()) return false;
-  for (const JsonValue& c : cells->items()) {
-    SliceCell cell;
-    if (!read_int(c, "node_count", cell.node_count) ||
-        !read_int(c, "net_index", cell.net_index) ||
-        !from_json(c.get("results"), cell.result)) {
-      return false;
-    }
-    slice.cells.push_back(std::move(cell));
-  }
-  out = std::move(slice);
-  return true;
 }
 
 namespace {

@@ -3,8 +3,8 @@
 /// \file serialize.h
 /// JSON round-trip for the sweep result model. Two forms coexist:
 ///
-/// - *Stats* form (`summary_stats_to_json` / `aggregate_stats_to_json`):
-///   the compact derived-moments shape the scenario reports have always
+/// - *Stats* form (`summary_stats` / `aggregate_stats_to_json`): the
+///   compact derived-moments shape the scenario reports have always
 ///   emitted (count/mean/min/max/stddev). Lossy — for human and dashboard
 ///   consumption.
 /// - *Full* form (`to_json` / `from_json`): retains every Summary sample,
@@ -13,6 +13,20 @@
 ///   unit of cross-process distribution: run slices anywhere, serialize
 ///   their `CellResult`s, and `merge_slices` reproduces the in-process
 ///   `run_sweep` aggregates exactly.
+///
+/// Each record has one field list in serialize.cpp — wire key plus member
+/// pointer, in wire order — that drives both directions through one
+/// generic writer and one generic reader; a new persisted member is one
+/// line there. The wire format is unchanged by the lists and frozen: the
+/// tests pin every record's text (keys, order, number formatting), so
+/// slice files written by older builds still merge.
+///
+/// The reader is strict. It rejects a missing member, a fractional or
+/// out-of-range number in an integer member, a negative count, a
+/// non-number or null sample, a duplicate scheme label, and in slice files
+/// a wrong `spr_shard` version, an unknown model, a negative node count or
+/// a slice index outside [0, shard_count). Unknown members are ignored,
+/// and `arena_high_water` may be absent (older artifacts lack it).
 ///
 /// Doubles are emitted with %.17g and parsed with from_chars, so every
 /// finite double survives the trip bit-exactly.
@@ -30,13 +44,11 @@ namespace spr {
 
 // ------------------------------------------------------------ stats form
 /// {count, mean, min, max, stddev} — the report shape.
-void summary_stats_to_json(JsonWriter& w, const Summary& s);
 JsonValue summary_stats(const Summary& s);
 /// The per-aggregate report shape (delivery ratio + stats summaries).
 void aggregate_stats_to_json(JsonWriter& w, const RouteAggregate& agg);
 /// One sweep section in the report shape (the "models" array element).
 void sweep_section_to_json(JsonWriter& w, const SweepSection& section);
-void timings_to_json(JsonWriter& w, const SweepTimings& t);
 
 // ------------------------------------------------------------- full form
 /// {"values": [...]} — everything needed to rebuild the accumulator.
@@ -60,11 +72,9 @@ bool from_json(const JsonValue& v, SweepTimings& out);
 // --------------------------------------------------------- stream results
 /// Stats form of one StreamSim run (the streaming-delivery scenario's
 /// report shape): per-scheme delivery/hops/stretch/latency summaries plus
-/// the per-wave incremental-relabeling records. The JsonValue form is the
-/// same document as a DOM — what report params and the example exports
-/// embed directly.
+/// the per-wave incremental-relabeling records, as a DOM that report
+/// params and the example exports embed directly.
 JsonValue stream_stats_json(const StreamStats& stats);
-void stream_stats_to_json(JsonWriter& w, const StreamStats& stats);
 
 /// Full (sample-retaining) forms: a deserialized StreamStats reconstructs
 /// every Summary accumulator bit-identically, like the sweep cell forms.
@@ -100,6 +110,8 @@ struct SweepSlice {
   int slice_index = 0;
   int slice_count = 1;
   std::vector<SliceCell> cells;
+
+  bool operator==(const SweepSlice&) const = default;
 };
 
 /// Builds the slice header from the config that ran the cells.

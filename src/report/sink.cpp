@@ -39,7 +39,7 @@ JsonWriter build_json_document(const ScenarioReport& report) {
   }
   for (const auto& [key, t] : report.timings) {
     w.key(key);
-    timings_to_json(w, t);
+    to_json(w, t);
   }
   if (!report.sweeps.empty()) {
     w.key("models").begin_array();

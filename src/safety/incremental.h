@@ -48,6 +48,8 @@ struct IncrementalStats {
   /// thread), so reports may carry it byte-stably. Once the retained block
   /// covers it, later identical epochs never touch the general heap.
   std::size_t arena_high_water = 0;
+
+  bool operator==(const IncrementalStats&) const = default;
 };
 
 /// Updates `info` (computed for the graph *before* the failures) to the

@@ -128,6 +128,8 @@ struct WaveRecord {
   /// on the degraded graph (statuses and anchors).
   bool verified = false;
   bool matches_full_recompute = false;
+
+  bool operator==(const WaveRecord&) const = default;
 };
 
 /// What one mobility re-pin did to the substrate, the labeling and the
@@ -145,6 +147,8 @@ struct RepinRecord {
   /// on the moved graph (statuses and anchors).
   bool verified = false;
   bool matches_full_recompute = false;
+
+  bool operator==(const RepinRecord&) const = default;
 };
 
 /// Per-scheme totals of one stream run.
@@ -167,6 +171,8 @@ struct StreamSchemeStats {
                ? 0.0
                : static_cast<double>(delivered) / static_cast<double>(injected);
   }
+
+  bool operator==(const StreamSchemeStats&) const = default;
 };
 
 /// The full result of one stream run.
@@ -177,6 +183,8 @@ struct StreamStats {
   std::vector<WaveRecord> waves;
   std::vector<RepinRecord> repin_records;  ///< one per re-pin, in time order
   std::vector<StreamSchemeStats> schemes;  ///< in StreamConfig::schemes order
+
+  bool operator==(const StreamStats&) const = default;
 };
 
 /// Which internal engine advances the in-flight copies (see the file

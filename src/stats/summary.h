@@ -52,6 +52,10 @@ class Summary {
   /// deserialized Summary reconstructs the accumulator bit-identically.
   const std::vector<double>& values() const noexcept { return values_; }
 
+  /// Equal samples in the same order, hence equal moments. Compares like
+  /// double ==: -0 equals 0, and a NaN sample equals nothing.
+  bool operator==(const Summary&) const = default;
+
  private:
   std::vector<double> values_;
   double mean_ = 0.0;

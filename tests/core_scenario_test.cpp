@@ -74,17 +74,33 @@ TEST(ScenarioSuite, SweepScalingVerifiesDeterminismAndWritesJson) {
   std::remove(json_path.c_str());
 }
 
-TEST(ScenarioSuite, SweepResultsIdenticalDetectsDivergence) {
+TEST(ScenarioSuite, SweepEqualityDetectsDivergence) {
   SweepConfig config;
   config.node_counts = {400};
   config.networks_per_point = 1;
   config.pairs_per_network = 2;
   config.schemes = SweepConfig::paper_schemes();
-  auto a = run_sweep(config);
-  auto b = run_sweep(config);
-  EXPECT_TRUE(sweep_results_identical(a, b));
-  b[0].by_scheme.at("GF").attempted += 1;
-  EXPECT_FALSE(sweep_results_identical(a, b));
+  const auto a = run_sweep(config);
+  EXPECT_EQ(run_sweep(config), a);
+
+  auto bumped = a;
+  bumped[0].by_scheme.at("GF").attempted += 1;
+  EXPECT_NE(bumped, a);
+
+  // One sample of one Summary changed, every other sample kept in order.
+  auto resampled = a;
+  Summary& minima = resampled[0].by_scheme.at("SLGF2").local_minima;
+  ASSERT_FALSE(minima.empty());
+  Summary changed;
+  for (std::size_t i = 0; i < minima.count(); ++i) {
+    changed.add(minima.values()[i] + (i == 0 ? 1.0 : 0.0));
+  }
+  minima = changed;
+  EXPECT_NE(resampled, a);
+
+  auto dropped = a;
+  dropped[0].by_scheme.erase("LGF");
+  EXPECT_NE(dropped, a);
 }
 
 void clear_scenario_env() {

@@ -7,11 +7,16 @@
 /// changed format string, a reordered block, a lost table — fails here.
 ///
 /// The goldens replay sweeps at tiny sizes; each test runs in well under a
-/// second.
+/// second. The JsonGolden tests pin the JSON stats form the same way, as
+/// digests of the two reports that carry no wall-clock values.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
 #include "core/scenario.h"
+#include "report/sink.h"
 
 namespace spr {
 namespace {
@@ -151,6 +156,40 @@ epoch  time  links  delivered  hops  unsafe
 delivered 3/3 epochs, mean hops 7.7
 )GOLD";
   EXPECT_EQ(captured, expected);
+}
+
+/// 64-bit FNV-1a of a scenario's JSON report at the sizes the
+/// serial-vs-threaded report tests use. These two reports carry no
+/// wall-clock values, so the digest pins the stats form byte for byte:
+/// derived keys, flattened relabel counters, number formatting.
+std::string json_report_digest(const char* name) {
+  ScenarioOptions opts;
+  opts.networks = 1;
+  opts.pairs = 6;
+  opts.threads = 1;
+  const Scenario* scenario = ScenarioSuite::builtin().find(name);
+  EXPECT_NE(scenario, nullptr);
+  if (scenario == nullptr) return {};
+  ScenarioReport report;
+  report.scenario = scenario->name;
+  EXPECT_EQ(scenario->build(opts, report), 0);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : JsonSink::render(report)) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
+}
+
+TEST(JsonGolden, StreamingDelivery) {
+  EXPECT_EQ(json_report_digest("streaming-delivery"), "cd256b0c9c5d0f58");
+}
+
+TEST(JsonGolden, MobilityRate) {
+  EXPECT_EQ(json_report_digest("mobility-rate"), "403584734547d2cc");
 }
 
 }  // namespace

@@ -12,8 +12,6 @@
 #include <set>
 #include <utility>
 
-#include "core/scenario.h"
-
 namespace spr {
 namespace {
 
@@ -30,18 +28,6 @@ T round_trip(const T& value) {
   return out;
 }
 
-/// Bitwise equality of every derived moment — the same definition the
-/// sweep determinism checks use.
-void expect_summaries_identical(const Summary& a, const Summary& b) {
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.sum(), b.sum());
-  EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.min(), b.min());
-  EXPECT_EQ(a.max(), b.max());
-  EXPECT_EQ(a.variance(), b.variance());
-  EXPECT_EQ(a.values(), b.values());
-}
-
 Summary sample_summary() {
   Summary s;
   for (double v : {3.0, 1.0 / 3.0, 7.25, -2.5, 1e-12, 123456.789}) s.add(v);
@@ -51,20 +37,21 @@ Summary sample_summary() {
 TEST(Serialize, SummaryRoundTripIsBitExact) {
   Summary original = sample_summary();
   Summary copy = round_trip(original);
-  expect_summaries_identical(original, copy);
+  EXPECT_EQ(copy, original);
   // The reconstructed accumulator merges exactly like the original.
   Summary merged_a, merged_b;
   merged_a.merge(original);
   merged_a.merge(copy);
   merged_b.merge(copy);
   merged_b.merge(original);
-  expect_summaries_identical(merged_a, merged_b);
+  EXPECT_EQ(merged_a, merged_b);
 }
 
 TEST(Serialize, EmptySummaryRoundTrips) {
   Summary empty;
   Summary copy = round_trip(empty);
   EXPECT_TRUE(copy.empty());
+  EXPECT_EQ(copy, empty);
 }
 
 TEST(Serialize, SummaryRejectsMalformed) {
@@ -98,23 +85,9 @@ RouteAggregate sample_aggregate(std::uint64_t seed) {
   return agg;
 }
 
-void expect_aggregates_identical(const RouteAggregate& a,
-                                 const RouteAggregate& b) {
-  EXPECT_EQ(a.requested, b.requested);
-  EXPECT_EQ(a.attempted, b.attempted);
-  EXPECT_EQ(a.delivered, b.delivered);
-  expect_summaries_identical(a.hops, b.hops);
-  expect_summaries_identical(a.length, b.length);
-  expect_summaries_identical(a.stretch_hops, b.stretch_hops);
-  expect_summaries_identical(a.stretch_length, b.stretch_length);
-  expect_summaries_identical(a.perimeter_hops, b.perimeter_hops);
-  expect_summaries_identical(a.backup_hops, b.backup_hops);
-  expect_summaries_identical(a.local_minima, b.local_minima);
-}
-
 TEST(Serialize, RouteAggregateRoundTrip) {
   RouteAggregate original = sample_aggregate(5);
-  expect_aggregates_identical(original, round_trip(original));
+  EXPECT_EQ(round_trip(original), original);
 }
 
 TEST(Serialize, CellResultAndSweepPointRoundTrip) {
@@ -123,16 +96,14 @@ TEST(Serialize, CellResultAndSweepPointRoundTrip) {
   cell.emplace("SLGF2", sample_aggregate(2));
   CellResult cell_copy = round_trip(cell);
   ASSERT_EQ(cell_copy.size(), 2u);
-  expect_aggregates_identical(cell.at("GF"), cell_copy.at("GF"));
-  expect_aggregates_identical(cell.at("SLGF2"), cell_copy.at("SLGF2"));
+  EXPECT_EQ(cell_copy, cell);
 
   SweepPoint point;
   point.node_count = 600;
   point.by_scheme = cell;
   SweepPoint point_copy = round_trip(point);
   EXPECT_EQ(point_copy.node_count, 600);
-  expect_aggregates_identical(point.by_scheme.at("GF"),
-                              point_copy.by_scheme.at("GF"));
+  EXPECT_EQ(point_copy, point);
 }
 
 TEST(Serialize, SweepTimingsRoundTrip) {
@@ -150,6 +121,245 @@ TEST(Serialize, SweepTimingsRoundTrip) {
   EXPECT_EQ(copy.oracle_seconds, t.oracle_seconds);
   EXPECT_EQ(copy.bfs_searches, t.bfs_searches);
   EXPECT_EQ(copy.pairs_routed, t.pairs_routed);
+  EXPECT_EQ(copy, t);
+}
+
+// ------------------------------------------------------- wire-format pins
+// Every persisted record, every field set to a non-default value, against
+// its exact full-form text. Slice files written by one build must merge in
+// another, so the keys, their order and the number formatting are frozen.
+
+/// to_json(value) writes exactly `wire`, and from_json(wire) re-serializes
+/// to exactly `wire`.
+template <typename T>
+void expect_wire(const T& value, const std::string& wire) {
+  JsonWriter w;
+  to_json(w, value);
+  EXPECT_EQ(w.str(), wire);
+  JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(JsonValue::parse(wire, parsed, &error)) << error;
+  T decoded;
+  ASSERT_TRUE(from_json(parsed, decoded)) << wire;
+  JsonWriter again;
+  to_json(again, decoded);
+  EXPECT_EQ(again.str(), wire);
+}
+
+Summary summary_of(std::initializer_list<double> values) {
+  Summary s;
+  for (double v : values) s.add(v);
+  return s;
+}
+
+/// One sample per summary except `hops`; `k` makes the schemes differ.
+RouteAggregate pin_aggregate(int k) {
+  RouteAggregate agg;
+  agg.hops = summary_of({3.0 + k, 5.0});
+  agg.length = summary_of({41.5 * k});
+  agg.stretch_hops = summary_of({1.25});
+  agg.stretch_length = summary_of({1.0 / 3.0});
+  agg.perimeter_hops = summary_of({2.0});
+  agg.backup_hops = summary_of({1.0 + k});
+  agg.local_minima = summary_of({4.0});
+  agg.requested = 12;
+  agg.attempted = 11;
+  agg.delivered = static_cast<std::size_t>(8 + k);
+  return agg;
+}
+
+/// pin_aggregate(1) and pin_aggregate(2) on the wire.
+const char* const kGfWire =
+    R"({"requested":12,"attempted":11,"delivered":9,)"
+    R"("hops":{"values":[4,5]},"length":{"values":[41.5]},)"
+    R"("stretch_hops":{"values":[1.25]},)"
+    R"("stretch_length":{"values":[0.33333333333333331]},)"
+    R"("perimeter_hops":{"values":[2]},"backup_hops":{"values":[2]},)"
+    R"("local_minima":{"values":[4]}})";
+const char* const kSlgf2Wire =
+    R"({"requested":12,"attempted":11,"delivered":10,)"
+    R"("hops":{"values":[5,5]},"length":{"values":[83]},)"
+    R"("stretch_hops":{"values":[1.25]},)"
+    R"("stretch_length":{"values":[0.33333333333333331]},)"
+    R"("perimeter_hops":{"values":[2]},"backup_hops":{"values":[3]},)"
+    R"("local_minima":{"values":[4]}})";
+
+CellResult pin_cell() {
+  CellResult cell;
+  cell.emplace("GF", pin_aggregate(1));
+  cell.emplace("SLGF2", pin_aggregate(2));
+  return cell;
+}
+
+std::string pin_cell_wire() {
+  return std::string(R"({"GF":)") + kGfWire + R"(,"SLGF2":)" +
+         kSlgf2Wire + "}";
+}
+
+IncrementalStats pin_relabel() {
+  IncrementalStats stats;
+  stats.seeds = 1;
+  stats.reevaluations = 2;
+  stats.flips = 3;
+  stats.promotions = 4;
+  stats.anchor_recomputes = 5;
+  stats.arena_high_water = 4096;
+  return stats;
+}
+
+const char* const kRelabelWire =
+    R"({"seeds":1,"reevaluations":2,"flips":3,"promotions":4,)"
+    R"("anchor_recomputes":5,"arena_high_water":4096})";
+
+WaveRecord pin_wave() {
+  WaveRecord record;
+  record.time = 2.5;
+  record.casualties = 6;
+  record.packets_in_flight = 3;
+  record.packets_dropped = 1;
+  record.relabel = pin_relabel();
+  record.verified = true;
+  record.matches_full_recompute = true;
+  return record;
+}
+
+std::string pin_wave_wire() {
+  return std::string(R"({"time":2.5,"casualties":6,"packets_in_flight":3,)"
+                     R"("packets_dropped":1,"relabel":)") +
+         kRelabelWire + R"(,"verified":true,"matches_full_recompute":true})";
+}
+
+RepinRecord pin_repin() {
+  RepinRecord record;
+  record.time = 7.75;
+  record.moved = 40;
+  record.edges_added = 12;
+  record.edges_removed = 9;
+  record.packets_in_flight = 2;
+  record.packets_dropped = 1;
+  record.relabel = pin_relabel();
+  record.verified = true;
+  record.matches_full_recompute = true;
+  return record;
+}
+
+std::string pin_repin_wire() {
+  return std::string(R"({"time":7.75,"moved":40,"edges_added":12,)"
+                     R"("edges_removed":9,"packets_in_flight":2,)"
+                     R"("packets_dropped":1,"relabel":)") +
+         kRelabelWire + R"(,"verified":true,"matches_full_recompute":true})";
+}
+
+StreamSchemeStats pin_scheme() {
+  StreamSchemeStats stats;
+  stats.label = "SLGF2";
+  stats.injected = 6;
+  stats.delivered = 5;
+  stats.dead_end = 1;
+  stats.ttl_expired = 2;
+  stats.node_failed = 3;
+  stats.hops = summary_of({9.0, -0.0});
+  stats.length = summary_of({120.5});
+  stats.stretch_hops = summary_of({1.5});
+  stats.latency = summary_of({4.75});
+  stats.replans = summary_of({1.0});
+  stats.local_minima = summary_of({2.0});
+  return stats;
+}
+
+const char* const kSchemeWire =
+    R"({"label":"SLGF2","injected":6,"delivered":5,"dead_end":1,)"
+    R"("ttl_expired":2,"node_failed":3,"hops":{"values":[9,-0]},)"
+    R"("length":{"values":[120.5]},"stretch_hops":{"values":[1.5]},)"
+    R"("latency":{"values":[4.75]},"replans":{"values":[1]},)"
+    R"("local_minima":{"values":[2]}})";
+
+TEST(Serialize, WirePinSummary) {
+  expect_wire(summary_of({1.0 / 3.0, -2.5, -0.0, 1e-300, 123456.789}),
+              R"({"values":[0.33333333333333331,-2.5,-0,1e-300,123456.789]})");
+}
+
+TEST(Serialize, WirePinRouteAggregate) {
+  expect_wire(pin_aggregate(1), kGfWire);
+}
+
+TEST(Serialize, WirePinCellResult) {
+  expect_wire(pin_cell(), pin_cell_wire());
+}
+
+TEST(Serialize, WirePinSweepPoint) {
+  SweepPoint point;
+  point.node_count = 450;
+  point.by_scheme = pin_cell();
+  expect_wire(point, R"({"nodes":450,"schemes":)" + pin_cell_wire() + "}");
+}
+
+TEST(Serialize, WirePinSweepTimings) {
+  SweepTimings t;
+  t.construction_seconds = 1.5;
+  t.pair_draw_seconds = 0.25;
+  t.oracle_seconds = 1.0 / 3.0;
+  t.routing_seconds = 0.125;
+  t.bfs_searches = 7;
+  t.dijkstra_searches = 8;
+  t.pairs_requested = 40;
+  t.pairs_routed = 39;
+  expect_wire(t, R"({"construction_seconds":1.5,"pair_draw_seconds":0.25,)"
+                 R"("oracle_seconds":0.33333333333333331,)"
+                 R"("routing_seconds":0.125,"oracle_bfs_searches":7,)"
+                 R"("oracle_dijkstra_searches":8,"pairs_requested":40,)"
+                 R"("pairs_routed":39})");
+}
+
+TEST(Serialize, WirePinIncrementalStats) {
+  expect_wire(pin_relabel(), kRelabelWire);
+}
+
+TEST(Serialize, WirePinWaveRecord) { expect_wire(pin_wave(), pin_wave_wire()); }
+
+TEST(Serialize, WirePinRepinRecord) {
+  expect_wire(pin_repin(), pin_repin_wire());
+}
+
+TEST(Serialize, WirePinStreamSchemeStats) {
+  expect_wire(pin_scheme(), kSchemeWire);
+}
+
+TEST(Serialize, WirePinStreamStats) {
+  StreamStats stats;
+  stats.virtual_time = 12.5;
+  stats.events = 345;
+  stats.repins = 1;
+  stats.waves.push_back(pin_wave());
+  stats.repin_records.push_back(pin_repin());
+  stats.schemes.push_back(pin_scheme());
+  expect_wire(stats, R"({"virtual_time":12.5,"events":345,"repins":1,)"
+                     R"("waves":[)" + pin_wave_wire() +
+                         R"(],"repin_records":[)" + pin_repin_wire() +
+                         R"(],"schemes":[)" + kSchemeWire + "]}");
+}
+
+TEST(Serialize, WirePinSweepSlice) {
+  SweepSlice slice;
+  slice.model_tag = "FA";
+  slice.node_counts = {400, 450};
+  slice.networks_per_point = 2;
+  slice.pairs_per_network = 3;
+  slice.base_seed = UINT64_MAX;
+  slice.scheme_labels = {"GF", "SLGF2"};
+  slice.slice_index = 1;
+  slice.slice_count = 2;
+  slice.cells.push_back({400, 1, pin_cell()});
+  slice.cells.push_back({450, 0, pin_cell()});
+  expect_wire(slice,
+              R"({"spr_shard":1,"model":"FA","node_counts":[400,450],)"
+              R"("networks_per_point":2,"pairs_per_network":3,)"
+              R"("base_seed":18446744073709551615,"schemes":["GF","SLGF2"],)"
+              R"("shard_index":1,"shard_count":2,"cells":[)"
+              R"({"node_count":400,"net_index":1,"results":)" +
+                  pin_cell_wire() +
+                  R"(},{"node_count":450,"net_index":0,"results":)" +
+                  pin_cell_wire() + "}]}");
 }
 
 SweepConfig small_sweep_config() {
@@ -183,13 +393,14 @@ TEST(Shards, SingleCellShardsMergeBitIdenticallyToRunSweep) {
     ASSERT_TRUE(JsonValue::parse(w.str(), parsed, &error)) << error;
     SweepSlice decoded;
     ASSERT_TRUE(from_json(parsed, decoded));
+    EXPECT_EQ(decoded, shard);
     shards.push_back(std::move(decoded));
   }
 
   std::vector<SweepPoint> merged;
   std::string error;
   ASSERT_TRUE(merge_slices(std::move(shards), merged, &error)) << error;
-  EXPECT_TRUE(sweep_results_identical(in_process, merged));
+  EXPECT_EQ(merged, in_process);
 }
 
 TEST(Shards, UnevenShardingAlsoMergesIdentically) {
@@ -202,7 +413,7 @@ TEST(Shards, UnevenShardingAlsoMergesIdentically) {
   }
   std::vector<SweepPoint> merged;
   ASSERT_TRUE(merge_slices(std::move(shards), merged, nullptr));
-  EXPECT_TRUE(sweep_results_identical(in_process, merged));
+  EXPECT_EQ(merged, in_process);
 }
 
 TEST(Shards, MergeRejectsBadInput) {
@@ -262,9 +473,32 @@ TEST(Serialize, IntegerFieldsRejectFractionalNumbers) {
       R"("oracle_dijkstra_searches":1,"pairs_requested":1,"pairs_routed":1})",
       v));
   EXPECT_FALSE(from_json(v, t));
+  // Nor may a negative count read as 0.
+  v.set("oracle_bfs_searches", JsonValue::of(1));
+  ASSERT_TRUE(from_json(v, t));
+  v.set("pairs_requested", JsonValue::of(-1));
+  EXPECT_FALSE(from_json(v, t));
+  RouteAggregate agg;
+  ASSERT_TRUE(JsonValue::parse(kGfWire, v));
+  v.set("requested", JsonValue::of(-5));
+  EXPECT_FALSE(from_json(v, agg));
   SweepPoint point;
   ASSERT_TRUE(JsonValue::parse(R"({"nodes":400.5,"schemes":{}})", v));
   EXPECT_FALSE(from_json(v, point));
+
+  // arena_high_water may be absent (older artifacts); present, it is a
+  // count like any other.
+  IncrementalStats stats;
+  ASSERT_TRUE(JsonValue::parse(
+      R"({"seeds":1,"reevaluations":2,"flips":3,"promotions":4,)"
+      R"("anchor_recomputes":5})",
+      v));
+  EXPECT_TRUE(from_json(v, stats));
+  EXPECT_EQ(stats.arena_high_water, 0u);
+  v.set("arena_high_water", JsonValue::of(-1));
+  EXPECT_FALSE(from_json(v, stats));
+  v.set("arena_high_water", JsonValue::of(0.5));
+  EXPECT_FALSE(from_json(v, stats));
 }
 
 TEST(Shards, ShardFileRejectsForeignJson) {
@@ -275,6 +509,30 @@ TEST(Shards, ShardFileRejectsForeignJson) {
   ASSERT_TRUE(JsonValue::parse(R"({"spr_shard":99})", v));
   EXPECT_FALSE(from_json(v, shard));
   ASSERT_TRUE(JsonValue::parse("[1,2,3]", v));
+  EXPECT_FALSE(from_json(v, shard));
+
+  // A well-formed slice whose header is out of range: the slice index must
+  // lie in [0, shard_count), and the seed and counts carry no sign.
+  JsonWriter w;
+  to_json(w, make_slice(small_sweep_config(), 1, 2, {}));
+  JsonValue valid;
+  ASSERT_TRUE(JsonValue::parse(w.str(), valid));
+  ASSERT_TRUE(from_json(valid, shard));
+  const std::pair<const char*, std::int64_t> corruptions[] = {
+      {"shard_count", 0},  {"shard_index", -3}, {"shard_index", 2},
+      {"base_seed", -77},
+  };
+  for (const auto& [key, value] : corruptions) {
+    v = valid;
+    v.set(key, JsonValue::of(value));
+    EXPECT_FALSE(from_json(v, shard)) << key << " = " << value;
+  }
+  v = valid;
+  v.set("shard_count", JsonValue::of(0));
+  v.set("shard_index", JsonValue::of(-3));
+  EXPECT_FALSE(from_json(v, shard));
+  v = valid;
+  v.set("node_counts", JsonValue::array().push(JsonValue::of(-400)));
   EXPECT_FALSE(from_json(v, shard));
 }
 

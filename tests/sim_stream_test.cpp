@@ -366,6 +366,7 @@ TEST(StreamSim, StreamStatsJsonRoundTrip) {
   StreamStats decoded;
   ASSERT_TRUE(from_json(parsed, decoded));
   EXPECT_EQ(stream_json(decoded), text);
+  EXPECT_EQ(decoded, stats);
 }
 
 /// The acceptance contract of the flight-record engine: everything in
@@ -411,19 +412,27 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
       StreamStats stats = sim.run();
       *events = stats.events;
       stats.events = 0;  // the one field the engines legitimately differ on
-      return stream_json(stats);
+      return stats;
     };
     std::size_t ref_events = 0;
     std::size_t tick_events = 0;
     std::size_t threaded_events = 0;
-    std::string ref = run(StreamEngine::kPerHopEvents, 1, &ref_events);
-    std::string tick = run(StreamEngine::kFlightRecord, 1, &tick_events);
-    std::string threaded = run(StreamEngine::kFlightRecord, 4, &threaded_events);
+    StreamStats ref = run(StreamEngine::kPerHopEvents, 1, &ref_events);
+    StreamStats tick = run(StreamEngine::kFlightRecord, 1, &tick_events);
+    StreamStats threaded =
+        run(StreamEngine::kFlightRecord, 4, &threaded_events);
     const char* shape = c.waves ? (c.mobility ? "waves+mobility" : "waves")
                                 : (c.mobility ? "mobility" : "plain");
-    EXPECT_EQ(tick, ref) << "seed " << c.seed << " " << shape;
-    EXPECT_EQ(threaded, tick) << "seed " << c.seed << " " << shape
-                              << ": thread count changed the report";
+    // Struct equality sees every field; the JSON text also sees the sign
+    // of zero.
+    EXPECT_TRUE(tick == ref) << "seed " << c.seed << " " << shape;
+    EXPECT_EQ(stream_json(tick), stream_json(ref))
+        << "seed " << c.seed << " " << shape;
+    EXPECT_TRUE(threaded == tick) << "seed " << c.seed << " " << shape
+                                  << ": thread count changed the stats";
+    EXPECT_EQ(stream_json(threaded), stream_json(tick))
+        << "seed " << c.seed << " " << shape
+        << ": thread count changed the report";
     EXPECT_EQ(threaded_events, tick_events) << "seed " << c.seed << " "
                                             << shape;
     // With a shared hop_delay the dyadic tick times collide across flights,
