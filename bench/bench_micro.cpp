@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/network.h"
 #include "deploy/deployment.h"
 #include "graph/graph_algos.h"
@@ -294,6 +296,47 @@ void BM_ShortestPathOracle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShortestPathOracle);
+
+/// The stretch oracle layer on its two consumers' inputs. Arg 600: one FA
+/// sweep cell (network `sweep_cell_seed`, its 20 drawn pairs, hop and
+/// length optima). Arg 10000: one stream epoch (the constant-degree 10^4
+/// FA field, 256 connected interior pairs, hop optima only). Serial, so
+/// the layer's own cost is timed.
+void BM_OracleBatch(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::optional<Network> net;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  OracleBatch::Metrics metrics = OracleBatch::Metrics::kBoth;
+  if (n <= 1000) {
+    SweepConfig config;
+    config.model = DeployModel::kForbiddenAreas;
+    NetworkConfig nc;
+    nc.deployment = config.deployment_template;
+    nc.deployment.model = config.model;
+    nc.deployment.node_count = n;
+    nc.seed = sweep_cell_seed(config, n, 0);
+    net.emplace(Network::create(nc));
+    pairs = sweep_cell_pairs(config, *net, n, 0);
+  } else {
+    net.emplace(make_scaled_deployment(n, DeployModel::kForbiddenAreas));
+    metrics = OracleBatch::Metrics::kHopsOnly;
+    Rng rng(256);
+    for (int trial = 0; trial < 1024 && pairs.size() < 256; ++trial) {
+      auto pair = net->random_connected_interior_pair(rng);
+      if (pair.first != kInvalidNode) pairs.push_back(pair);
+    }
+  }
+  if (pairs.empty()) {
+    state.SkipWithError("no connected interior pairs");
+    return;
+  }
+  for (auto _ : state) {
+    OracleBatch batch(net->graph(), pairs, nullptr, metrics);
+    benchmark::DoNotOptimize(batch.hop_optimal(batch.size() - 1).hops());
+  }
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+}
+BENCHMARK(BM_OracleBatch)->Arg(600)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 /// Cost of the shard serialization round trip (report/serialize.h): one
 /// sweep cell's full aggregates to JSON text, parsed back, deserialized.

@@ -72,8 +72,8 @@ void draw_cell_pairs(const SweepConfig& config, const Network& network,
 }
 
 /// Runs one independent sweep cell: draw the network, pick the pairs, run
-/// the shared per-source oracle, batch-route every scheme over the same
-/// pairs. `timings` (never null) receives this cell's cost breakdown.
+/// the point-to-point oracle per pair, batch-route every scheme over the
+/// same pairs. `timings` (never null) receives this cell's cost breakdown.
 CellResult run_cell(const SweepConfig& config, int n, int net_index,
                     SweepTimings* timings) {
   CellResult cell;
@@ -110,10 +110,9 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
   network.force(needs);
   timings->construction_seconds += seconds_since(start);
 
-  // Per-cell scratch — the pair buffer and the oracle's grouping arrays —
-  // comes from a worker-local monotonic arena: reset per cell, high-water
-  // block kept, so steady-state cells stop touching the general heap for
-  // it. Allocation placement cannot change results.
+  // The pair buffer comes from a worker-local monotonic arena: reset per
+  // cell, high-water block kept, so steady-state cells stop touching the
+  // general heap for it. Allocation placement cannot change results.
   thread_local Arena cell_scratch;
   cell_scratch.reset();
   ArenaVector<std::pair<NodeId, NodeId>> pairs{
@@ -127,13 +126,13 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
       std::max(config.pairs_per_network, 0));
   timings->pairs_routed += pairs.size();
 
-  // One BFS + one Dijkstra per distinct source, shared by every pair from
-  // that source and every scheme.
+  // One bidirectional BFS + one A* per pair, shared by every scheme. Drawn
+  // pairs are in range with s != d, so each pair runs both.
   start = std::chrono::steady_clock::now();
-  OracleBatch oracles(network.graph(), pairs, &cell_scratch);
+  OracleBatch oracles(network.graph(), pairs);
   timings->oracle_seconds += seconds_since(start);
-  timings->bfs_searches += oracles.distinct_sources();
-  timings->dijkstra_searches += oracles.distinct_sources();
+  timings->bfs_searches += pairs.size();
+  timings->dijkstra_searches += pairs.size();
 
   start = std::chrono::steady_clock::now();
   for (const auto& spec : config.schemes) {

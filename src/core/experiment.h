@@ -101,16 +101,16 @@ using SweepProgress = std::function<void(int, int, int)>;
 
 /// Cost breakdown of a sweep, accumulated over all cells. The seconds are
 /// wall-clock (timing-noisy, summed across workers); the counts are exact
-/// and deterministic. One BFS and one Dijkstra run per *distinct source*
-/// per cell — `bfs_searches` against `2 * pairs_routed` is the saving over
-/// the per-pair oracle loop this pipeline replaced.
+/// and deterministic. The oracle runs one bidirectional BFS and one A* per
+/// routed pair, each stopping at the pair's destination, so both search
+/// counts equal `pairs_routed`.
 struct SweepTimings {
   double construction_seconds = 0.0;  ///< Network::create + forced structures
-  double pair_draw_seconds = 0.0;     ///< connected-pair sampling (BFS probes)
-  double oracle_seconds = 0.0;        ///< OracleBatch searches + extraction
+  double pair_draw_seconds = 0.0;     ///< connected-pair sampling
+  double oracle_seconds = 0.0;        ///< OracleBatch searches
   double routing_seconds = 0.0;       ///< route_batch over every scheme
-  std::uint64_t bfs_searches = 0;     ///< oracle BFS trees (distinct sources)
-  std::uint64_t dijkstra_searches = 0;
+  std::uint64_t bfs_searches = 0;     ///< oracle bidirectional BFS runs
+  std::uint64_t dijkstra_searches = 0;  ///< oracle A* runs
   std::uint64_t pairs_requested = 0;  ///< cells x pairs_per_network
   std::uint64_t pairs_routed = 0;     ///< pairs actually drawn and routed
 

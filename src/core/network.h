@@ -168,7 +168,9 @@ class Network {
 
   /// As above, resampled (up to `max_tries`) until the pair is connected in
   /// the unit-disk graph; {kInvalidNode, kInvalidNode} when none is found
-  /// (callers must check — the sweep counts it as a pair shortfall).
+  /// (callers must check — the sweep counts it as a pair shortfall). Each
+  /// try is one `connected` check, a bidirectional BFS that stops when its
+  /// frontiers meet.
   std::pair<NodeId, NodeId> random_connected_interior_pair(
       Rng& rng, int max_tries = 64) const;
 

@@ -1236,8 +1236,7 @@ int run_tile_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
 
 /// Parallel-sweep scaling: the same sweep serial and parallel, verifying
 /// bit-identical aggregates and reporting the wall-clock ratio plus the
-/// construction / oracle / routing breakdown and the per-source oracle
-/// saving over the per-pair search loop.
+/// construction / oracle / routing breakdown and the oracle's search count.
 int run_sweep_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
   SweepConfig config = figure_config(DeployModel::kIdeal, opts);
   if (opts.networks == 0) config.networks_per_point = 8;
@@ -1276,13 +1275,11 @@ int run_sweep_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
                serial_timings.construction_seconds,
                serial_timings.pair_draw_seconds,
                serial_timings.oracle_seconds, serial_timings.routing_seconds);
-  std::uint64_t per_pair_searches = 2 * serial_timings.pairs_routed;
-  std::uint64_t shared_searches =
-      serial_timings.bfs_searches + serial_timings.dijkstra_searches;
-  report.textf("oracle searches: %llu (vs %llu per-pair) for %llu pairs — "
-               "one BFS + one Dijkstra per distinct source\n",
-               static_cast<unsigned long long>(shared_searches),
-               static_cast<unsigned long long>(per_pair_searches),
+  report.textf("oracle searches: %llu for %llu pairs — one bidirectional "
+               "BFS + one A* per pair\n",
+               static_cast<unsigned long long>(
+                   serial_timings.bfs_searches +
+                   serial_timings.dijkstra_searches),
                static_cast<unsigned long long>(serial_timings.pairs_routed));
   if (serial_timings.pairs_routed < serial_timings.pairs_requested) {
     report.textf("pair shortfall: %llu of %llu requested pairs not drawn\n",

@@ -2,16 +2,29 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <queue>
 
-#include "util/arena.h"
+#include "util/task_pool.h"
 
 namespace spr {
 
 namespace {
 std::atomic<std::uint64_t> g_bfs_trees{0};
 std::atomic<std::uint64_t> g_dijkstra_trees{0};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Length of `path` as the left fold from its first node: the expression
+/// every oracle reports, so equal optima give the same `double`.
+double path_length(const UnitDiskGraph& g, const std::vector<NodeId>& path) {
+  double length = 0.0;
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    length += distance(g.position(path[i - 1]), g.position(path[i]));
+  }
+  return length;
+}
 }  // namespace
 
 OracleSearchCounts oracle_search_counts() noexcept {
@@ -27,6 +40,7 @@ void reset_oracle_search_counts() noexcept {
 std::vector<std::size_t> bfs_hops(const UnitDiskGraph& g, NodeId source) {
   constexpr auto kUnreached = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> dist(g.size(), kUnreached);
+  if (source >= g.size()) return dist;  // invalid source: nothing reached
   std::queue<NodeId> frontier;
   dist[source] = 0;
   frontier.push(source);
@@ -69,7 +83,6 @@ ShortestPathTree::ShortestPathTree(const UnitDiskGraph& g, NodeId source,
     }
   } else {
     g_dijkstra_trees.fetch_add(1, std::memory_order_relaxed);
-    constexpr double kInf = std::numeric_limits<double>::infinity();
     std::vector<double> dist(g.size(), kInf);
     using Entry = std::pair<double, NodeId>;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
@@ -98,89 +111,189 @@ ShortestPath ShortestPathTree::extract(NodeId target) const {
   for (NodeId v = target; v != source_; v = parent_[v]) result.path.push_back(v);
   result.path.push_back(source_);
   std::reverse(result.path.begin(), result.path.end());
-  for (std::size_t i = 1; i < result.path.size(); ++i) {
-    result.length +=
-        distance(g_->position(result.path[i - 1]), g_->position(result.path[i]));
-  }
+  result.length = path_length(*g_, result.path);
   return result;
 }
 
 namespace {
 
-/// OracleBatch's grouping + search body, shared by the heap- and
-/// arena-scratch constructors. Groups pair indices by source in CSR form
-/// (counts -> offsets -> fill; first-appearance slot order, pair order
-/// within a slot), then runs one BFS + one Dijkstra per distinct source.
-/// All four scratch vectors are passed in empty with the desired allocator.
-template <typename SizeVec, typename NodeVec>
-std::size_t build_oracles(const UnitDiskGraph& g,
-                          std::span<const std::pair<NodeId, NodeId>> pairs,
-                          SizeVec slot_of, SizeVec count, SizeVec grouped,
-                          NodeVec sources,
-                          std::vector<ShortestPath>& hop_optimal,
-                          std::vector<ShortestPath>& length_optimal,
-                          OracleBatch::Metrics metrics) {
-  bool want_length = metrics == OracleBatch::Metrics::kBoth;
-  hop_optimal.resize(pairs.size());
-  if (want_length) length_optimal.resize(pairs.size());
-
-  slot_of.assign(g.size(), SIZE_MAX);
-  std::size_t valid = 0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    NodeId s = pairs[i].first;
-    if (s >= g.size()) continue;  // invalid source: optima stay empty
-    if (slot_of[s] == SIZE_MAX) {
-      slot_of[s] = sources.size();
-      sources.push_back(s);
-      count.push_back(0);
+/// Per-thread state of the point-to-point searches, grown to the largest
+/// graph the thread has searched and never cleared: a node's `parent` and
+/// `label` are live only while `mark` holds the running search's stamp, so
+/// a search starts in O(1) however large the graph. A hops-only thread
+/// touches 8 B per node (`mark`, `parent`); `label` is grown on the first
+/// A*.
+struct PointScratch {
+  /// An A* heap entry: `label` is the node's label when pushed, so the
+  /// entry is stale once the label has dropped below it.
+  struct Entry {
+    double key;  ///< label + |node - target|
+    double label;
+    NodeId node;
+    bool operator>(const Entry& other) const noexcept {
+      return key > other.key;
     }
-    ++count[slot_of[s]];
-    ++valid;
-  }
+  };
 
-  // `count` becomes the slot's cursor into `grouped`; the running prefix
-  // sum in `begin` marks each slot's segment start.
-  grouped.resize(valid);
-  std::size_t begin = 0;
-  for (std::size_t si = 0; si < count.size(); ++si) {
-    std::size_t slot_count = count[si];
-    count[si] = begin;
-    begin += slot_count;
-  }
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    NodeId s = pairs[i].first;
-    if (s >= g.size()) continue;
-    grouped[count[slot_of[s]]++] = i;
-  }
+  std::vector<std::uint32_t> mark;
+  std::vector<NodeId> parent;
+  std::vector<double> label;
+  std::vector<NodeId> from_source, from_target, next;
+  std::vector<Entry> heap;
+  std::uint32_t last_stamp = 0;
 
-  // One BFS + one Dijkstra per distinct source; the trees are transient —
-  // only the per-pair extracted optima are kept (matching the memory
-  // profile of the per-pair loop this replaces). A source with a single
-  // destination keeps the per-pair early exit via stop_at, so the batch is
-  // never more work than the loop it replaced.
-  for (std::size_t si = 0; si < sources.size(); ++si) {
-    std::size_t seg_begin = si == 0 ? 0 : count[si - 1];
-    std::size_t seg_end = count[si];
-    NodeId stop_at = seg_end - seg_begin == 1 ? pairs[grouped[seg_begin]].second
-                                              : kInvalidNode;
-    ShortestPathTree hop_tree(g, sources[si], ShortestPathTree::Metric::kHops,
-                              stop_at);
-    if (want_length) {
-      ShortestPathTree len_tree(g, sources[si],
-                                ShortestPathTree::Metric::kLength, stop_at);
-      for (std::size_t gi = seg_begin; gi < seg_end; ++gi) {
-        std::size_t i = grouped[gi];
-        hop_optimal[i] = hop_tree.extract(pairs[i].second);
-        length_optimal[i] = len_tree.extract(pairs[i].second);
-      }
-    } else {
-      for (std::size_t gi = seg_begin; gi < seg_end; ++gi) {
-        std::size_t i = grouped[gi];
-        hop_optimal[i] = hop_tree.extract(pairs[i].second);
+  /// Sizes the arrays for `n` nodes and returns two fresh stamps, `base`
+  /// and `base + 1`. Stamps only grow, so no entry of an earlier search
+  /// carries one; when they would wrap, every mark is zeroed (0 is never
+  /// handed out) and numbering restarts.
+  std::uint32_t begin(std::size_t n) {
+    if (mark.size() < n) {
+      mark.resize(n, 0);
+      parent.resize(n);
+    }
+    if (last_stamp > std::numeric_limits<std::uint32_t>::max() - 2) {
+      std::fill(mark.begin(), mark.end(), 0);
+      last_stamp = 0;
+    }
+    last_stamp += 2;
+    return last_stamp - 1;
+  }
+};
+
+PointScratch& point_scratch() {
+  thread_local PointScratch scratch;
+  return scratch;
+}
+
+/// The edge where a bidirectional BFS's two sides met: `source_side` was
+/// reached from s, `target_side` from t. Both invalid when s and t are
+/// disconnected.
+struct Meeting {
+  NodeId source_side = kInvalidNode;
+  NodeId target_side = kInvalidNode;
+};
+
+/// Level-synchronous bidirectional BFS between valid s != t, expanding the
+/// smaller frontier one whole level at a time. The first edge found from a
+/// frontier into the other side's marks closes a hop-optimal path: while
+/// the sides are disjoint, every node within a hops of s and every node
+/// within b hops of t is marked, so d(s, t) >= a + b + 1, and that edge
+/// closes a path of at most a + b + 1 hops.
+Meeting meet_in_middle(const UnitDiskGraph& g, NodeId s, NodeId t,
+                       PointScratch& w) {
+  const std::uint32_t from_s = w.begin(g.size());
+  const std::uint32_t from_t = from_s + 1;
+  w.mark[s] = from_s;
+  w.mark[t] = from_t;
+  w.parent[s] = kInvalidNode;
+  w.parent[t] = kInvalidNode;
+  w.from_source.assign(1, s);
+  w.from_target.assign(1, t);
+  while (!w.from_source.empty() && !w.from_target.empty()) {
+    const bool forward = w.from_source.size() <= w.from_target.size();
+    std::vector<NodeId>& level = forward ? w.from_source : w.from_target;
+    const std::uint32_t mine = forward ? from_s : from_t;
+    const std::uint32_t theirs = forward ? from_t : from_s;
+    w.next.clear();
+    for (NodeId u : level) {
+      for (NodeId v : g.neighbors(u)) {
+        if (w.mark[v] == mine) continue;
+        if (w.mark[v] == theirs) {
+          return forward ? Meeting{u, v} : Meeting{v, u};
+        }
+        w.mark[v] = mine;
+        w.parent[v] = u;
+        w.next.push_back(v);
       }
     }
+    level.swap(w.next);
   }
-  return sources.size();
+  return {};
+}
+
+/// Appends v, its parent, its parent's parent, ... up to the search root.
+void append_parent_chain(const PointScratch& w, NodeId v,
+                         std::vector<NodeId>& path) {
+  for (; v != kInvalidNode; v = w.parent[v]) path.push_back(v);
+}
+
+/// The hop optimum between valid s != t: the bidirectional BFS's
+/// s..meeting..t path.
+ShortestPath hop_optimum(const UnitDiskGraph& g, NodeId s, NodeId t,
+                         PointScratch& w) {
+  g_bfs_trees.fetch_add(1, std::memory_order_relaxed);
+  ShortestPath result;
+  const Meeting meeting = meet_in_middle(g, s, t, w);
+  if (meeting.source_side == kInvalidNode) return result;
+  append_parent_chain(w, meeting.source_side, result.path);
+  std::reverse(result.path.begin(), result.path.end());
+  append_parent_chain(w, meeting.target_side, result.path);
+  result.length = path_length(g, result.path);
+  return result;
+}
+
+/// The length optimum between valid s != t: A* from s towards t with
+/// h(v) = |v - t|.
+///
+/// Why it returns Dijkstra's `double`. Adding a non-negative weight is
+/// monotone in floating point and never lowers the sum, so Dijkstra's
+/// proof goes through unchanged: its label for t is L*, the least
+/// left-fold sum over s..t paths. The Euclidean h is consistent in exact
+/// arithmetic, but rounding can make it inconsistent by an ulp, so
+/// stopping when t is first popped is not exact. Instead a node is
+/// re-expanded whenever its label drops (stale heap entries are skipped),
+/// and the loop runs until the smallest key exceeds best * (1 + 1e-6).
+/// Take Dijkstra's tree path v0..vk to t, whose prefix sums G_i are each
+/// node's least label. Until t holds L*, the first v_i not yet expanded
+/// with G_i waits in the heap with key fl(G_i + h(v_i)). With m = k - i
+/// hops left, L* >= (G_i + the m remaining weights) * (1 - 2^-53)^m, and
+/// h(v_i) is within a few ulps of |v_i - t|, which is at most that
+/// weight sum; so the key is at most L* * (1 + (m + 5) * 2^-53), inside
+/// the slack for any m below 10^9, and the loop cannot stop early. The
+/// reported length is the left fold along the parent chain: each parent's
+/// label has only dropped since it relaxed its child, so that fold is at
+/// most t's label L*, and no s..t path folds below L*.
+ShortestPath length_optimum(const UnitDiskGraph& g, NodeId s, NodeId t,
+                            PointScratch& w) {
+  constexpr double kSlack = 1.0 + 1e-6;
+  g_dijkstra_trees.fetch_add(1, std::memory_order_relaxed);
+  const std::uint32_t stamp = w.begin(g.size());
+  if (w.label.size() < g.size()) w.label.resize(g.size());
+  const Vec2 goal = g.position(t);
+  const std::greater<> min_heap;
+  w.heap.clear();
+  w.mark[s] = stamp;
+  w.label[s] = 0.0;
+  w.parent[s] = kInvalidNode;
+  w.heap.push_back({distance(g.position(s), goal), 0.0, s});
+  double best = kInf;  // t's label; t itself is never expanded
+  while (!w.heap.empty()) {
+    std::pop_heap(w.heap.begin(), w.heap.end(), min_heap);
+    const PointScratch::Entry top = w.heap.back();
+    w.heap.pop_back();
+    if (top.key > best * kSlack) break;
+    if (top.label > w.label[top.node]) continue;
+    const Vec2 at = g.position(top.node);
+    for (NodeId v : g.neighbors(top.node)) {
+      const double nd = top.label + distance(at, g.position(v));
+      if (w.mark[v] == stamp && !(nd < w.label[v])) continue;
+      w.mark[v] = stamp;
+      w.label[v] = nd;
+      w.parent[v] = top.node;
+      if (v == t) {
+        best = nd;
+        continue;
+      }
+      w.heap.push_back({nd + distance(g.position(v), goal), nd, v});
+      std::push_heap(w.heap.begin(), w.heap.end(), min_heap);
+    }
+  }
+  ShortestPath result;
+  if (best == kInf) return result;
+  append_parent_chain(w, t, result.path);
+  std::reverse(result.path.begin(), result.path.end());
+  result.length = path_length(g, result.path);
+  return result;
 }
 
 }  // namespace
@@ -191,21 +304,28 @@ OracleBatch::OracleBatch(const UnitDiskGraph& g,
 
 OracleBatch::OracleBatch(const UnitDiskGraph& g,
                          std::span<const std::pair<NodeId, NodeId>> pairs,
-                         Arena* scratch, Metrics metrics) {
-  if (scratch == nullptr) {
-    distinct_sources_ = build_oracles(g, pairs, std::vector<std::size_t>{},
-                                      std::vector<std::size_t>{},
-                                      std::vector<std::size_t>{},
-                                      std::vector<NodeId>{}, hop_optimal_,
-                                      length_optimal_, metrics);
-    return;
-  }
-  ArenaAllocator<std::size_t> salloc(*scratch);
-  ArenaAllocator<NodeId> nalloc(*scratch);
-  distinct_sources_ = build_oracles(
-      g, pairs, ArenaVector<std::size_t>(salloc),
-      ArenaVector<std::size_t>(salloc), ArenaVector<std::size_t>(salloc),
-      ArenaVector<NodeId>(nalloc), hop_optimal_, length_optimal_, metrics);
+                         Arena* /*scratch*/, Metrics metrics, TaskPool* pool) {
+  constexpr std::size_t kPairsPerTask = 8;
+  const bool want_length = metrics == Metrics::kBoth;
+  hop_optimal_.resize(pairs.size());
+  if (want_length) length_optimal_.resize(pairs.size());
+  parallel_for_blocked(
+      pool, pairs.size(), kPairsPerTask,
+      [&](std::size_t begin, std::size_t end) {
+        PointScratch& w = point_scratch();
+        for (std::size_t i = begin; i < end; ++i) {
+          const NodeId s = pairs[i].first;
+          const NodeId t = pairs[i].second;
+          if (s >= g.size() || t >= g.size()) continue;  // empty optima
+          if (s == t) {
+            hop_optimal_[i].path = {s};
+            if (want_length) length_optimal_[i].path = {s};
+            continue;
+          }
+          hop_optimal_[i] = hop_optimum(g, s, t, w);
+          if (want_length) length_optimal_[i] = length_optimum(g, s, t, w);
+        }
+      });
 }
 
 ShortestPath bfs_path(const UnitDiskGraph& g, NodeId source, NodeId target) {
@@ -242,9 +362,9 @@ std::vector<int> connected_components(const UnitDiskGraph& g) {
 }
 
 bool connected(const UnitDiskGraph& g, NodeId u, NodeId v) {
+  if (u >= g.size() || v >= g.size()) return false;
   if (u == v) return true;
-  auto dist = bfs_hops(g, u);
-  return dist[v] != std::numeric_limits<std::size_t>::max();
+  return meet_in_middle(g, u, v, point_scratch()).source_side != kInvalidNode;
 }
 
 std::vector<NodeId> largest_component(const UnitDiskGraph& g) {

@@ -6,12 +6,13 @@
 /// oracles the benches use to compute stretch; the routers never consult
 /// them (they are strictly local, as in the paper).
 ///
-/// The oracle machinery is batched: a `ShortestPathTree` is one full
-/// single-source search whose parent array answers *every* target via
-/// `extract`, and an `OracleBatch` groups a span of (s, d) pairs by source
-/// so each distinct source costs exactly one BFS and one Dijkstra shared by
-/// all of its destinations. The per-pair `bfs_path` / `dijkstra_path`
-/// entry points are thin wrappers over a single-use tree.
+/// The stretch oracle is point to point: `OracleBatch` runs, per (s, d)
+/// pair, a bidirectional BFS for the hop optimum and an A* with the
+/// Euclidean heuristic for the length optimum, each stopping at d, and
+/// `connected` is the same bidirectional BFS. `ShortestPathTree` (one full
+/// single-source search, a parent array answering every target) and the
+/// per-pair `bfs_path` / `dijkstra_path` wrappers over it are the
+/// independent reference those searches are tested against.
 
 #include <cstdint>
 #include <span>
@@ -30,11 +31,12 @@ struct ShortestPath {
   std::size_t hops() const noexcept { return path.empty() ? 0 : path.size() - 1; }
 };
 
-/// Process-wide count of single-source tree searches, the hook behind the
-/// "one search per distinct source" assertions in tests and the sweep
-/// benches. Every `ShortestPathTree` construction increments one counter
-/// (the per-pair wrappers build a tree, so they count too); `bfs_hops` and
-/// the connectivity helpers do not.
+/// Process-wide count of oracle searches, the hook behind the search-count
+/// assertions in tests and the sweep benches. Every `ShortestPathTree`
+/// construction increments one counter (the per-pair wrappers build a tree,
+/// so they count too), and so does every point-to-point search an
+/// `OracleBatch` runs: its bidirectional BFS counts as a BFS, its A* as a
+/// Dijkstra. `bfs_hops` and the connectivity helpers do not count.
 struct OracleSearchCounts {
   std::uint64_t bfs_trees = 0;
   std::uint64_t dijkstra_trees = 0;
@@ -86,35 +88,46 @@ class ShortestPathTree {
 };
 
 class Arena;
+class TaskPool;
 
-/// The shared-frontier oracle for a batch of (source, destination) pairs:
-/// groups the span by source and runs one BFS tree and one Dijkstra tree
-/// per *distinct* source, then extracts the per-pair optima. Replaces the
-/// two-searches-per-pair loop in the sweep cells.
+/// The stretch oracle for a batch of (source, destination) pairs: two exact
+/// point-to-point searches per pair, each stopping at the destination.
+///
+/// - Hops: a level-synchronous bidirectional BFS that always expands the
+///   smaller frontier and stops at the first edge joining the two sides.
+/// - Length: A* with h(v) = |v - d|, re-expanding a node whenever its label
+///   drops and popping until the smallest key exceeds the best label by a
+///   1e-6 relative slack (graph_algos.cpp argues why this is exact in
+///   floating point).
+///
+/// Every number a consumer reads equals the reference: `hops()` of the hop
+/// optimum is `bfs_path`'s, and `length` of the length optimum is
+/// `dijkstra_path`'s, the same `double`. The witness *paths* may differ
+/// from the reference's where optima tie. Pairs with an out-of-range id
+/// run no search and get empty optima; s == d gets the one-node path.
 class OracleBatch {
  public:
-  /// Which per-pair optima to compute. `kHopsOnly` skips the Dijkstra
-  /// trees entirely — one BFS per distinct source is the whole cost, and
+  /// Which per-pair optima to compute. `kHopsOnly` skips the A* searches
+  /// entirely — one bidirectional BFS per pair is the whole cost, and
   /// `length_optimal` must not be consulted. The streaming simulator's
-  /// stretch oracle only needs hop counts, so it halves the search work
-  /// this way; the sweep cells need both.
+  /// stretch oracle only needs hop counts; the sweep cells need both.
   enum class Metrics { kBoth, kHopsOnly };
 
   OracleBatch(const UnitDiskGraph& g,
               std::span<const std::pair<NodeId, NodeId>> pairs);
 
-  /// As above, with the transient grouping scratch (slot map, CSR group
-  /// arrays) bump-allocated from `scratch` instead of the general heap —
-  /// the sweep cells pass their per-cell arena (util/arena.h). Results are
-  /// identical; null falls back to heap scratch.
+  /// As above. `scratch` is accepted only for source compatibility and is
+  /// not used: the searches run on per-thread scratch. With a `pool`, the
+  /// pairs fan out over its workers in blocks; each pair writes only its
+  /// own result, so the batch is identical to a serial one.
   OracleBatch(const UnitDiskGraph& g,
               std::span<const std::pair<NodeId, NodeId>> pairs,
-              Arena* scratch, Metrics metrics = Metrics::kBoth);
+              Arena* scratch, Metrics metrics = Metrics::kBoth,
+              TaskPool* pool = nullptr);
 
   std::size_t size() const noexcept { return hop_optimal_.size(); }
-  std::size_t distinct_sources() const noexcept { return distinct_sources_; }
 
-  /// BFS / Dijkstra optimum of pairs[i]; empty path when unreachable.
+  /// Hop / length optimum of pairs[i]; empty path when unreachable.
   const ShortestPath& hop_optimal(std::size_t i) const noexcept {
     return hop_optimal_[i];
   }
@@ -126,10 +139,10 @@ class OracleBatch {
  private:
   std::vector<ShortestPath> hop_optimal_;
   std::vector<ShortestPath> length_optimal_;
-  std::size_t distinct_sources_ = 0;
 };
 
-/// Hop counts from `source` to every node (SIZE_MAX when unreachable).
+/// Hop counts from `source` to every node (SIZE_MAX when unreachable; all
+/// of them for an out-of-range source).
 std::vector<std::size_t> bfs_hops(const UnitDiskGraph& g, NodeId source);
 
 /// Hop-optimal path (BFS tree); empty path when unreachable.
@@ -141,7 +154,9 @@ ShortestPath dijkstra_path(const UnitDiskGraph& g, NodeId source, NodeId target)
 /// Component label per node (dead nodes get their own singleton labels).
 std::vector<int> connected_components(const UnitDiskGraph& g);
 
-/// True when u and v are in the same component.
+/// True when u and v are in the same component: the bidirectional BFS,
+/// stopping once its frontiers meet. An out-of-range id is connected to
+/// nothing.
 bool connected(const UnitDiskGraph& g, NodeId u, NodeId v);
 
 /// Ids of the largest connected component.

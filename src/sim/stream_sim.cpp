@@ -197,7 +197,7 @@ void StreamSim::replan_flights(double now, std::size_t* in_flight,
   }
 }
 
-void StreamSim::build_epoch_oracle() {
+void StreamSim::build_epoch_oracle(TaskPool* pool) {
   oracle_ready_ = true;
   // Eligibility is exactly the legacy per-pair guard at injection time:
   // in-range endpoints and a live source. It depends only on the pair and
@@ -216,12 +216,11 @@ void StreamSim::build_epoch_oracle() {
       oracle_cache_[i] = kNoOracle;
     }
   }
-  // One BFS per distinct source for the whole epoch, instead of one
-  // bfs_path per pair in the inject handler. Tree extraction is identical
-  // to the per-pair search, so the cached hop counts are byte-for-byte
-  // what the lazy fill produced.
+  // One bidirectional BFS per pair for the whole epoch, instead of one
+  // bfs_path per pair in the inject handler. Both are exact, so the cached
+  // hop counts are byte-for-byte what the lazy fill produced.
   OracleBatch batch(net_.graph(), eligible, nullptr,
-                    OracleBatch::Metrics::kHopsOnly);
+                    OracleBatch::Metrics::kHopsOnly, pool);
   for (std::size_t j = 0; j < which.size(); ++j) {
     oracle_cache_[which[j]] = batch.hop_optimal(j).hops();
   }
@@ -314,12 +313,12 @@ void StreamSim::run_per_hop() {
         // measures what the scheme paid relative to the network the packet
         // was handed to, before any mid-flight wave degraded it. Packets
         // cycle over few pairs, so the whole epoch's oracles are batched
-        // at the first injection after each topology change (one BFS per
-        // distinct source).
+        // at the first injection after each topology change (one
+        // bidirectional BFS per pair).
         if (packet.src < net_.graph().size() &&
             packet.dst < net_.graph().size() &&
             net_.graph().alive(packet.src)) {
-          if (!oracle_ready_) build_epoch_oracle();
+          if (!oracle_ready_) build_epoch_oracle(nullptr);
           std::size_t cached =
               oracle_cache_[timed.event.index % config_.pairs.size()];
           packet.oracle_hops = cached == kNoOracle ? 0 : cached;
@@ -697,7 +696,7 @@ void StreamSim::run_flight_record() {
         if (rec.src[p] < net_.graph().size() &&
             rec.dst[p] < net_.graph().size() &&
             net_.graph().alive(rec.src[p])) {
-          if (!oracle_ready_) build_epoch_oracle();
+          if (!oracle_ready_) build_epoch_oracle(pool ? &*pool : nullptr);
           std::size_t cached = oracle_cache_[p % config_.pairs.size()];
           rec.oracle_hops[p] = cached == kNoOracle ? 0 : cached;
         }

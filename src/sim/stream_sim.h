@@ -63,7 +63,8 @@
 ///    event per distinct tick time plus the sparse control events, not one
 ///    event per flight-hop. With StreamConfig::threads > 1 each tick's
 ///    batch is stepped in parallel on a TaskPool and merged in flight-id
-///    order; results are bit-identical across thread counts.
+///    order, and each topology epoch's stretch oracle fans its pairs out
+///    over the same pool; results are bit-identical across thread counts.
 ///  * kPerHopEvents — the legacy reference engine: one heap event per
 ///    flight per hop. Kept as the oracle for the equivalence property
 ///    tests.
@@ -89,6 +90,8 @@
 #include "stats/summary.h"
 
 namespace spr {
+
+class TaskPool;
 
 /// Why one scheme's copy of a packet ended.
 enum class StreamOutcome : unsigned char {
@@ -259,8 +262,10 @@ class StreamSim {
   void run_per_hop();
   void run_flight_record();
   /// Fills oracle_cache_ for the current topology epoch: one hops-only
-  /// OracleBatch over the eligible pairs (one BFS per distinct source).
-  void build_epoch_oracle();
+  /// OracleBatch over the eligible pairs (one bidirectional BFS per pair),
+  /// fanned out over `pool` when non-null. Each pair fills its own slot, so
+  /// the cache is identical for every pool size.
+  void build_epoch_oracle(TaskPool* pool);
 
   Network net_;
   StreamConfig config_;

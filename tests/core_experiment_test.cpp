@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <set>
 
 #include "graph/graph_algos.h"
 
@@ -148,15 +147,15 @@ TEST(Experiment, SpatialTileSweepBitIdenticalToMonolithic) {
   }
 }
 
-TEST(Experiment, OneSearchPerDistinctSourcePerCell) {
-  // The acceptance check for the batched oracle: a cell must run exactly
-  // one BFS and one Dijkstra per distinct pair source, however many pairs
-  // and schemes it routes.
+TEST(Experiment, OneSearchPerPairPerMetricPerCell) {
+  // The acceptance check for the point-to-point oracle: a cell runs exactly
+  // one bidirectional BFS and one A* per drawn pair, however many schemes
+  // it routes, and no other oracle search.
   SweepConfig config = tiny_sweep();
   config.networks_per_point = 1;
   config.pairs_per_network = 12;
 
-  // Reconstruct the cell's traffic to count its distinct sources.
+  // Reconstruct the cell's traffic to count its pairs.
   NetworkConfig nc;
   nc.deployment = config.deployment_template;
   nc.deployment.model = config.model;
@@ -165,19 +164,18 @@ TEST(Experiment, OneSearchPerDistinctSourcePerCell) {
   Network network = Network::create(nc);
   auto pairs = sweep_cell_pairs(config, network, 400, 0);
   ASSERT_FALSE(pairs.empty());
-  std::set<NodeId> sources;
-  for (auto [s, d] : pairs) sources.insert(s);
 
   reset_oracle_search_counts();
   SweepTimings timings;
   run_sweep(config, {}, &timings);
-  EXPECT_EQ(timings.bfs_searches, sources.size());
-  EXPECT_EQ(timings.dijkstra_searches, sources.size());
+  EXPECT_EQ(timings.bfs_searches, pairs.size());
+  EXPECT_EQ(timings.dijkstra_searches, pairs.size());
   EXPECT_EQ(timings.pairs_routed, pairs.size());
-  // The process-wide hook agrees: the sweep ran no other tree searches.
+  // The process-wide hook agrees: the sweep ran no other oracle searches
+  // (the pair draw's connectivity checks are not counted).
   auto counts = oracle_search_counts();
-  EXPECT_EQ(counts.bfs_trees, sources.size());
-  EXPECT_EQ(counts.dijkstra_trees, sources.size());
+  EXPECT_EQ(counts.bfs_trees, pairs.size());
+  EXPECT_EQ(counts.dijkstra_trees, pairs.size());
 }
 
 TEST(Experiment, RequestedPairsAccounted) {

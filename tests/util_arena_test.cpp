@@ -68,16 +68,15 @@ TEST(Arena, OracleBatchScratchVariantMatchesHeapVariant) {
     auto pair = net.random_connected_interior_pair(rng);
     if (pair.first != kInvalidNode) pairs.push_back(pair);
   }
-  // Repeat sources so the grouping actually groups.
   if (pairs.size() >= 2) pairs.push_back({pairs[0].first, pairs[1].second});
   ASSERT_FALSE(pairs.empty());
 
+  // The arena parameter is kept for source compatibility only; passing one
+  // must not change a single result.
   OracleBatch heap(net.graph(), pairs);
   Arena arena;
   OracleBatch scratch(net.graph(), pairs, &arena);
   ASSERT_EQ(heap.size(), scratch.size());
-  EXPECT_EQ(heap.distinct_sources(), scratch.distinct_sources());
-  EXPECT_GT(arena.bytes_allocated(), 0u);
   for (std::size_t i = 0; i < heap.size(); ++i) {
     EXPECT_EQ(heap.hop_optimal(i).path, scratch.hop_optimal(i).path);
     EXPECT_EQ(heap.hop_optimal(i).length, scratch.hop_optimal(i).length);
