@@ -15,7 +15,7 @@ set(csv "${OUT_DIR}/artifact-gate.csv")
 set(svg "${OUT_DIR}/artifact-gate.svg")
 
 execute_process(
-  COMMAND "${SPR_CLI}" scenario mobile-stream --networks 2
+  COMMAND "${SPR_CLI}" run mobile-stream --networks 2
           --json "${json}" --csv "${csv}" --svg "${svg}"
   RESULT_VARIABLE run_result
   OUTPUT_QUIET)
@@ -93,3 +93,26 @@ execute_process(
 if(NOT mobility_validate EQUAL 0)
   message(FATAL_ERROR "mobility-rate JSON artifact failed to re-parse")
 endif()
+
+# Hostile-input probes: a negative count, a flag the command does not take
+# and a removed verb or alias must each exit nonzero, never fall back to a
+# default workload.
+function(expect_rejected)
+  execute_process(
+    COMMAND "${SPR_CLI}" ${ARGN}
+    RESULT_VARIABLE probe_result
+    OUTPUT_QUIET ERROR_QUIET)
+  if(probe_result EQUAL 0)
+    string(REPLACE ";" " " probe "${ARGN}")
+    message(FATAL_ERROR "spr_cli ${probe} exited 0; expected a rejection")
+  endif()
+endfunction()
+
+expect_rejected(run sweep-scaling --networks -3 --pairs -2)
+expect_rejected(run mobile-stream --threads -2)
+expect_rejected(sweep --pairs=-3)
+expect_rejected(sweep --networks=-1)
+expect_rejected(sweep --threads=-2)
+expect_rejected(sweep --nodes=400)
+expect_rejected(scenario mobile-stream)
+expect_rejected(sweep --shard 1/2 --json "${OUT_DIR}/artifact-gate-shard.json")

@@ -1,10 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #include "graph/graph_algos.h"
@@ -324,24 +321,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-int env_int_or(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  int value = 0;
-  auto [ptr, ec] = std::from_chars(raw, raw + std::strlen(raw), value);
-  if (ec != std::errc() || ptr != raw + std::strlen(raw)) return fallback;
-  return value;
-}
-
-std::uint64_t env_uint64_or(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  std::uint64_t value = 0;
-  auto [ptr, ec] = std::from_chars(raw, raw + std::strlen(raw), value);
-  if (ec != std::errc() || ptr != raw + std::strlen(raw)) return fallback;
-  return value;
 }
 
 }  // namespace spr

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file experiment.h
-/// The sweep runner behind every figure bench: vary the node count over the
+/// The sweep runner behind every figure scenario: vary the node count over the
 /// paper's grid (400..800 step 50), draw `networks_per_point` random
 /// networks per point, route `pairs_per_network` random connected interior
 /// pairs with each scheme, and aggregate.
@@ -167,15 +167,6 @@ std::vector<std::pair<NodeId, NodeId>> sweep_cell_pairs(
 /// exposed so scenarios and tests can reconstruct any cell's network.
 std::uint64_t sweep_cell_seed(const SweepConfig& config, int node_count,
                               int net_index);
-
-/// Reads an integer override from the environment (used by the benches so
-/// `SPR_NETWORKS=5 ./bench_fig6_avg_hops` gives a quick pass); returns
-/// `fallback` when unset or unparsable.
-int env_int_or(const char* name, int fallback);
-
-/// env_int_or's 64-bit sibling for seeds: any valid uint64 is accepted;
-/// malformed, negative or overflowing values return `fallback`.
-std::uint64_t env_uint64_or(const char* name, std::uint64_t fallback);
 
 /// Seconds elapsed since `start` — the wall-clock helper behind
 /// SweepTimings and the scenario reports.

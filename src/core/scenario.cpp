@@ -5,21 +5,23 @@
 // bit_identical gates in this file verify on every run.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "graph/graph_algos.h"
 #include "mobility/waypoint.h"
 #include "report/serialize.h"
 #include "sim/stream_sim.h"
+#include "routing/baselines.h"
 #include "routing/gf.h"
 #include "routing/lgf.h"
 #include "routing/slgf.h"
 #include "routing/slgf2.h"
+#include "safety/distributed.h"
 #include "safety/incremental.h"
 #include "shard/sharded_network.h"
 #include "stats/table.h"
@@ -29,6 +31,26 @@
 namespace spr {
 
 namespace {
+
+/// Display name of a deployment model: "IA (uniform)" / "FA (forbidden
+/// areas)".
+const char* model_name(DeployModel model) noexcept {
+  return model == DeployModel::kIdeal ? "IA (uniform)" : "FA (forbidden areas)";
+}
+
+/// Runs `fn(i)` for every cell index i < `count`: inline when `threads` is 1,
+/// otherwise on a pool of `threads` workers (0 = hardware). Each call must
+/// write only its own cell, so the caller's in-order reduction is the same
+/// for every thread count.
+void for_each_cell(int threads, std::size_t count,
+                   const std::function<void(std::size_t)>& fn) {
+  if (threads == 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  TaskPool pool(threads);
+  pool.parallel_for(count, fn);
+}
 
 /// The paper sweep config with scenario-option overrides applied.
 SweepConfig figure_config(DeployModel model, const ScenarioOptions& opts) {
@@ -64,6 +86,27 @@ ReportCurve metric_curve(std::string title, const std::string& y_label,
   return curve;
 }
 
+/// One row per sweep point, one column per scheme: `metric` of each
+/// (point, scheme) aggregate at `decimals` places — the table of every
+/// figure, ablation metric and stretch panel.
+Table metric_table(const SweepConfig& config,
+                   const std::vector<SweepPoint>& points,
+                   const MetricFn& metric, int decimals) {
+  std::vector<std::string> header{"nodes"};
+  for (const auto& spec : config.schemes)
+    header.push_back(spec.display_label());
+  Table table(std::move(header));
+  for (const auto& point : points) {
+    std::vector<std::string> row{std::to_string(point.node_count)};
+    for (const auto& spec : config.schemes) {
+      row.push_back(Table::fmt(
+          metric(point.by_scheme.at(spec.display_label())), decimals));
+    }
+    table.add_row(std::move(row));
+  }
+  return table;
+}
+
 /// Shared driver for the fig5/6/7 scenarios: runs both deployment models,
 /// records one table (and one plot curve) per panel and one sweep section
 /// per model.
@@ -80,19 +123,8 @@ int run_figure(const ScenarioOptions& opts, const std::string& figure_title,
     auto points = run_sweep(config);
     double wall = seconds_since(start);
 
-    std::vector<std::string> header{"nodes"};
-    for (const auto& spec : config.schemes)
-      header.push_back(spec.display_label());
-    Table table(std::move(header));
-    for (const auto& point : points) {
-      std::vector<std::string> row{std::to_string(point.node_count)};
-      for (const auto& spec : config.schemes) {
-        const auto& agg = point.by_scheme.at(spec.display_label());
-        row.push_back(Table::fmt(metric(agg), decimals));
-      }
-      table.add_row(std::move(row));
-    }
-    report.add_table(std::move(table), deploy_model_tag(model));
+    report.add_table(metric_table(config, points, metric, decimals),
+                     deploy_model_tag(model));
     // Delivery context so failed routes are visible, not silently dropped.
     std::string delivery = "delivery ratio per scheme (worst point):";
     for (const auto& spec : config.schemes) {
@@ -150,18 +182,7 @@ int run_ablation(const ScenarioOptions& opts, ScenarioReport& report) {
   };
   for (const Metric& metric : metrics) {
     report.textf("%s\n", metric.name);
-    std::vector<std::string> header{"nodes"};
-    for (const auto& s : schemes) header.push_back(s.display_label());
-    Table table(std::move(header));
-    for (const auto& point : points) {
-      std::vector<std::string> row{std::to_string(point.node_count)};
-      for (const auto& s : schemes) {
-        row.push_back(
-            Table::fmt(metric.fn(point.by_scheme.at(s.display_label())), 2));
-      }
-      table.add_row(std::move(row));
-    }
-    report.add_table(std::move(table), metric.name);
+    report.add_table(metric_table(config, points, metric.fn, 2), metric.name);
     report.textf("\n");
     report.curves.push_back(metric_curve(
         std::string("ablation — ") + metric.name, metric.name, config, points,
@@ -169,6 +190,233 @@ int run_ablation(const ScenarioOptions& opts, ScenarioReport& report) {
   }
 
   report.add_sweep(config, std::move(points), wall);
+  return 0;
+}
+
+/// Delivery ratio of every implemented scheme — the paper's four, the
+/// greedy-only baselines (MFR, Compass) and the flooding oracle — across
+/// the density sweep. The figures average over delivered packets, so this
+/// is the failure rate behind them.
+int run_delivery(const ScenarioOptions& opts, ScenarioReport& report) {
+  const int networks = opts.networks > 0 ? opts.networks : 30;
+  const int pairs = opts.pairs > 0 ? opts.pairs : 15;
+  const std::uint64_t base_seed = opts.seed != 0 ? opts.seed : 777000;
+  const std::vector<int> node_counts = {400, 500, 600, 700, 800};
+  const auto per_point = static_cast<std::size_t>(networks);
+  static constexpr const char* kSchemes[] = {
+      "GF", "LGF", "SLGF", "SLGF2", "MFR", "Compass", "Flooding"};
+  struct Cell {
+    std::size_t attempted = 0;
+    std::array<std::size_t, std::size(kSchemes)> delivered{};
+  };
+
+  report.textf("== Delivery ratio per scheme (connected interior pairs) "
+               "==\n\n");
+  JsonValue by_model = JsonValue::object();
+  for (DeployModel model :
+       {DeployModel::kIdeal, DeployModel::kForbiddenAreas}) {
+    report.textf("%s model, %d networks x %d pairs per point\n",
+                 model_name(model), networks, pairs);
+    std::vector<Cell> cells(node_counts.size() * per_point);
+    for_each_cell(opts.threads, cells.size(), [&](std::size_t ci) {
+      const int n = node_counts[ci / per_point];
+      NetworkConfig config;
+      config.deployment.node_count = n;
+      config.deployment.model = model;
+      config.seed =
+          base_seed + static_cast<std::uint64_t>(n) * 131 + ci % per_point;
+      Network net = Network::create(config);
+      std::unique_ptr<Router> routers[] = {
+          net.make_router(Scheme::kGf), net.make_router(Scheme::kLgf),
+          net.make_router(Scheme::kSlgf), net.make_router(Scheme::kSlgf2),
+          std::make_unique<MfrRouter>(net.graph()),
+          std::make_unique<CompassRouter>(net.graph()),
+          std::make_unique<FloodingRouter>(net.graph())};
+      Cell& cell = cells[ci];
+      Rng rng(config.seed ^ 0xd00d);
+      for (int p = 0; p < pairs; ++p) {
+        const auto pair = net.random_connected_interior_pair(rng);
+        if (pair.first == kInvalidNode) continue;
+        ++cell.attempted;
+        for (std::size_t r = 0; r < std::size(kSchemes); ++r) {
+          if (routers[r]->route(pair.first, pair.second).delivered()) {
+            ++cell.delivered[r];
+          }
+        }
+      }
+    });
+
+    std::vector<std::string> header{"nodes"};
+    header.insert(header.end(), std::begin(kSchemes), std::end(kSchemes));
+    Table table(std::move(header));
+    JsonValue points = JsonValue::array();
+    for (std::size_t pi = 0; pi < node_counts.size(); ++pi) {
+      Cell total;
+      for (std::size_t i = 0; i < per_point; ++i) {
+        const Cell& cell = cells[pi * per_point + i];
+        total.attempted += cell.attempted;
+        for (std::size_t r = 0; r < std::size(kSchemes); ++r) {
+          total.delivered[r] += cell.delivered[r];
+        }
+      }
+      std::vector<std::string> row{std::to_string(node_counts[pi])};
+      JsonValue delivered = JsonValue::object();
+      for (std::size_t r = 0; r < std::size(kSchemes); ++r) {
+        row.push_back(Table::fmt(static_cast<double>(total.delivered[r]) /
+                                     static_cast<double>(total.attempted),
+                                 3));
+        delivered.set(kSchemes[r], JsonValue::of(static_cast<std::uint64_t>(
+                                       total.delivered[r])));
+      }
+      table.add_row(std::move(row));
+      JsonValue point = JsonValue::object();
+      point.set("nodes", JsonValue::of(node_counts[pi]));
+      point.set("attempted",
+                JsonValue::of(static_cast<std::uint64_t>(total.attempted)));
+      point.set("delivered", std::move(delivered));
+      points.push(std::move(point));
+    }
+    report.add_table(std::move(table), deploy_model_tag(model));
+    report.text("\n");
+    by_model.set(deploy_model_tag(model), std::move(points));
+  }
+  report.param("networks", JsonValue::of(networks));
+  report.param("pairs", JsonValue::of(pairs));
+  report.param("delivery", std::move(by_model));
+  report.text("flooding = oracle (1.000 by construction on connected pairs);\n"
+              "MFR/Compass are greedy-only and show the raw local-minimum\n"
+              "rate that the recovery machinery must absorb.\n");
+  return 0;
+}
+
+/// Path stretch: routed hops and meters over the BFS / Dijkstra optima per
+/// scheme and density, over delivered packets — the quantitative form of
+/// the paper's "straightforward path" claim.
+int run_stretch(const ScenarioOptions& opts, ScenarioReport& report) {
+  report.textf("== Path stretch vs optimal (delivered packets) ==\n\n");
+  const MetricFn hop_stretch = [](const RouteAggregate& a) {
+    return a.stretch_hops.mean();
+  };
+  const MetricFn length_stretch = [](const RouteAggregate& a) {
+    return a.stretch_length.mean();
+  };
+  for (DeployModel model :
+       {DeployModel::kIdeal, DeployModel::kForbiddenAreas}) {
+    SweepConfig config = figure_config(model, opts);
+    if (opts.networks == 0) config.networks_per_point = 30;
+    config.node_counts = {400, 500, 600, 700, 800};
+    auto start = std::chrono::steady_clock::now();
+    auto points = run_sweep(config);
+    double wall = seconds_since(start);
+
+    const std::string tag = deploy_model_tag(model);
+    report.textf("%s model — hop stretch (routed hops / BFS-optimal hops)\n",
+                 model_name(model));
+    report.add_table(metric_table(config, points, hop_stretch, 3),
+                     tag + " hop stretch");
+    report.textf("%s model — length stretch (routed meters / "
+                 "Dijkstra-optimal)\n",
+                 model_name(model));
+    report.add_table(metric_table(config, points, length_stretch, 3),
+                     tag + " length stretch");
+    report.text("\n");
+    report.curves.push_back(metric_curve(tag + " hop stretch", "hop stretch",
+                                         config, points, hop_stretch));
+    report.curves.push_back(metric_curve(tag + " length stretch",
+                                         "length stretch", config, points,
+                                         length_stretch));
+    report.add_sweep(config, std::move(points), wall);
+  }
+  return 0;
+}
+
+/// Construction cost of the safety information (paper Section 5: its cost
+/// "has been proved to be the minimum"): the distributed protocol
+/// (Algorithm 2) on the round engine — rounds to quiescence, broadcasts and
+/// per-link receptions — against a naive re-flood in which every node
+/// rebroadcasts its state each round until the labeling is stable.
+int run_construction_cost(const ScenarioOptions& opts,
+                          ScenarioReport& report) {
+  const int networks = opts.networks > 0 ? opts.networks : 20;
+  const std::uint64_t base_seed = opts.seed != 0 ? opts.seed : 900000;
+  std::vector<int> node_counts;
+  for (int n = 400; n <= 800; n += 50) node_counts.push_back(n);
+  const auto per_point = static_cast<std::size_t>(networks);
+  struct Cell {
+    double rounds = 0.0;
+    double broadcasts = 0.0;
+    double receptions = 0.0;
+    double naive_broadcasts = 0.0;
+  };
+
+  report.textf("== Construction cost of the safety information (Algorithm 2) "
+               "==\n\n");
+  JsonValue by_model = JsonValue::object();
+  for (DeployModel model :
+       {DeployModel::kIdeal, DeployModel::kForbiddenAreas}) {
+    report.textf("%s model, %d networks per point\n", model_name(model),
+                 networks);
+    std::vector<Cell> cells(node_counts.size() * per_point);
+    for_each_cell(opts.threads, cells.size(), [&](std::size_t ci) {
+      const int n = node_counts[ci / per_point];
+      NetworkConfig config;
+      config.deployment.node_count = n;
+      config.deployment.model = model;
+      config.seed =
+          base_seed + static_cast<std::uint64_t>(n) * 1000 + ci % per_point;
+      Network net = Network::create(config);
+      const auto result =
+          compute_safety_distributed(net.graph(), net.interest_area());
+      // The naive re-flood runs the same fixpoint one synchronous pass per
+      // round, plus a hello round, with every node broadcasting each round.
+      std::size_t passes = 0;
+      compute_safety_round_based(net.graph(), net.interest_area(), &passes);
+      Cell& cell = cells[ci];
+      cell.rounds = static_cast<double>(result.stats.rounds);
+      cell.broadcasts = static_cast<double>(result.stats.broadcasts);
+      cell.receptions = static_cast<double>(result.stats.receptions);
+      cell.naive_broadcasts =
+          static_cast<double>(net.graph().size() * (passes + 1));
+    });
+
+    Table table({"nodes", "rounds", "broadcasts", "bcast/node", "receptions",
+                 "naive bcast", "saving"});
+    JsonValue points = JsonValue::array();
+    for (std::size_t pi = 0; pi < node_counts.size(); ++pi) {
+      Summary rounds, broadcasts, receptions, naive_broadcasts;
+      for (std::size_t i = 0; i < per_point; ++i) {
+        const Cell& cell = cells[pi * per_point + i];
+        rounds.add(cell.rounds);
+        broadcasts.add(cell.broadcasts);
+        receptions.add(cell.receptions);
+        naive_broadcasts.add(cell.naive_broadcasts);
+      }
+      const int n = node_counts[pi];
+      table.add_row({std::to_string(n), Table::fmt(rounds.mean(), 1),
+                     Table::fmt(broadcasts.mean(), 0),
+                     Table::fmt(broadcasts.mean() / n, 2),
+                     Table::fmt(receptions.mean(), 0),
+                     Table::fmt(naive_broadcasts.mean(), 0),
+                     Table::fmt(naive_broadcasts.mean() /
+                                    std::max(1.0, broadcasts.mean()),
+                                2) +
+                         "x"});
+      JsonValue point = JsonValue::object();
+      point.set("nodes", JsonValue::of(n));
+      point.set("rounds", summary_stats(rounds));
+      point.set("broadcasts", summary_stats(broadcasts));
+      point.set("receptions", summary_stats(receptions));
+      point.set("naive_broadcasts", summary_stats(naive_broadcasts));
+      points.push(std::move(point));
+    }
+    report.add_table(std::move(table), deploy_model_tag(model));
+    report.text("\n");
+    by_model.set(deploy_model_tag(model), std::move(points));
+  }
+  report.param("networks", JsonValue::of(networks));
+  report.param("cost", std::move(by_model));
+  report.text("broadcasts stay near one per node: only nodes whose status or\n"
+              "anchors change rebroadcast, matching the minimality claim.\n");
   return 0;
 }
 
@@ -547,12 +795,7 @@ int run_streaming_delivery(const ScenarioOptions& opts,
     }
   };
 
-  if (opts.threads == 1) {
-    for (std::size_t ci = 0; ci < cells.size(); ++ci) run_one(ci);
-  } else {
-    TaskPool pool(opts.threads);
-    pool.parallel_for(cells.size(), run_one);
-  }
+  for_each_cell(opts.threads, cells.size(), run_one);
 
   // Per-fraction reduction in cell order — deterministic regardless of
   // which worker ran which cell.
@@ -817,12 +1060,7 @@ int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
     }
   };
 
-  if (opts.threads == 1) {
-    for (std::size_t ci = 0; ci < cells.size(); ++ci) run_one(ci);
-  } else {
-    TaskPool pool(opts.threads);
-    pool.parallel_for(cells.size(), run_one);
-  }
+  for_each_cell(opts.threads, cells.size(), run_one);
 
   // Per-(interval, speed) reduction in cell order — deterministic
   // regardless of which worker ran which cell.
@@ -1304,27 +1542,15 @@ int run_sweep_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
 
 }  // namespace
 
-const char* model_name(DeployModel model) noexcept {
-  return model == DeployModel::kIdeal ? "IA (uniform)" : "FA (forbidden areas)";
-}
-
-ScenarioOptions scenario_options_from_env() {
-  ScenarioOptions opts;
-  // Malformed and overflowing values already fall back inside env_int_or;
-  // negative counts are meaningless, so they fall back to the defaults too.
-  opts.networks = std::max(0, env_int_or("SPR_NETWORKS", 0));
-  opts.pairs = std::max(0, env_int_or("SPR_PAIRS", 0));
-  opts.seed = env_uint64_or("SPR_SEED", 0);
-  opts.threads = std::max(0, env_int_or("SPR_THREADS", 0));
-  auto env_string = [](const char* name) -> std::string {
-    const char* raw = std::getenv(name);
-    return raw != nullptr ? std::string(raw) : std::string();
-  };
-  opts.formats = env_string("SPR_FORMATS");
-  opts.json_path = env_string("SPR_JSON");
-  opts.csv_path = env_string("SPR_CSV");
-  opts.svg_path = env_string("SPR_SVG");
-  return opts;
+std::string negative_count_error(int networks, int pairs, int threads) {
+  const std::pair<const char*, int> counts[] = {
+      {"networks", networks}, {"pairs", pairs}, {"threads", threads}};
+  for (const auto& [name, value] : counts) {
+    if (value < 0) {
+      return std::string(name) + " must be >= 0, got " + std::to_string(value);
+    }
+  }
+  return {};
 }
 
 void ScenarioSuite::add(Scenario scenario) {
@@ -1421,6 +1647,12 @@ int ScenarioSuite::run(std::string_view name,
     }
     return 2;
   }
+  const std::string count_error =
+      negative_count_error(options.networks, options.pairs, options.threads);
+  if (!count_error.empty()) {
+    std::fprintf(stderr, "%s\n", count_error.c_str());
+    return 2;
+  }
 
   std::string sink_error;
   auto sinks = make_sinks(options, scenario->name, &sink_error);
@@ -1493,6 +1725,15 @@ ScenarioSuite& ScenarioSuite::builtin() {
                  1, r);
            }});
     s.add({"ablation", "SLGF2 mechanism ablation (FA model)", run_ablation});
+    s.add({"delivery",
+           "delivery ratio of the paper schemes, MFR, Compass and flooding",
+           run_delivery});
+    s.add({"stretch",
+           "hop and length stretch vs the BFS / Dijkstra optima per scheme",
+           run_stretch});
+    s.add({"construction-cost",
+           "distributed labeling cost (Algorithm 2) vs a naive re-flood",
+           run_construction_cost});
     s.add({"hole-field",
            "unsafe-labeling share and per-scheme delivery on large holes",
            run_hole_field});

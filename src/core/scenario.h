@@ -1,23 +1,23 @@
 #pragma once
 
 /// \file scenario.h
-/// ScenarioSuite: the shared runner behind the figure benches, the CLI and
-/// CI. A scenario is a named, parameterized experiment (a paper figure, a
-/// hole-field study, failure dynamics, a mobile stream, the parallel-sweep
-/// scaling check). Scenarios don't print: each builds a typed
-/// ScenarioReport (report/report.h) and the suite renders it through the
-/// selected ReportSink backends (report/sink.h) — console tables by
-/// default, plus JSON / CSV / SVG when requested via
-/// `ScenarioOptions::formats` (`--format`, `SPR_FORMATS`) or an explicit
-/// output path.
+/// ScenarioSuite: the one runner behind `spr_cli run`, the tests and CI. A
+/// scenario is a named, parameterized experiment (a paper figure, the
+/// delivery / stretch / construction-cost studies, a hole-field study,
+/// failure dynamics, a mobile stream, the parallel-sweep scaling check).
+/// Scenarios don't print: each builds a typed ScenarioReport
+/// (report/report.h) and the suite renders it through the selected
+/// ReportSink backends (report/sink.h) — console tables by default, plus
+/// JSON / CSV / SVG when requested via `ScenarioOptions::formats`
+/// (`--format`) or an explicit output path.
 ///
 /// Trade-off of the report model: the console stream renders after the
 /// scenario completes, so a paper-scale sweep prints nothing while it
-/// runs (the old printf path streamed per model). Pass smaller
-/// `networks`/`pairs` for interactive runs, or watch the JSON/CSV
-/// artifacts.
+/// runs. Pass smaller `networks`/`pairs` for interactive runs, or watch
+/// the JSON/CSV artifacts.
 ///
-///   spr::ScenarioOptions opts = spr::scenario_options_from_env();
+///   spr::ScenarioOptions opts;
+///   opts.networks = 5;
 ///   return spr::ScenarioSuite::builtin().run("fig6-avg-hops", opts);
 
 #include <functional>
@@ -31,7 +31,9 @@
 
 namespace spr {
 
-/// Cross-scenario knobs. Zero / empty means "use the scenario's default".
+/// Cross-scenario knobs, one per `spr_cli run` flag. Zero / empty means
+/// "use the scenario's default"; negative counts are rejected by
+/// ScenarioSuite::run.
 struct ScenarioOptions {
   int networks = 0;        ///< networks per sweep point
   int pairs = 0;           ///< pairs per network
@@ -45,11 +47,10 @@ struct ScenarioOptions {
   std::string svg_path;   ///< non-empty: write the SVG sweep plot here
 };
 
-/// Options from the environment: SPR_NETWORKS, SPR_PAIRS, SPR_SEED,
-/// SPR_THREADS, SPR_FORMATS, SPR_JSON, SPR_CSV, SPR_SVG. Unset variables
-/// leave the scenario defaults; malformed, negative or overflowing numbers
-/// fall back to the defaults too (never UB, never silent garbage).
-ScenarioOptions scenario_options_from_env();
+/// Why a networks / pairs / threads triple is unusable ("pairs must be >= 0,
+/// got -3"), or an empty string when every count is zero or positive. The
+/// check ScenarioSuite::run applies, shared with `spr_cli sweep`.
+std::string negative_count_error(int networks, int pairs, int threads);
 
 /// One registered scenario. `build` fills the report and returns a process
 /// exit code; it must not print (the suite renders the report through the
@@ -64,8 +65,9 @@ struct Scenario {
 class ScenarioSuite {
  public:
   /// The process-wide suite with every built-in scenario registered
-  /// (paper figures, ablation, hole-field, failure-dynamics, mobile-stream,
-  /// sweep-scaling).
+  /// (paper figures, ablation, delivery, stretch, construction-cost,
+  /// hole-field, failure-dynamics, mobile-stream, streaming-delivery,
+  /// mobility-rate, sweep-scaling, tile-scaling).
   static ScenarioSuite& builtin();
 
   void add(Scenario scenario);
@@ -80,9 +82,9 @@ class ScenarioSuite {
   std::vector<std::string> suggestions(std::string_view name) const;
 
   /// Runs the named scenario and renders its report through the sinks
-  /// `options` selects; 2 (plus a message with near-match suggestions to
-  /// stderr) when the name is unknown, 1 when a sink cannot write its
-  /// output.
+  /// `options` selects; 2 (plus a message to stderr) when the name is
+  /// unknown (with near-match suggestions) or a count in `options` is
+  /// negative, 1 when a sink cannot write its output.
   int run(std::string_view name, const ScenarioOptions& options = {}) const;
 
  private:
@@ -91,9 +93,5 @@ class ScenarioSuite {
 
 /// Extracts the number a figure plots from one (scheme, point) aggregate.
 using MetricFn = std::function<double(const RouteAggregate&)>;
-
-/// Display name of a deployment model ("IA (uniform)" / "FA (forbidden
-/// areas)"), shared by the scenarios and the benches.
-const char* model_name(DeployModel model) noexcept;
 
 }  // namespace spr

@@ -203,11 +203,14 @@ SafetyInfo compute_safety_scalar(const UnitDiskGraph& g,
 }
 
 SafetyInfo compute_safety_round_based(const UnitDiskGraph& g,
-                                      const InterestArea& area) {
+                                      const InterestArea& area,
+                                      std::size_t* passes) {
   const std::size_t n = g.size();
   std::vector<SafetyTuple> tuples(n);
+  std::size_t pass_count = 0;
   bool changed = true;
   while (changed) {
+    ++pass_count;
     changed = false;
     std::vector<std::pair<NodeId, ZoneType>> flips;
     for (NodeId u = 0; u < n; ++u) {
@@ -224,6 +227,7 @@ SafetyInfo compute_safety_round_based(const UnitDiskGraph& g,
     }
   }
   compute_anchors(g, tuples);
+  if (passes != nullptr) *passes = pass_count;
   return SafetyInfo(std::move(tuples));
 }
 

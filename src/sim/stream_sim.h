@@ -113,7 +113,7 @@ struct StreamWave {
 /// `waves` waves evenly spaced over (0, span), drawn without replacement
 /// from `rng`; the stream endpoints in `endpoints` are never chosen. The
 /// shared schedule builder behind the streaming-delivery scenario and the
-/// streaming_delivery example.
+/// perfbench stream workload.
 std::vector<StreamWave> spread_failure_waves(
     const UnitDiskGraph& g,
     std::span<const std::pair<NodeId, NodeId>> endpoints, double fraction,

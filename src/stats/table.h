@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file table.h
-/// Fixed-width console tables and CSV export. The figure benches print one
+/// Fixed-width console tables and CSV export. The figure scenarios print one
 /// table per paper panel with these helpers.
 
 #include <iosfwd>

@@ -2,8 +2,8 @@
 
 /// \file svg.h
 /// Minimal SVG writer for publication-style renderings of deployments,
-/// unsafe areas, estimates, and routed paths (the vector counterpart of
-/// AsciiCanvas). Examples write .svg files the user can open directly.
+/// unsafe areas, estimates, and routed paths. `spr_cli render` and the SVG
+/// report sink write .svg files the user can open directly.
 ///
 /// World coordinates map to the viewBox with y flipped so that world +y is
 /// up, matching the paper's figures.

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "graph/graph_algos.h"
 
 namespace spr {
@@ -281,16 +279,6 @@ TEST(Experiment, AggregateMerge) {
   EXPECT_EQ(a.attempted, 2u);
   EXPECT_EQ(a.delivered, 2u);
   EXPECT_EQ(a.hops.count(), 2u);
-}
-
-TEST(Experiment, EnvIntOr) {
-  ::unsetenv("SPR_TEST_KNOB");
-  EXPECT_EQ(env_int_or("SPR_TEST_KNOB", 42), 42);
-  ::setenv("SPR_TEST_KNOB", "7", 1);
-  EXPECT_EQ(env_int_or("SPR_TEST_KNOB", 42), 7);
-  ::setenv("SPR_TEST_KNOB", "junk", 1);
-  EXPECT_EQ(env_int_or("SPR_TEST_KNOB", 42), 42);
-  ::unsetenv("SPR_TEST_KNOB");
 }
 
 }  // namespace

@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace spr {
 namespace {
@@ -41,16 +42,50 @@ TEST(JsonWriter, NonFiniteNumbersBecomeNull) {
 
 TEST(ScenarioSuite, BuiltinRegistersTheNamedScenarios) {
   const auto& suite = ScenarioSuite::builtin();
-  for (const char* name :
-       {"fig5-max-hops", "fig6-avg-hops", "fig7-path-length", "ablation",
-        "hole-field", "failure-dynamics", "mobile-stream", "sweep-scaling"}) {
+  const std::vector<std::string> names = {
+      "fig5-max-hops",     "fig6-avg-hops",  "fig7-path-length",
+      "ablation",          "delivery",       "stretch",
+      "construction-cost", "hole-field",     "failure-dynamics",
+      "mobile-stream",     "streaming-delivery", "mobility-rate",
+      "sweep-scaling",     "tile-scaling"};
+  for (const auto& name : names) {
     EXPECT_NE(suite.find(name), nullptr) << name;
   }
+  EXPECT_EQ(suite.scenarios().size(), names.size());
   EXPECT_EQ(suite.find("no-such-scenario"), nullptr);
 }
 
 TEST(ScenarioSuite, UnknownScenarioReturns2) {
   EXPECT_EQ(ScenarioSuite::builtin().run("no-such-scenario"), 2);
+}
+
+TEST(ScenarioSuite, NegativeCountsReturn2WithoutRunning) {
+  // Zero keeps a scenario's default; a negative count is an input error,
+  // not a request for the default (or paper-scale) workload. The JSON
+  // path proves the scenario never ran: a run would write it.
+  const std::string json_path =
+      testing::TempDir() + "/spr_scenario_negative_test.json";
+  std::remove(json_path.c_str());
+  ScenarioOptions networks;
+  networks.networks = -3;
+  ScenarioOptions pairs;
+  pairs.pairs = -2;
+  ScenarioOptions threads;
+  threads.threads = -2;
+  for (ScenarioOptions opts : {networks, pairs, threads}) {
+    opts.json_path = json_path;
+    opts.formats = "json";
+    EXPECT_EQ(ScenarioSuite::builtin().run("mobile-stream", opts), 2);
+    EXPECT_FALSE(std::ifstream(json_path).good());
+  }
+  std::remove(json_path.c_str());
+}
+
+TEST(ScenarioSuite, NegativeCountErrorNamesTheFirstBadCount) {
+  EXPECT_EQ(negative_count_error(0, 0, 0), "");
+  EXPECT_EQ(negative_count_error(5, 0, 1), "");
+  EXPECT_EQ(negative_count_error(1, -3, -2), "pairs must be >= 0, got -3");
+  EXPECT_EQ(negative_count_error(0, 0, -1), "threads must be >= 0, got -1");
 }
 
 TEST(ScenarioSuite, SweepScalingVerifiesDeterminismAndWritesJson) {
@@ -101,96 +136,6 @@ TEST(ScenarioSuite, SweepEqualityDetectsDivergence) {
   auto dropped = a;
   dropped[0].by_scheme.erase("LGF");
   EXPECT_NE(dropped, a);
-}
-
-void clear_scenario_env() {
-  for (const char* name : {"SPR_NETWORKS", "SPR_PAIRS", "SPR_SEED",
-                           "SPR_THREADS", "SPR_FORMATS", "SPR_JSON",
-                           "SPR_CSV", "SPR_SVG"}) {
-    ::unsetenv(name);
-  }
-}
-
-TEST(ScenarioOptions, FromEnvReadsOverrides) {
-  ::setenv("SPR_NETWORKS", "5", 1);
-  ::setenv("SPR_PAIRS", "3", 1);
-  ::setenv("SPR_SEED", "11", 1);
-  ::setenv("SPR_THREADS", "2", 1);
-  ::setenv("SPR_FORMATS", "console,json", 1);
-  ::setenv("SPR_JSON", "/tmp/x.json", 1);
-  ::setenv("SPR_CSV", "/tmp/x.csv", 1);
-  ::setenv("SPR_SVG", "/tmp/x.svg", 1);
-  ScenarioOptions opts = scenario_options_from_env();
-  EXPECT_EQ(opts.networks, 5);
-  EXPECT_EQ(opts.pairs, 3);
-  EXPECT_EQ(opts.seed, 11u);
-  EXPECT_EQ(opts.threads, 2);
-  EXPECT_EQ(opts.formats, "console,json");
-  EXPECT_EQ(opts.json_path, "/tmp/x.json");
-  EXPECT_EQ(opts.csv_path, "/tmp/x.csv");
-  EXPECT_EQ(opts.svg_path, "/tmp/x.svg");
-  clear_scenario_env();
-  ScenarioOptions defaults = scenario_options_from_env();
-  EXPECT_EQ(defaults.networks, 0);
-  EXPECT_TRUE(defaults.formats.empty());
-  EXPECT_TRUE(defaults.json_path.empty());
-  EXPECT_TRUE(defaults.csv_path.empty());
-  EXPECT_TRUE(defaults.svg_path.empty());
-}
-
-TEST(ScenarioOptions, FromEnvFallsBackOnMalformedValues) {
-  // Non-numeric, partially numeric, and empty values are not numbers:
-  // every numeric knob falls back to its default instead of UB/garbage.
-  for (const char* bad : {"abc", "12abc", "", " ", "1.5", "0x10"}) {
-    ::setenv("SPR_NETWORKS", bad, 1);
-    ::setenv("SPR_PAIRS", bad, 1);
-    ::setenv("SPR_SEED", bad, 1);
-    ::setenv("SPR_THREADS", bad, 1);
-    ScenarioOptions opts = scenario_options_from_env();
-    EXPECT_EQ(opts.networks, 0) << "'" << bad << "'";
-    EXPECT_EQ(opts.pairs, 0) << "'" << bad << "'";
-    EXPECT_EQ(opts.seed, 0u) << "'" << bad << "'";
-    EXPECT_EQ(opts.threads, 0) << "'" << bad << "'";
-  }
-  clear_scenario_env();
-}
-
-TEST(ScenarioOptions, FromEnvFallsBackOnNegativeValues) {
-  ::setenv("SPR_NETWORKS", "-5", 1);
-  ::setenv("SPR_PAIRS", "-1", 1);
-  ::setenv("SPR_SEED", "-2009", 1);
-  ::setenv("SPR_THREADS", "-8", 1);
-  ScenarioOptions opts = scenario_options_from_env();
-  EXPECT_EQ(opts.networks, 0);
-  EXPECT_EQ(opts.pairs, 0);
-  EXPECT_EQ(opts.seed, 0u);
-  EXPECT_EQ(opts.threads, 0);
-  clear_scenario_env();
-}
-
-TEST(ScenarioOptions, FromEnvFallsBackOnOverflowValues) {
-  for (const char* huge :
-       {"99999999999999999999", "2147483648", "-99999999999999999999"}) {
-    ::setenv("SPR_NETWORKS", huge, 1);
-    ::setenv("SPR_PAIRS", huge, 1);
-    ::setenv("SPR_THREADS", huge, 1);
-    ScenarioOptions opts = scenario_options_from_env();
-    EXPECT_EQ(opts.networks, 0) << huge;
-    EXPECT_EQ(opts.pairs, 0) << huge;
-    EXPECT_EQ(opts.threads, 0) << huge;
-  }
-  // The seed is a full uint64: values past INT_MAX are real seeds, only
-  // values past UINT64_MAX (or negative) fall back.
-  ::setenv("SPR_SEED", "3000000000", 1);
-  EXPECT_EQ(scenario_options_from_env().seed, 3000000000u);
-  ::setenv("SPR_SEED", "18446744073709551615", 1);
-  EXPECT_EQ(scenario_options_from_env().seed, 18446744073709551615u);
-  for (const char* bad : {"99999999999999999999", "-99999999999999999999",
-                          "-2009"}) {
-    ::setenv("SPR_SEED", bad, 1);
-    EXPECT_EQ(scenario_options_from_env().seed, 0u) << bad;
-  }
-  clear_scenario_env();
 }
 
 TEST(ScenarioSuite, SuggestsNearMatchesForUnknownNames) {

@@ -2,9 +2,11 @@
 /// Byte-identity of the ConsoleSink path: the report-based scenarios must
 /// print exactly what the printf-based scenarios printed before the
 /// ScenarioReport refactor. The golden strings below are verbatim captures
-/// of the pre-refactor binaries at fixed seeds (spr_cli scenario ... with
-/// the options each test sets), so any drift in the console stream — a
-/// changed format string, a reordered block, a lost table — fails here.
+/// of the pre-refactor binaries at fixed seeds (the options each test
+/// sets); the delivery, stretch and construction-cost goldens are captures
+/// of the standalone experiment mains those scenarios replaced. Any drift
+/// in the console stream — a changed format string, a reordered block, a
+/// lost table — fails here.
 ///
 /// The goldens replay sweeps at tiny sizes; each test runs in well under a
 /// second. The JsonGolden tests pin the JSON stats form the same way, as
@@ -154,6 +156,122 @@ epoch  time  links  delivered  hops  unsafe
     1    20   6359        yes     8       4
     2    40   7881        yes     5      12
 delivered 3/3 epochs, mean hops 7.7
+)GOLD";
+  EXPECT_EQ(captured, expected);
+}
+
+TEST(ConsoleGolden, Delivery) {
+  ScenarioOptions opts;
+  opts.networks = 2; opts.pairs = 4;
+  std::string captured;
+  ASSERT_EQ(run_capturing("delivery", opts, captured), 0);
+  const std::string expected = R"GOLD(== Delivery ratio per scheme (connected interior pairs) ==
+
+IA (uniform) model, 2 networks x 4 pairs per point
+nodes     GF    LGF   SLGF  SLGF2    MFR  Compass  Flooding
+-----------------------------------------------------------
+  400  1.000  1.000  1.000  1.000  0.875    0.875     1.000
+  500  1.000  1.000  1.000  1.000  1.000    1.000     1.000
+  600  1.000  1.000  1.000  1.000  1.000    1.000     1.000
+  700  1.000  1.000  1.000  1.000  1.000    1.000     1.000
+  800  1.000  1.000  1.000  1.000  1.000    1.000     1.000
+
+FA (forbidden areas) model, 2 networks x 4 pairs per point
+nodes     GF    LGF   SLGF  SLGF2    MFR  Compass  Flooding
+-----------------------------------------------------------
+  400  1.000  1.000  1.000  1.000  0.875    0.875     1.000
+  500  1.000  1.000  1.000  1.000  0.875    0.875     1.000
+  600  1.000  1.000  1.000  1.000  1.000    0.875     1.000
+  700  1.000  0.625  1.000  1.000  0.625    0.625     1.000
+  800  1.000  1.000  1.000  1.000  1.000    1.000     1.000
+
+flooding = oracle (1.000 by construction on connected pairs);
+MFR/Compass are greedy-only and show the raw local-minimum
+rate that the recovery machinery must absorb.
+)GOLD";
+  EXPECT_EQ(captured, expected);
+}
+
+TEST(ConsoleGolden, Stretch) {
+  ScenarioOptions opts;
+  opts.networks = 1; opts.pairs = 2; opts.threads = 2;
+  std::string captured;
+  ASSERT_EQ(run_capturing("stretch", opts, captured), 0);
+  const std::string expected = R"GOLD(== Path stretch vs optimal (delivered packets) ==
+
+IA (uniform) model — hop stretch (routed hops / BFS-optimal hops)
+nodes     GF    LGF   SLGF  SLGF2
+---------------------------------
+  400  1.000  1.056  1.056  1.056
+  500  1.000  1.000  1.000  1.000
+  600  1.000  1.125  1.125  1.125
+  700  1.000  1.125  1.125  1.125
+  800  1.083  1.083  1.083  1.083
+IA (uniform) model — length stretch (routed meters / Dijkstra-optimal)
+nodes     GF    LGF   SLGF  SLGF2
+---------------------------------
+  400  1.039  1.080  1.056  1.062
+  500  1.032  1.000  1.000  1.000
+  600  1.041  1.079  1.079  1.079
+  700  1.020  1.001  1.001  1.001
+  800  1.054  1.054  1.054  1.054
+
+FA (forbidden areas) model — hop stretch (routed hops / BFS-optimal hops)
+nodes     GF    LGF   SLGF  SLGF2
+---------------------------------
+  400  1.556  1.167  1.155  2.980
+  500  4.571  1.000  1.000  1.107
+  600  1.000  1.000  1.000  1.000
+  700  1.000  1.000  1.056  1.056
+  800  1.000  1.000  1.000  1.000
+FA (forbidden areas) model — length stretch (routed meters / Dijkstra-optimal)
+nodes     GF    LGF   SLGF  SLGF2
+---------------------------------
+  400  1.173  1.124  1.117  2.567
+  500  2.802  1.000  1.000  1.082
+  600  1.048  1.030  1.030  1.030
+  700  1.019  1.020  1.020  1.020
+  800  1.059  1.001  1.001  1.001
+
+)GOLD";
+  EXPECT_EQ(captured, expected);
+}
+
+TEST(ConsoleGolden, ConstructionCost) {
+  ScenarioOptions opts;
+  opts.networks = 1;
+  std::string captured;
+  ASSERT_EQ(run_capturing("construction-cost", opts, captured), 0);
+  const std::string expected = R"GOLD(== Construction cost of the safety information (Algorithm 2) ==
+
+IA (uniform) model, 1 networks per point
+nodes  rounds  broadcasts  bcast/node  receptions  naive bcast  saving
+----------------------------------------------------------------------
+  400     7.0         461        1.15        5065         2800   6.07x
+  450     9.0         497        1.10        6312         4050   8.15x
+  500     7.0         564        1.13        8004         3500   6.21x
+  550     4.0         569        1.03        9026         2200   3.87x
+  600     4.0         608        1.01       10216         2400   3.95x
+  650     4.0         660        1.02       12073         2600   3.94x
+  700     2.0         700        1.00       13930         1400   2.00x
+  750     3.0         753        1.00       16267         2250   2.99x
+  800     4.0         803        1.00       18365         3200   3.99x
+
+FA (forbidden areas) model, 1 networks per point
+nodes  rounds  broadcasts  bcast/node  receptions  naive bcast  saving
+----------------------------------------------------------------------
+  400     8.0         464        1.16        5755         3200   6.90x
+  450    18.0         590        1.31        8636         8100  13.73x
+  500    19.0         692        1.38       11673         9500  13.73x
+  550    10.0         695        1.26       12695         5500   7.91x
+  600    31.0         881        1.47       20082        18600  21.11x
+  650    15.0         798        1.23       19705         9750  12.22x
+  700    14.0         829        1.18       19764         9800  11.82x
+  750     9.0         844        1.13       22027         6750   8.00x
+  800    16.0         904        1.13       23437        12800  14.16x
+
+broadcasts stay near one per node: only nodes whose status or
+anchors change rebroadcast, matching the minimality claim.
 )GOLD";
   EXPECT_EQ(captured, expected);
 }

@@ -5,18 +5,17 @@
 ///   spr_cli label    [flags]            safety labeling summary / dump
 ///   spr_cli route    [flags] <s> <d>    route one pair with every scheme
 ///   spr_cli sweep    [flags]            mini figure sweep (table output);
-///                                       --slice i/m writes a slice JSON
-///                                       (--shard is a compatibility alias);
+///                                       --slice i/m writes a slice JSON;
 ///                                       --tiles RxC labels each cell via
 ///                                       spatial-tile sharding
 ///   spr_cli merge    [flags] <slice.json>...  merge sweep slices
 ///   spr_cli validate <file.json>...     parse JSON artifacts (CI gate)
-///   spr_cli scenario [flags] <name>     run a registered scenario (--list);
+///   spr_cli run      [flags] <name>     run a registered scenario (--list);
 ///                                       --format console,json,csv,svg
-///                                       ("run" is an alias for "scenario")
 ///   spr_cli render   [flags] <out.svg>  render deployment + unsafe areas
 ///
-/// Common flags: --nodes, --seed, --fa, --range.
+/// Common flags: --nodes (not on `sweep`, whose grid fixes the node
+/// counts), --seed, --fa, --range.
 ///
 /// Distributed sweeps: the sweep's (node_count, network_index) cells are
 /// independent, so `sweep --slice i/m` computes every i-th cell and
@@ -56,8 +55,8 @@ struct CommonArgs {
   double range = 20.0;
 };
 
-void add_common(FlagSet& flags, CommonArgs& args) {
-  flags.add_int("nodes", &args.nodes, "number of sensors");
+void add_common(FlagSet& flags, CommonArgs& args, bool with_nodes = true) {
+  if (with_nodes) flags.add_int("nodes", &args.nodes, "number of sensors");
   flags.add_uint64("seed", &args.seed, "deployment seed");
   flags.add_bool("fa", &args.fa, "forbidden-area deployment model");
   flags.add_double("range", &args.range, "transmission radius (m)");
@@ -275,23 +274,26 @@ bool parse_slice_spec(const std::string& spec, int& index, int& count) {
 int cmd_sweep(int argc, const char* const* argv) {
   CommonArgs args;
   int networks = 10, pairs = 10, threads = 0;
-  std::string slice_spec, shard_spec, json_path;
+  std::string slice_spec, json_path;
   FlagSet flags("spr_cli sweep: mini paper sweep");
-  add_common(flags, args);
+  add_common(flags, args, /*with_nodes=*/false);
   flags.add_int("networks", &networks, "networks per point");
   flags.add_int("pairs", &pairs, "pairs per network");
   flags.add_int("threads", &threads, "sweep threads (0=hardware, 1=serial)");
   flags.add_string("slice", &slice_spec,
                    "compute only slice i/m of the sweep's cells");
-  flags.add_string("shard", &shard_spec,
-                   "deprecated alias for --slice");
   std::string tiles_spec;
   flags.add_string("tiles", &tiles_spec,
                    "label each cell via an RxC spatial-tile grid");
   flags.add_string("json", &json_path,
                    "write the per-cell aggregates as a slice JSON here");
   if (!flags.parse(argc, argv)) return 1;
-  if (slice_spec.empty()) slice_spec = shard_spec;  // --shard alias
+  const std::string count_error =
+      negative_count_error(networks, pairs, threads);
+  if (!count_error.empty()) {
+    std::fprintf(stderr, "%s\n", count_error.c_str());
+    return 2;
+  }
   int slice_index = 0, slice_count = 1;
   if (!parse_slice_spec(slice_spec, slice_index, slice_count)) return 1;
   int tile_rows = 0, tile_cols = 0;
@@ -451,12 +453,12 @@ int cmd_validate(int argc, const char* const* argv) {
   return failures == 0 ? 0 : 1;
 }
 
-int cmd_scenario(int argc, const char* const* argv) {
+int cmd_run(int argc, const char* const* argv) {
   int networks = 0, pairs = 0, threads = 0;
   unsigned long long seed = 0;
   bool list = false;
   std::string formats, json_path, csv_path, svg_path;
-  FlagSet flags("spr_cli scenario <name>: run a registered scenario");
+  FlagSet flags("spr_cli run <name>: run a registered scenario");
   flags.add_bool("list", &list, "list the registered scenarios");
   flags.add_int("networks", &networks, "networks per point (0=default)");
   flags.add_int("pairs", &pairs, "pairs per network (0=default)");
@@ -526,9 +528,8 @@ int cmd_render(int argc, const char* const* argv) {
 
 void usage() {
   std::fputs(
-      "usage: spr_cli <info|label|route|sweep|merge|validate|run|scenario|"
-      "render> [flags...]\n"
-      "('run' and 'scenario' are synonyms)\n"
+      "usage: spr_cli <info|label|route|sweep|merge|validate|run|render> "
+      "[flags...]\n"
       "run 'spr_cli <command> --help' for per-command flags\n",
       stderr);
 }
@@ -550,9 +551,7 @@ int main(int argc, char** argv) {
   if (command == "sweep") return cmd_sweep(sub_argc, sub_argv);
   if (command == "merge") return cmd_merge(sub_argc, sub_argv);
   if (command == "validate") return cmd_validate(sub_argc, sub_argv);
-  if (command == "scenario" || command == "run") {
-    return cmd_scenario(sub_argc, sub_argv);
-  }
+  if (command == "run") return cmd_run(sub_argc, sub_argv);
   if (command == "render") return cmd_render(sub_argc, sub_argv);
   usage();
   return 1;
