@@ -481,15 +481,15 @@ void BM_StreamSimCell(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamSimCell);
 
-/// The streaming engines head to head at traffic scale: `packets`
-/// injections at packet_interval 0 — every flight concurrent — of one
-/// scheme (GF: no labeling cost, pure stepping + scheduling) over 16 far
-/// pairs of a constant-degree 10^4-node field. The legacy engine pays one
-/// heap event per flight-hop; the flight-record engine pays one tick event
-/// per distinct hop instant and advances each tick's batch over SoA
-/// records with pooled steppers (optionally in parallel). Network
-/// construction is excluded from the timed region; the `events` counter
-/// shows the heap-traffic collapse.
+/// The stream engine's two stepping modes head to head at traffic scale:
+/// `packets` injections at packet_interval 0 — every flight concurrent — of
+/// one scheme (GF: no labeling cost, pure stepping + scheduling) over 16
+/// far pairs of a constant-degree 10^4-node field. Both step the same SoA
+/// flight records with pooled steppers; the per-hop reference mode pays
+/// one heap event per flight-hop, the flight-record mode one tick event
+/// per distinct hop instant, advancing each tick's batch (optionally in
+/// parallel). Network construction is excluded from the timed region; the
+/// `events` counter shows the heap-traffic collapse.
 enum class StreamEngineMode { kPerHop, kFlightRecord, kFlightRecordParallel };
 
 void stream_engine_bench(benchmark::State& state, StreamEngineMode mode) {

@@ -187,8 +187,7 @@ class RouteStepper {
 
   /// Frees the header and the walk buffers, returning the slot to its
   /// default-constructed footprint. Pooled simulators call this when a
-  /// flight terminates so steady-state memory matches the legacy
-  /// one-stepper-per-flight profile.
+  /// flight terminates, so finished flights hold no header or buffers.
   void release() noexcept {
     owned_header_.reset();
     header_ = nullptr;

@@ -1,6 +1,7 @@
 #include "sim/stream_sim.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -8,6 +9,7 @@
 #include "graph/graph_algos.h"
 #include "sim/event_queue.h"
 #include "sim/tick_scheduler.h"
+#include "util/check.h"
 #include "util/flat_map.h"
 #include "util/task_pool.h"
 
@@ -31,6 +33,29 @@ WaypointConfig pin_field(WaypointConfig wc, const Rect& field) {
 
 constexpr std::size_t kNoOracle = static_cast<std::size_t>(-1);
 
+/// Per-flight state in parallel arrays. Flight f = p * n_schemes + k is
+/// scheme k's copy of packet p, so one event id addresses one copy and the
+/// final reduction walks the arrays packet-major. Stepper slots are pooled:
+/// armed in place via Router::restart_stepper at injection and at re-plans,
+/// released when the flight terminates — after the ramp-up the steady
+/// state allocates nothing.
+struct Records {
+  // Per packet.
+  std::vector<double> inject_time;
+  std::vector<NodeId> src;
+  std::vector<NodeId> dst;
+  std::vector<std::size_t> oracle_hops;  ///< BFS optimum; 0 = unreachable
+  std::vector<unsigned char> injected;
+  // Per flight (packet-major).
+  std::vector<StreamOutcome> outcome;
+  std::vector<std::uint32_t> hops;          ///< across re-planned segments
+  std::vector<std::uint32_t> local_minima;  ///< across re-planned segments
+  std::vector<std::uint32_t> replans;
+  std::vector<double> length;  ///< across re-planned segments, meters
+  std::vector<double> finish_time;
+  std::vector<RouteStepper> steppers;  ///< pooled slots, released when done
+};
+
 }  // namespace
 
 std::vector<StreamWave> spread_failure_waves(
@@ -38,8 +63,12 @@ std::vector<StreamWave> spread_failure_waves(
     std::span<const std::pair<NodeId, NodeId>> endpoints, double fraction,
     int waves, double span, Rng& rng) {
   std::vector<StreamWave> out;
+  // Clamped before the cast, which is undefined for an out-of-range value
+  // (inf, 1e30); NaN kills nobody.
+  const double clamped =
+      std::isnan(fraction) ? 0.0 : std::clamp(fraction, 0.0, 1.0);
   std::size_t total = static_cast<std::size_t>(
-      std::max(0.0, fraction) * static_cast<double>(g.size()) + 0.5);
+      clamped * static_cast<double>(g.size()) + 0.5);
   if (total == 0 || waves <= 0) return out;
   std::vector<NodeId> candidates;
   candidates.reserve(g.size());
@@ -69,57 +98,25 @@ std::vector<StreamWave> spread_failure_waves(
   return out;
 }
 
-/// One scheme's copy of one packet.
-struct StreamSim::Flight {
-  StreamOutcome outcome = StreamOutcome::kInFlight;
-  std::unique_ptr<RouteStepper> stepper;  ///< null once finished
-  std::size_t hops = 0;          ///< across re-planned segments
-  double length = 0.0;           ///< across re-planned segments, meters
-  std::size_t local_minima = 0;  ///< across re-planned segments
-  std::size_t replans = 0;       ///< steppers rebuilt mid-flight
-  double finish_time = 0.0;
-};
-
-/// One injected packet: shared endpoints + oracle, one Flight per scheme.
-struct StreamSim::Packet {
-  double inject_time = 0.0;
-  NodeId src = kInvalidNode;
-  NodeId dst = kInvalidNode;
-  std::size_t oracle_hops = 0;  ///< BFS optimum at injection; 0 = unreachable
-  bool injected = false;
-  std::vector<Flight> flights;
-};
-
-/// The flight-record engine's state: Flight/Packet unrolled into parallel
-/// arrays. Flight f = p * n_schemes + k is scheme k's copy of packet p, so
-/// one tick-batch id addresses one copy and the final reduction walks the
-/// arrays in exactly the legacy packet-major order. Stepper slots are
-/// pooled: armed in place via Router::restart_stepper at injection and at
-/// re-plans, released when the flight terminates — after the ramp-up the
-/// steady state allocates nothing.
-struct StreamSim::Records {
-  // Per packet.
-  std::vector<double> inject_time;
-  std::vector<NodeId> src;
-  std::vector<NodeId> dst;
-  std::vector<std::size_t> oracle_hops;  ///< BFS optimum; 0 = unreachable
-  std::vector<unsigned char> injected;
-  // Per flight (packet-major).
-  std::vector<StreamOutcome> outcome;
-  std::vector<std::uint32_t> hops;          ///< across re-planned segments
-  std::vector<std::uint32_t> local_minima;  ///< across re-planned segments
-  std::vector<std::uint32_t> replans;
-  std::vector<double> length;  ///< across re-planned segments, meters
-  std::vector<double> finish_time;
-  std::vector<RouteStepper> steppers;  ///< pooled slots, released when done
-};
-
 StreamSim::StreamSim(Network initial, StreamConfig config)
     : net_(std::move(initial)),
       config_(std::move(config)),
       mobility_(net_.deployment().positions,
                 pin_field(config_.waypoint, net_.deployment().field),
                 Rng(config_.seed ^ 0x5712)) {
+  // Timing feeds the event heap, whose order a NaN time breaks and which a
+  // negative delay would run backwards.
+  auto timing_ok = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  SPR_CHECK(timing_ok(config_.packet_interval), "packet_interval ",
+            config_.packet_interval);
+  SPR_CHECK(timing_ok(config_.hop_delay), "hop_delay ", config_.hop_delay);
+  SPR_CHECK(timing_ok(config_.mobility_interval), "mobility_interval ",
+            config_.mobility_interval);
+  SPR_CHECK(timing_ok(config_.mobility_dt), "mobility_dt ",
+            config_.mobility_dt);
+  for (const StreamWave& wave : config_.waves) {
+    SPR_CHECK(std::isfinite(wave.time), "wave time ", wave.time);
+  }
   if (config_.schemes.empty()) config_.schemes = SweepConfig::paper_schemes();
   if (config_.packets < 0) config_.packets = 0;
   // No endpoints means no traffic: clamp the packet count so the mobility
@@ -146,60 +143,9 @@ void StreamSim::rebuild_routers() {
   }
 }
 
-void StreamSim::harvest(Flight& flight) {
-  PathResult segment = flight.stepper->take_result();
-  flight.hops += segment.hops();
-  flight.length += segment.length;
-  flight.local_minima += segment.local_minima;
-}
-
-void StreamSim::finalize(Flight& flight, StreamOutcome outcome, double now) {
-  flight.stepper.reset();
-  flight.outcome = outcome;
-  flight.finish_time = now;
-}
-
-void StreamSim::replan_flights(double now, std::size_t* in_flight,
-                               std::size_t* dropped) {
-  for (auto& packet : packets_) {
-    if (!packet.injected) continue;
-    for (std::size_t k = 0; k < packet.flights.size(); ++k) {
-      Flight& flight = packet.flights[k];
-      if (flight.outcome != StreamOutcome::kInFlight ||
-          flight.stepper == nullptr) {
-        continue;
-      }
-      // The header state is gone with the old substrate; the packet
-      // re-plans from wherever it is, with whatever TTL it has left.
-      NodeId at = flight.stepper->current();
-      std::size_t budget = flight.stepper->ttl_remaining();
-      harvest(flight);
-      if (!net_.graph().alive(at)) {
-        if (dropped != nullptr) ++*dropped;
-        finalize(flight, StreamOutcome::kNodeFailed, now);
-        --live_;
-        continue;
-      }
-      if (in_flight != nullptr) ++*in_flight;
-      ++flight.replans;
-      flight.stepper = routers_[k]->make_stepper(at, packet.dst,
-                                                 config_.route_options, budget);
-      if (!flight.stepper->in_flight()) {
-        // Degenerate re-plan (already at the destination / spent budget).
-        RouteStatus status = flight.stepper->result().status;
-        harvest(flight);
-        finalize(flight, outcome_of(status), now);
-        --live_;
-      }
-      // The flight's pending hop event keeps firing and will step the new
-      // stepper — no event surgery needed.
-    }
-  }
-}
-
 void StreamSim::build_epoch_oracle(TaskPool* pool) {
   oracle_ready_ = true;
-  // Eligibility is exactly the legacy per-pair guard at injection time:
+  // Eligibility is exactly the injection handler's per-pair guard:
   // in-range endpoints and a live source. It depends only on the pair and
   // the substrate, so it is constant within a topology epoch.
   std::vector<std::pair<NodeId, NodeId>> eligible;
@@ -233,269 +179,21 @@ StreamStats StreamSim::run() {
   for (std::size_t k = 0; k < config_.schemes.size(); ++k) {
     stats_.schemes[k].label = config_.schemes[k].display_label();
   }
-  if (config_.engine == StreamEngine::kPerHopEvents) {
-    run_per_hop();
-  } else {
-    run_flight_record();
-  }
-  return stats_;
-}
 
-void StreamSim::run_per_hop() {
   struct Ev {
-    enum class Kind : unsigned char { kInject, kHop, kWave, kRepin };
+    enum class Kind : unsigned char { kInject, kTick, kHop, kWave, kRepin };
     Kind kind = Kind::kInject;
-    std::size_t index = 0;  ///< packet / flight / wave id (kind-dependent)
+    std::size_t index = 0;  ///< packet / tick-bucket slot / flight / wave id
   };
   EventQueue<Ev> queue;
   SimClock clock;
 
-  const std::size_t n_schemes = config_.schemes.size();
-  packets_.resize(static_cast<std::size_t>(config_.packets));
-  for (std::size_t p = 0; p < packets_.size(); ++p) {
-    Packet& packet = packets_[p];
-    packet.flights.resize(n_schemes);
-    const auto& pair = config_.pairs[p % config_.pairs.size()];
-    packet.src = pair.first;
-    packet.dst = pair.second;
-  }
-
-  // Flight ids are packet-major so one hop event addresses one copy.
-  auto flight_id = [n_schemes](std::size_t p, std::size_t k) {
-    return p * n_schemes + k;
-  };
-
-  // Schedule the whole input timeline up front: injections, then the
-  // failure waves (in time order), then the first mobility re-pin.
-  // Same-instant ties resolve deterministically by push order: an
-  // injection due exactly at a wave's timestamp fires before it (pushed
-  // here, earlier), while a hop event due at that instant fires after it
-  // (hops are pushed mid-run, so they carry later sequence numbers) — the
-  // packet steps its re-planned stepper on the degraded substrate.
-  if (!config_.pairs.empty()) {
-    oracle_cache_.assign(config_.pairs.size(), kNoOracle);
-    oracle_ready_ = false;
-    for (std::size_t p = 0; p < packets_.size(); ++p) {
-      queue.push(static_cast<double>(p) * config_.packet_interval,
-                 Ev{Ev::Kind::kInject, p});
-    }
-  }
-  std::vector<std::size_t> wave_order(config_.waves.size());
-  std::iota(wave_order.begin(), wave_order.end(), std::size_t{0});
-  std::stable_sort(wave_order.begin(), wave_order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return config_.waves[a].time < config_.waves[b].time;
-                   });
-  for (std::size_t wi : wave_order) {
-    queue.push(config_.waves[wi].time, Ev{Ev::Kind::kWave, wi});
-  }
-  if (config_.mobility_interval > 0.0 && !packets_.empty()) {
-    queue.push(config_.mobility_interval, Ev{Ev::Kind::kRepin, 0});
-  }
-
-  std::size_t injected_count = 0;
-  live_ = 0;  // maintained at inject/finalize; replaces the O(packets x
-              // schemes) any_in_flight rescan the repin loop used to do
-
-  while (!queue.empty()) {
-    auto timed = queue.pop();
-    clock.advance_to(timed.time);
-    const double now = clock.now();
-    ++stats_.events;
-
-    switch (timed.event.kind) {
-      case Ev::Kind::kInject: {
-        Packet& packet = packets_[timed.event.index];
-        packet.injected = true;
-        packet.inject_time = now;
-        ++injected_count;
-        // The hop-optimal baseline is pinned at injection time: stretch
-        // measures what the scheme paid relative to the network the packet
-        // was handed to, before any mid-flight wave degraded it. Packets
-        // cycle over few pairs, so the whole epoch's oracles are batched
-        // at the first injection after each topology change (one
-        // bidirectional BFS per pair).
-        if (packet.src < net_.graph().size() &&
-            packet.dst < net_.graph().size() &&
-            net_.graph().alive(packet.src)) {
-          if (!oracle_ready_) build_epoch_oracle(nullptr);
-          std::size_t cached =
-              oracle_cache_[timed.event.index % config_.pairs.size()];
-          packet.oracle_hops = cached == kNoOracle ? 0 : cached;
-        }
-        for (std::size_t k = 0; k < n_schemes; ++k) {
-          Flight& flight = packet.flights[k];
-          if (packet.src >= net_.graph().size() ||
-              !net_.graph().alive(packet.src)) {
-            finalize(flight, StreamOutcome::kNodeFailed, now);
-            continue;
-          }
-          flight.stepper = routers_[k]->make_stepper(packet.src, packet.dst,
-                                                     config_.route_options);
-          if (!flight.stepper->in_flight()) {
-            RouteStatus status = flight.stepper->result().status;
-            harvest(flight);
-            finalize(flight, outcome_of(status), now);
-            continue;
-          }
-          queue.push(now + config_.hop_delay,
-                     Ev{Ev::Kind::kHop, flight_id(timed.event.index, k)});
-          ++live_;
-        }
-        break;
-      }
-      case Ev::Kind::kHop: {
-        std::size_t p = timed.event.index / n_schemes;
-        std::size_t k = timed.event.index % n_schemes;
-        Flight& flight = packets_[p].flights[k];
-        // Stale events for copies dropped by a wave just evaporate.
-        if (flight.outcome != StreamOutcome::kInFlight ||
-            flight.stepper == nullptr) {
-          break;
-        }
-        if (flight.stepper->step()) {
-          queue.push(now + config_.hop_delay,
-                     Ev{Ev::Kind::kHop, timed.event.index});
-        } else {
-          RouteStatus status = flight.stepper->result().status;
-          harvest(flight);
-          finalize(flight, outcome_of(status), now);
-          --live_;
-        }
-        break;
-      }
-      case Ev::Kind::kWave: {
-        const StreamWave& wave = config_.waves[timed.event.index];
-        std::vector<NodeId> casualties;
-        casualties.reserve(wave.casualties.size());
-        for (NodeId u : wave.casualties) {
-          if (u < net_.graph().size() && net_.graph().alive(u)) {
-            casualties.push_back(u);
-          }
-        }
-        WaveRecord record;
-        record.time = now;
-        record.casualties = casualties.size();
-        if (casualties.empty()) {
-          // Nothing actually died (already dead / out of range / an empty
-          // schedule slot): record the wave but leave the substrate and
-          // every in-flight header untouched — a no-op wave must not
-          // force phantom re-plans.
-          stats_.waves.push_back(std::move(record));
-          break;
-        }
-        routers_.clear();  // routers reference the outgoing substrate
-        Network degraded = net_.with_failures(casualties, &record.relabel);
-        if (config_.verify_relabeling && degraded.has_safety()) {
-          SafetyInfo fresh =
-              compute_safety(degraded.graph(), degraded.interest_area());
-          record.verified = true;
-          record.matches_full_recompute = fresh == degraded.safety();
-        }
-        net_ = std::move(degraded);
-        std::fill(oracle_cache_.begin(), oracle_cache_.end(), kNoOracle);
-        oracle_ready_ = false;
-        rebuild_routers();
-        replan_flights(now, &record.packets_in_flight,
-                       &record.packets_dropped);
-        stats_.waves.push_back(std::move(record));
-        break;
-      }
-      case Ev::Kind::kRepin: {
-        // Positions changed: the snapshot *continues incrementally*
-        // (Network::with_moves) — the spatial grid relocates, the
-        // adjacency is patched from the edge delta, and the safety
-        // labeling continues bidirectionally from the previous fixpoint
-        // (update_safety_after_moves: removals demote, additions promote).
-        // The paper's periodic reconstruction regime collapsed into a
-        // local update wave. Nodes killed by earlier failure waves stay
-        // dead (aliveness carries over) and the interest-area band
-        // carries over.
-        mobility_.advance(config_.mobility_dt);
-        routers_.clear();
-        RepinRecord record;
-        record.time = now;
-        EdgeDiff diff;
-        Network moved =
-            net_.with_moves(mobility_.positions(), &record.relabel, &diff);
-        record.moved = diff.moved_nodes;
-        record.edges_added = diff.added.size();
-        record.edges_removed = diff.removed.size();
-        if (config_.verify_relabeling && moved.has_safety()) {
-          SafetyInfo fresh =
-              compute_safety(moved.graph(), moved.interest_area());
-          record.verified = true;
-          record.matches_full_recompute = fresh == moved.safety();
-        }
-        net_ = std::move(moved);
-        std::fill(oracle_cache_.begin(), oracle_cache_.end(), kNoOracle);
-        oracle_ready_ = false;
-        rebuild_routers();
-        replan_flights(now, &record.packets_in_flight,
-                       &record.packets_dropped);
-        ++stats_.repins;
-        stats_.repin_records.push_back(std::move(record));
-        if (injected_count < packets_.size() || live_ > 0) {
-          queue.push(now + config_.mobility_interval, Ev{Ev::Kind::kRepin, 0});
-        }
-        break;
-      }
-    }
-  }
-
-  stats_.virtual_time = clock.now();
-
-  // Per-scheme totals, accumulated in packet order — a deterministic
-  // reduction independent of how the event timeline interleaved.
-  for (const auto& packet : packets_) {
-    if (!packet.injected) continue;
-    for (std::size_t k = 0; k < n_schemes; ++k) {
-      const Flight& flight = packet.flights[k];
-      StreamSchemeStats& s = stats_.schemes[k];
-      ++s.injected;
-      s.replans.add(static_cast<double>(flight.replans));
-      s.local_minima.add(static_cast<double>(flight.local_minima));
-      switch (flight.outcome) {
-        case StreamOutcome::kDelivered:
-          ++s.delivered;
-          s.hops.add(static_cast<double>(flight.hops));
-          s.length.add(flight.length);
-          if (packet.oracle_hops > 0) {
-            s.stretch_hops.add(static_cast<double>(flight.hops) /
-                               static_cast<double>(packet.oracle_hops));
-          }
-          s.latency.add(flight.finish_time - packet.inject_time);
-          break;
-        case StreamOutcome::kTtlExpired:
-          ++s.ttl_expired;
-          break;
-        case StreamOutcome::kNodeFailed:
-          ++s.node_failed;
-          break;
-        case StreamOutcome::kDeadEnd:
-        case StreamOutcome::kInFlight:  // unreachable: the queue drained
-          ++s.dead_end;
-          break;
-      }
-    }
-  }
-}
-
-void StreamSim::run_flight_record() {
-  struct Ev {
-    enum class Kind : unsigned char { kInject, kTick, kWave, kRepin };
-    Kind kind = Kind::kInject;
-    std::size_t index = 0;  ///< packet / tick-bucket slot / wave id
-  };
-  EventQueue<Ev> queue;
-  SimClock clock;
-
+  const bool per_hop = config_.engine == StreamEngine::kPerHopEvents;
   const std::size_t n_schemes = config_.schemes.size();
   const std::size_t n_packets = static_cast<std::size_t>(config_.packets);
   const std::size_t n_flights = n_packets * n_schemes;
 
-  rec_ = std::make_unique<Records>();
-  Records& rec = *rec_;
+  Records rec;
   rec.inject_time.assign(n_packets, 0.0);
   rec.src.assign(n_packets, kInvalidNode);
   rec.dst.assign(n_packets, kInvalidNode);
@@ -519,11 +217,12 @@ void StreamSim::run_flight_record() {
   // recovery caches resolve atomically through Network's call_once
   // accessors, so each tick's batch can fan out across a pool without any
   // up-front priming; the merge below is serial and batch-ordered, so the
-  // run is bit-identical across thread counts.
+  // run is bit-identical across thread counts. The per-hop reference mode
+  // runs without a pool.
   std::optional<TaskPool> pool;
-  if (config_.threads > 1) pool.emplace(config_.threads);
+  if (!per_hop && config_.threads > 1) pool.emplace(config_.threads);
 
-  // Flight records only reduce aggregates, so the steppers run with path
+  // The records only reduce aggregates, so the steppers run with path
   // recording off (`hops_taken` replaces `result().hops()`): no per-walk
   // buffer growth, and a finished flight's slot shrinks to its header.
   auto harvest_record = [&rec](std::size_t f) {
@@ -537,13 +236,30 @@ void StreamSim::run_flight_record() {
                                 double when) {
     rec.outcome[f] = outcome;
     rec.finish_time[f] = when;
-    rec.steppers[f].release();  // header + buffers, like the legacy reset
+    rec.steppers[f].release();  // header + buffers, back to an empty slot
+  };
+  // Arms scheme k's copy of packet p at `from` with hop budget `budget`
+  // (0 = the options' TTL). A degenerate walk (already at the destination,
+  // spent budget) finishes on the spot; returns whether the copy is in the
+  // air.
+  auto arm = [&](std::size_t p, std::size_t k, NodeId from,
+                 std::size_t budget, double when) {
+    const std::size_t f = p * n_schemes + k;
+    RouteStepper& slot = rec.steppers[f];
+    routers_[k]->restart_stepper(slot, from, rec.dst[p], config_.route_options,
+                                 budget);
+    slot.set_record_path(false);
+    if (slot.in_flight()) return true;
+    RouteStatus status = slot.result().status;
+    harvest_record(f);
+    finalize_record(f, outcome_of(status), when);
+    return false;
   };
 
   // The tick ring: flights due at the same exact instant share one bucket
   // and one kTick heap event, pushed when the bucket is created — i.e. at
-  // the same pop instant the legacy engine pushed that time's first hop
-  // event, so tick-vs-control tie order inherits the legacy (time, seq)
+  // the same pop instant the per-hop mode pushes that time's first hop
+  // event, so tick-vs-control tie order inherits the per-hop (time, seq)
   // semantics.
   TickBuckets ticks(256);
   auto schedule_flight = [&ticks, &queue](std::size_t f, double when) {
@@ -554,11 +270,15 @@ void StreamSim::run_flight_record() {
     }
   };
 
-  // Re-plans on a new substrate, mirroring the legacy replan_flights over
-  // the SoA records. Pending tick-batch entries keep firing and are
-  // filtered as stale once a flight finalizes — no ring surgery.
-  auto replan_records = [&](double when, std::size_t* in_flight,
-                            std::size_t* dropped) {
+  // The re-plan on a new substrate. The header state is gone with the old
+  // substrate, so each copy in the air re-plans from wherever it is with
+  // whatever TTL it has left; a copy whose carrier died is dropped. Its
+  // pending tick-batch entry or hop event keeps firing and steps the new
+  // walk, or is filtered as stale once the copy finalizes — no heap or ring
+  // surgery.
+  std::size_t live = 0;  // copies parked on the ring or awaiting a hop event
+  auto replan_records = [&](double when, std::size_t& in_flight,
+                            std::size_t& dropped) {
     for (std::size_t p = 0; p < n_packets; ++p) {
       if (!rec.injected[p]) continue;
       for (std::size_t k = 0; k < n_schemes; ++k) {
@@ -569,29 +289,26 @@ void StreamSim::run_flight_record() {
         std::size_t budget = slot.ttl_remaining();
         harvest_record(f);
         if (!net_.graph().alive(at)) {
-          ++*dropped;
+          ++dropped;
           finalize_record(f, StreamOutcome::kNodeFailed, when);
-          --live_;
+          --live;
           continue;
         }
-        ++*in_flight;
+        ++in_flight;
         ++rec.replans[f];
-        routers_[k]->restart_stepper(slot, at, rec.dst[p],
-                                     config_.route_options, budget);
-        slot.set_record_path(false);
-        if (!slot.in_flight()) {
-          // Degenerate re-plan (already at the destination / spent budget).
-          RouteStatus status = slot.result().status;
-          harvest_record(f);
-          finalize_record(f, outcome_of(status), when);
-          --live_;
-        }
+        if (!arm(p, k, at, budget, when)) --live;
       }
     }
   };
 
-  // The input timeline, scheduled up front exactly as in the legacy
-  // engine: injections, failure waves in time order, the first re-pin.
+  // Schedule the whole input timeline up front: injections, then the
+  // failure waves (in time order), then the first mobility re-pin.
+  // Same-instant ties resolve deterministically by push order: an
+  // injection due exactly at a wave's timestamp fires before it (pushed
+  // here, earlier), while a hop due at that instant fires after it (hop
+  // events and tick events are pushed mid-run, so they carry later
+  // sequence numbers) — the packet steps its re-planned walk on the
+  // degraded substrate.
   if (!config_.pairs.empty()) {
     oracle_cache_.assign(config_.pairs.size(), kNoOracle);
     oracle_ready_ = false;
@@ -620,10 +337,10 @@ void StreamSim::run_flight_record() {
   // batch may fast-forward each flight through ALL its hop instants
   // strictly before the barrier instead of one hop per tick. The instant
   // sequence accumulates iteratively (t = t + hop_delay), exactly as the
-  // per-hop engine pushes hop events, so finish times stay bit-identical;
+  // per-hop mode pushes hop events, so finish times stay bit-identical;
   // a hop instant that lands exactly on the barrier is not taken — the
   // survivor parks there and the barrier event (earlier seq, pushed at
-  // setup / the previous re-pin) fires first, as in the legacy heap order.
+  // setup / the previous re-pin) fires first, as in the per-hop heap order.
   constexpr double kNoBarrier = std::numeric_limits<double>::infinity();
   std::vector<double> wave_times;
   wave_times.reserve(wave_order.size());
@@ -671,11 +388,27 @@ void StreamSim::run_flight_record() {
     return (static_cast<std::uint64_t>(k) * n_nodes + s) * n_nodes + d;
   };
 
+  // A wave or a re-pin adopts its successor substrate: the optional
+  // from-scratch cross-check of the incremental relabeling, a fresh epoch
+  // (oracle, routers, walk memo) and the re-plan of every copy in the air.
+  auto adopt = [&](Network next, auto& record, double when) {
+    if (config_.verify_relabeling && next.has_safety()) {
+      SafetyInfo fresh = compute_safety(next.graph(), next.interest_area());
+      record.verified = true;
+      record.matches_full_recompute = fresh == next.safety();
+    }
+    net_ = std::move(next);
+    std::fill(oracle_cache_.begin(), oracle_cache_.end(), kNoOracle);
+    oracle_ready_ = false;
+    rebuild_routers();
+    walk_memo.clear();  // memoized walks referenced the old substrate
+    replan_records(when, record.packets_in_flight, record.packets_dropped);
+  };
+
   std::size_t injected_count = 0;
-  live_ = 0;
   std::vector<std::uint32_t> active;  // this tick's surviving batch
   std::vector<double> finish_at;      // per-active final-step instant
-  // The latest fast-forwarded terminal instant. The legacy engine's clock
+  // The latest fast-forwarded terminal instant. The per-hop mode's clock
   // ends on its last heap event — the slowest flight's terminal hop — but
   // fast-forwarded hops never become heap events, so that instant is
   // tracked here and folded into virtual_time after the drain.
@@ -693,6 +426,11 @@ void StreamSim::run_flight_record() {
         rec.injected[p] = 1;
         rec.inject_time[p] = now;
         ++injected_count;
+        // The hop-optimal baseline is pinned at injection time: stretch
+        // measures what the scheme paid relative to the network the packet
+        // was handed to, before any mid-flight wave degraded it. Packets
+        // cycle over few pairs, so the whole epoch's oracles are batched
+        // at the first injection after each topology change.
         if (rec.src[p] < net_.graph().size() &&
             rec.dst[p] < net_.graph().size() &&
             net_.graph().alive(rec.src[p])) {
@@ -707,7 +445,13 @@ void StreamSim::run_flight_record() {
             finalize_record(f, StreamOutcome::kNodeFailed, now);
             continue;
           }
-          RouteStepper& slot = rec.steppers[f];
+          if (per_hop) {  // the reference: arm, then one heap event per hop
+            if (arm(p, k, rec.src[p], 0, now)) {
+              queue.push(now + config_.hop_delay, Ev{Ev::Kind::kHop, f});
+              ++live;
+            }
+            continue;
+          }
           const double barrier = next_barrier();
           const std::uint64_t key =
               memo_ok ? memo_key(k, rec.src[p], rec.dst[p]) : 0;
@@ -734,15 +478,8 @@ void StreamSim::run_flight_record() {
               // state mid-walk, so it steps for real below.
             }
           }
-          routers_[k]->restart_stepper(slot, rec.src[p], rec.dst[p],
-                                       config_.route_options);
-          slot.set_record_path(false);
-          if (!slot.in_flight()) {
-            RouteStatus status = slot.result().status;
-            harvest_record(f);
-            finalize_record(f, outcome_of(status), now);
-            continue;
-          }
+          if (!arm(p, k, rec.src[p], 0, now)) continue;
+          RouteStepper& slot = rec.steppers[f];
           // Fast-forward the fresh flight through its epoch right here,
           // while its slot and header are cache-hot: injections are not
           // barriers, so every hop instant strictly before the next
@@ -753,7 +490,7 @@ void StreamSim::run_flight_record() {
           for (;;) {
             if (!(t < barrier)) {  // parked; the tick ring takes over
               schedule_flight(f, t);
-              ++live_;
+              ++live;
               break;
             }
             if (!slot.step()) {  // terminal step executed at instant t
@@ -781,11 +518,27 @@ void StreamSim::run_flight_record() {
         }
         break;
       }
+      case Ev::Kind::kHop: {
+        // The reference mode: one flight, one hop, one heap event. Stale
+        // events of copies a wave or re-pin finished just evaporate.
+        const std::size_t f = timed.event.index;
+        if (rec.outcome[f] != StreamOutcome::kInFlight) break;
+        RouteStepper& slot = rec.steppers[f];
+        if (slot.step()) {
+          queue.push(now + config_.hop_delay, Ev{Ev::Kind::kHop, f});
+        } else {
+          RouteStatus status = slot.result().status;
+          harvest_record(f);
+          finalize_record(f, outcome_of(status), now);
+          --live;
+        }
+        break;
+      }
       case Ev::Kind::kTick: {
         // One epoch round: every copy due at this instant advances through
         // every hop instant strictly before the next barrier (see above).
         // Stale ids (finalized by a wave/re-pin since they were scheduled)
-        // evaporate, like the legacy engine's stale hop events.
+        // evaporate, like the per-hop mode's stale hop events.
         const std::vector<std::uint32_t>& batch =
             ticks.take(static_cast<std::uint32_t>(timed.event.index));
         active.clear();
@@ -833,12 +586,12 @@ void StreamSim::run_flight_record() {
         // same iterative accumulation as advance_flight. Only needed when a
         // survivor exists, which requires a finite barrier and a growing
         // instant sequence (hop_delay 0 steps flights to terminal at one
-        // instant, as the legacy engine's same-time event chain does).
+        // instant, as the per-hop mode's same-time event chain does).
         double park = now + hop_delay;
         if (hop_delay > 0.0 && barrier != kNoBarrier) {
           while (park < barrier) park += hop_delay;
         }
-        // Merge phase, serial in batch (= legacy pop) order: survivors
+        // Merge phase, serial in batch (= per-hop pop) order: survivors
         // reschedule at the park instant, finished flights finalize at
         // their recorded terminal instants.
         for (std::size_t i = 0; i < active.size(); ++i) {
@@ -851,7 +604,7 @@ void StreamSim::run_flight_record() {
             harvest_record(f);
             finalize_record(f, outcome_of(status), finish_at[i]);
             final_instant = std::max(final_instant, finish_at[i]);
-            --live_;
+            --live;
           }
         }
         break;
@@ -870,32 +623,29 @@ void StreamSim::run_flight_record() {
         record.time = now;
         record.casualties = casualties.size();
         if (casualties.empty()) {
-          // A no-op wave leaves the substrate and every in-flight header
-          // untouched (see run_per_hop).
+          // Nothing actually died (already dead / out of range / an empty
+          // schedule slot): record the wave but leave the substrate and
+          // every in-flight header untouched — a no-op wave must not
+          // force phantom re-plans.
           stats_.waves.push_back(std::move(record));
           break;
         }
         routers_.clear();  // routers reference the outgoing substrate
         Network degraded = net_.with_failures(casualties, &record.relabel);
-        if (config_.verify_relabeling && degraded.has_safety()) {
-          SafetyInfo fresh =
-              compute_safety(degraded.graph(), degraded.interest_area());
-          record.verified = true;
-          record.matches_full_recompute = fresh == degraded.safety();
-        }
-        net_ = std::move(degraded);
-        std::fill(oracle_cache_.begin(), oracle_cache_.end(), kNoOracle);
-        oracle_ready_ = false;
-        rebuild_routers();
-        walk_memo.clear();  // memoized walks referenced the old substrate
-        replan_records(now, &record.packets_in_flight,
-                       &record.packets_dropped);
+        adopt(std::move(degraded), record, now);
         stats_.waves.push_back(std::move(record));
         break;
       }
       case Ev::Kind::kRepin: {
-        // Incremental substrate continuation under mobility — identical to
-        // run_per_hop's handler (see the comment there).
+        // Positions changed: the snapshot *continues incrementally*
+        // (Network::with_moves) — the spatial grid relocates, the
+        // adjacency is patched from the edge delta, and the safety
+        // labeling continues bidirectionally from the previous fixpoint
+        // (update_safety_after_moves: removals demote, additions promote).
+        // The paper's periodic reconstruction regime collapsed into a
+        // local update wave. Nodes killed by earlier failure waves stay
+        // dead (aliveness carries over) and the interest-area band
+        // carries over.
         mobility_.advance(config_.mobility_dt);
         routers_.clear();
         RepinRecord record;
@@ -906,23 +656,15 @@ void StreamSim::run_flight_record() {
         record.moved = diff.moved_nodes;
         record.edges_added = diff.added.size();
         record.edges_removed = diff.removed.size();
-        if (config_.verify_relabeling && moved.has_safety()) {
-          SafetyInfo fresh =
-              compute_safety(moved.graph(), moved.interest_area());
-          record.verified = true;
-          record.matches_full_recompute = fresh == moved.safety();
-        }
-        net_ = std::move(moved);
-        std::fill(oracle_cache_.begin(), oracle_cache_.end(), kNoOracle);
-        oracle_ready_ = false;
-        rebuild_routers();
-        walk_memo.clear();  // memoized walks referenced the old substrate
-        replan_records(now, &record.packets_in_flight,
-                       &record.packets_dropped);
+        adopt(std::move(moved), record, now);
         ++stats_.repins;
         stats_.repin_records.push_back(std::move(record));
-        if (injected_count < n_packets || live_ > 0) {
+        if (injected_count < n_packets || live > 0) {
           next_repin = now + config_.mobility_interval;
+          // A re-pin that cannot move the clock would re-fire at this same
+          // instant for as long as traffic remains.
+          SPR_CHECK(next_repin > now, "mobility_interval ",
+                    config_.mobility_interval, " does not advance t=", now);
           queue.push(next_repin, Ev{Ev::Kind::kRepin, 0});
         } else {
           next_repin = kNoBarrier;
@@ -934,8 +676,8 @@ void StreamSim::run_flight_record() {
 
   stats_.virtual_time = std::max(clock.now(), final_instant);
 
-  // Per-scheme totals in packet-major order — the same deterministic
-  // reduction as run_per_hop, over the SoA arrays.
+  // Per-scheme totals in packet-major order — a deterministic reduction
+  // independent of how the event timeline interleaved.
   for (std::size_t p = 0; p < n_packets; ++p) {
     if (!rec.injected[p]) continue;
     for (std::size_t k = 0; k < n_schemes; ++k) {
@@ -968,6 +710,7 @@ void StreamSim::run_flight_record() {
       }
     }
   }
+  return stats_;
 }
 
 }  // namespace spr

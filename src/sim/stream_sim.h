@@ -32,11 +32,11 @@
 ///
 /// Semantics at a topology change: the packet header travels with the
 /// packet, but the substrate under it changed — each in-flight copy
-/// *re-plans*: a fresh RouteStepper from its current node toward the same
-/// destination over the new network, carrying its remaining TTL budget (a
-/// re-plan never extends a packet's life). A copy whose current carrier
-/// died in the wave is dropped (kNodeFailed). Hops, path length and local
-/// minima accumulate across the re-planned segments.
+/// *re-plans*: a fresh walk (its stepper slot re-armed) from its current
+/// node toward the same destination over the new network, carrying its
+/// remaining TTL budget (a re-plan never extends a packet's life). A copy
+/// whose current carrier died in the wave is dropped (kNodeFailed). Hops,
+/// path length and local minima accumulate across the re-planned segments.
 ///
 /// Injection semantics are fully defined — never UB: a packet whose source
 /// is dead at injection time (killed by an earlier wave), or whose source
@@ -52,27 +52,40 @@
 /// — byte-identical reports across reruns and across sweep thread counts
 /// (tests enforce this).
 ///
-/// Two interchangeable engines advance the in-flight copies
-/// (StreamConfig::engine):
+/// One engine runs every stream. Per-flight state lives in SoA flight
+/// records whose stepper slots are pooled (re-armed in place on re-plan,
+/// path recording off; zero steady-state allocation), and one event loop
+/// owns the up-front timeline, the injection prologue with its per-epoch
+/// stretch oracle, the wave and re-pin handlers, the re-plan and the
+/// packet-major reduction. StreamConfig::engine selects only how a copy in
+/// the air advances between those events:
 ///
-///  * kFlightRecord (default) — the flight-record engine: per-flight state
-///    lives in SoA arrays, stepper slots are pooled (reset in place on
-///    re-plan; zero steady-state allocation), and because every hop costs
-///    the same `hop_delay`, all copies due at the same instant advance in
-///    one *tick* batch (sim/tick_scheduler.h) — the event heap carries one
-///    event per distinct tick time plus the sparse control events, not one
-///    event per flight-hop. With StreamConfig::threads > 1 each tick's
-///    batch is stepped in parallel on a TaskPool and merged in flight-id
-///    order, and each topology epoch's stretch oracle fans its pairs out
-///    over the same pool; results are bit-identical across thread counts.
-///  * kPerHopEvents — the legacy reference engine: one heap event per
-///    flight per hop. Kept as the oracle for the equivalence property
-///    tests.
+///  * kFlightRecord (default) — every hop costs the same `hop_delay`, so
+///    all copies due at one instant advance in one *tick* batch
+///    (sim/tick_scheduler.h), each through every hop instant strictly
+///    before the next barrier (failure wave or re-pin): a fresh copy
+///    fast-forwards inside its injection, a survivor parks at the first
+///    instant at or past the barrier, and a copy whose (scheme, src, dst)
+///    walk already finished in the current epoch replays it from a walk
+///    memo. The heap carries one event per distinct tick time plus the
+///    sparse control events, not one per flight-hop. With
+///    StreamConfig::threads > 1 each tick's batch steps in parallel on a
+///    TaskPool and merges in flight-id order, and each topology epoch's
+///    stretch oracle fans its pairs out over the same pool; results are
+///    bit-identical across thread counts.
+///  * kPerHopEvents — the reference: one heap event steps one copy one
+///    hop, with no ticks, fast-forward, walk memo or pool. It checks
+///    exactly what kFlightRecord does differently — tick batching,
+///    injection fast-forward, barrier parking, the walk memo and the
+///    parallel step — against the plain one-event-per-hop schedule. It
+///    does not re-check the shared handlers: verify_relabeling
+///    cross-checks the relabeling, and the stepper tests pin pooled
+///    (re-armed, pathless) slots to fresh steppers.
 ///
 /// Everything in StreamStats except `events` is byte-identical between the
-/// two engines (tests enforce this across seeds, waves, mobility and
-/// thread counts); `events` counts what the chosen engine actually popped
-/// (per-hop events vs ticks + control events).
+/// two modes (tests enforce this across seeds, waves, mobility and thread
+/// counts); `events` counts what the chosen mode actually popped (per-hop
+/// events vs ticks + control events).
 
 #include <cstddef>
 #include <cstdint>
@@ -190,11 +203,11 @@ struct StreamStats {
   bool operator==(const StreamStats&) const = default;
 };
 
-/// Which internal engine advances the in-flight copies (see the file
-/// comment). Both produce byte-identical StreamStats except `events`.
+/// How the engine advances copies in the air (see the file comment). Both
+/// modes produce byte-identical StreamStats except `events`.
 enum class StreamEngine : unsigned char {
-  kFlightRecord,  ///< tick-batched SoA flight records (default)
-  kPerHopEvents,  ///< legacy one-heap-event-per-hop reference engine
+  kFlightRecord,  ///< tick batches, fast-forward, walk memo, pool (default)
+  kPerHopEvents,  ///< the reference: one heap event per flight per hop
 };
 
 /// Parameters of a stream run.
@@ -204,9 +217,12 @@ struct StreamConfig {
   /// (source, sink) endpoints; packet i uses pairs[i % pairs.size()].
   /// Must be non-empty.
   std::vector<std::pair<NodeId, NodeId>> pairs;
-  int packets = 50;              ///< injections
-  double packet_interval = 1.0;  ///< virtual seconds between injections
-  double hop_delay = 0.25;       ///< virtual seconds per hop
+  int packets = 50;  ///< injections
+  /// Virtual seconds between injections and per hop. These, the mobility
+  /// interval and `mobility_dt` must be finite and >= 0, and every wave
+  /// time finite; StreamSim's constructor SPR_CHECKs it.
+  double packet_interval = 1.0;
+  double hop_delay = 0.25;
   RouteOptions route_options{};
   /// Failure waves, in any order (scheduled by their `time`).
   std::vector<StreamWave> waves;
@@ -224,18 +240,19 @@ struct StreamConfig {
   /// (WaveRecord::verified / RepinRecord::verified).
   bool verify_relabeling = false;
   StreamEngine engine = StreamEngine::kFlightRecord;
-  /// Flight-record engine only: worker threads stepping each tick's batch
-  /// (<= 1 = serial on the calling thread). Bit-identical results across
-  /// thread counts.
+  /// kFlightRecord only: worker threads stepping each tick's batch and
+  /// each epoch's oracle (<= 1 = serial on the calling thread).
+  /// Bit-identical results across thread counts.
   int threads = 1;
 };
 
 /// The simulator. Owns the network (the substrate is replaced as waves and
-/// re-pins land) and every in-flight packet copy.
+/// re-pins land); the flight records live for one run().
 class StreamSim {
  public:
   /// `initial` is consumed; structures any scheme needs are forced up
-  /// front so wave relabeling continues from a built fixpoint.
+  /// front so wave relabeling continues from a built fixpoint. Hostile
+  /// timing in `config` (see StreamConfig) fails an SPR_CHECK.
   StreamSim(Network initial, StreamConfig config);
   ~StreamSim();
 
@@ -243,24 +260,16 @@ class StreamSim {
   StreamSim& operator=(const StreamSim&) = delete;
 
   /// Runs the whole stream to completion and returns the totals. Call
-  /// once per StreamSim.
+  /// once per StreamSim. A re-pin that cannot advance the clock (the
+  /// interval vanishes next to a huge or infinite virtual time) fails an
+  /// SPR_CHECK.
   StreamStats run();
 
   /// The current substrate (post-run: the final degraded/re-pinned one).
   const Network& network() const noexcept { return net_; }
 
  private:
-  struct Flight;
-  struct Packet;
-  struct Records;
-
   void rebuild_routers();
-  void harvest(Flight& flight);
-  void finalize(Flight& flight, StreamOutcome outcome, double now);
-  void replan_flights(double now, std::size_t* in_flight,
-                      std::size_t* dropped);
-  void run_per_hop();
-  void run_flight_record();
   /// Fills oracle_cache_ for the current topology epoch: one hops-only
   /// OracleBatch over the eligible pairs (one bidirectional BFS per pair),
   /// fanned out over `pool` when non-null. Each pair fills its own slot, so
@@ -270,15 +279,12 @@ class StreamSim {
   Network net_;
   StreamConfig config_;
   std::vector<std::unique_ptr<Router>> routers_;  ///< one per scheme
-  std::vector<Packet> packets_;       ///< kPerHopEvents engine only
-  std::unique_ptr<Records> rec_;      ///< kFlightRecord engine only
   WaypointModel mobility_;
   /// Per-pair BFS optimum for the current topology epoch (packets cycle
   /// over few pairs; the graph only changes at waves/re-pins, which
   /// invalidate this). Filled per epoch by build_epoch_oracle.
   std::vector<std::size_t> oracle_cache_;
   bool oracle_ready_ = false;
-  std::size_t live_ = 0;  ///< copies currently in flight
   StreamStats stats_;
   bool ran_ = false;
 };

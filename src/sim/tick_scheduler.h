@@ -2,7 +2,7 @@
 
 /// \file tick_scheduler.h
 /// TickBuckets: the bucketed tick scheduler behind StreamSim's flight-record
-/// engine. When every in-flight copy advances on the same `hop_delay`, the
+/// mode. When every in-flight copy advances on the same `hop_delay`, the
 /// per-hop heap events of a discrete-event queue are pure overhead: at 10^5
 /// concurrent flights a run performs hundreds of millions of
 /// `push_heap`/`pop_heap` operations whose pop order carries no information

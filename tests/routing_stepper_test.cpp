@@ -103,17 +103,27 @@ TEST(RouteStepper, RestartInPlaceEqualsFreshStepperPerScheme) {
     for (Scheme scheme : kAllSchemes) {
       auto router = net.make_router(scheme);
       RouteStepper pooled;  // one slot, re-armed for every pair
+      // A second slot steps with path recording off, as StreamSim's
+      // flights do: the same walk and aggregates, nothing recorded.
+      RouteStepper pathless;
       for (int trial = 0; trial < 8; ++trial) {
         auto [s, d] = net.random_connected_interior_pair(rng);
         if (s == kInvalidNode) continue;
         auto fresh = router->make_stepper(s, d);
         router->restart_stepper(pooled, s, d, {});
+        router->restart_stepper(pathless, s, d, {});
+        pathless.set_record_path(false);
         EXPECT_EQ(pooled.in_flight(), fresh->in_flight());
+        EXPECT_EQ(pathless.in_flight(), fresh->in_flight());
         while (fresh->step()) {
           ASSERT_TRUE(pooled.step());
+          ASSERT_TRUE(pathless.step());
           EXPECT_EQ(pooled.current(), fresh->current());
+          EXPECT_EQ(pathless.current(), fresh->current());
         }
         EXPECT_FALSE(pooled.step());
+        EXPECT_FALSE(pathless.step());
+        EXPECT_EQ(pathless.current(), fresh->current());
         PathResult want = fresh->take_result();
         PathResult got = pooled.take_result();
         EXPECT_EQ(got.status, want.status);
@@ -121,7 +131,18 @@ TEST(RouteStepper, RestartInPlaceEqualsFreshStepperPerScheme) {
         EXPECT_EQ(got.hop_phases, want.hop_phases);
         EXPECT_EQ(got.length, want.length);  // bit-exact
         EXPECT_EQ(got.local_minima, want.local_minima);
-        if (trial % 3 == 0) pooled.release();  // reuse after release too
+        const PathResult& bare = pathless.result();
+        EXPECT_EQ(bare.status, want.status);
+        EXPECT_EQ(bare.length, want.length);  // bit-exact
+        EXPECT_EQ(bare.local_minima, want.local_minima);
+        EXPECT_EQ(pathless.hops_taken(), want.hops());
+        // Arming records the source; with recording off no hop follows it.
+        EXPECT_EQ(bare.path, std::vector<NodeId>{s});
+        EXPECT_TRUE(bare.hop_phases.empty());
+        if (trial % 3 == 0) {  // reuse after release too
+          pooled.release();
+          pathless.release();
+        }
       }
     }
   }

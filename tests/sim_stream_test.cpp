@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/scenario.h"
 #include "graph/graph_algos.h"
 #include "report/serialize.h"
 #include "report/sink.h"
 #include "test_helpers.h"
+#include "util/check.h"
 
 namespace spr {
 namespace {
@@ -253,6 +257,97 @@ TEST(StreamSim, OutOfRangeEndpointsAreDefinedDrops) {
   }
 }
 
+/// Hostile timing is rejected where it enters: a NaN, infinite or negative
+/// interval, delay or waypoint step, or a non-finite wave time, fails the
+/// constructor's checks before any event reaches the heap (a NaN time
+/// would break the heap order and silently split the two modes).
+TEST(StreamSim, HostileTimingFailsAtConstruction) {
+  ScopedCheckHandler guard(throwing_check_handler);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  StreamConfig base;
+  base.pairs.emplace_back(NodeId{3}, NodeId{40});
+  base.packets = 4;
+  base.packet_interval = 0.0;  // zero is a valid interval, delay and step
+  base.hop_delay = 0.0;
+  base.mobility_dt = 0.0;
+  EXPECT_NO_THROW(StreamSim(test::random_network(200, 5), base).run());
+
+  using Timing = double StreamConfig::*;
+  const std::pair<Timing, const char*> fields[] = {
+      {&StreamConfig::packet_interval, "packet_interval"},
+      {&StreamConfig::hop_delay, "hop_delay"},
+      {&StreamConfig::mobility_interval, "mobility_interval"},
+      {&StreamConfig::mobility_dt, "mobility_dt"},
+  };
+  for (const auto& [field, name] : fields) {
+    for (double bad : {nan, inf, -inf, -1.0}) {
+      StreamConfig config = base;
+      config.*field = bad;
+      EXPECT_THROW(StreamSim(test::random_network(200, 5), config),
+                   CheckError)
+          << name << " = " << bad;
+    }
+  }
+  for (double bad : {nan, inf, -inf}) {
+    StreamConfig config = base;
+    StreamWave wave;
+    wave.time = bad;
+    config.waves.push_back(wave);
+    EXPECT_THROW(StreamSim(test::random_network(200, 5), config), CheckError)
+        << "wave time " << bad;
+  }
+}
+
+/// A re-pin pushed where its interval cannot move the clock would re-fire
+/// at one instant for as long as traffic remains. With both intervals at
+/// 1e308 the third packet injects at t = inf, where the next re-pin would
+/// land at inf again: the push fails its check, in both modes.
+TEST(StreamSim, RepinThatCannotAdvanceTheClockFailsItsCheck) {
+  ScopedCheckHandler guard(throwing_check_handler);
+  for (StreamEngine engine :
+       {StreamEngine::kFlightRecord, StreamEngine::kPerHopEvents}) {
+    Network net = test::random_network(300, 9);
+    auto [s, d] = far_pair(net, 0x9);
+    ASSERT_NE(s, kInvalidNode);
+    StreamConfig config;
+    config.pairs.emplace_back(s, d);
+    config.packets = 3;
+    config.packet_interval = 1e308;
+    config.mobility_interval = 1e308;
+    config.engine = engine;
+    StreamSim sim(std::move(net), config);
+    EXPECT_THROW(sim.run(), CheckError);
+  }
+}
+
+/// spread_failure_waves clamps its fraction to [0, 1] before scaling and
+/// casting it (the cast of an out-of-range double is undefined): inf and
+/// 1e30 draw exactly the schedule 1.0 draws, and NaN kills nobody.
+TEST(StreamSim, SpreadFailureWavesClampsTheFraction) {
+  Network net = test::random_network(300, 9);
+  const std::pair<NodeId, NodeId> endpoints[] = {{NodeId{1}, NodeId{2}}};
+  auto schedule = [&net, &endpoints](double fraction) {
+    Rng rng(4);
+    return spread_failure_waves(net.graph(), endpoints, fraction, 4, 10.0,
+                                rng);
+  };
+  const std::vector<StreamWave> all = schedule(1.0);
+  ASSERT_EQ(all.size(), 4u);
+  std::size_t killed = 0;
+  for (const StreamWave& wave : all) killed += wave.casualties.size();
+  EXPECT_EQ(killed, net.graph().size() - 2);  // everyone but the endpoints
+  for (double huge : {std::numeric_limits<double>::infinity(), 1e30}) {
+    const std::vector<StreamWave> got = schedule(huge);
+    ASSERT_EQ(got.size(), all.size()) << huge;
+    for (std::size_t w = 0; w < all.size(); ++w) {
+      EXPECT_EQ(got[w].time, all[w].time) << huge;
+      EXPECT_EQ(got[w].casualties, all[w].casualties) << huge;
+    }
+  }
+  EXPECT_TRUE(schedule(std::numeric_limits<double>::quiet_NaN()).empty());
+}
+
 /// The same-timestamp tie: an injection due exactly at a wave's timestamp
 /// fires *before* the wave (FIFO push order — injections are scheduled
 /// first), sees the pre-wave substrate, and its copies are then
@@ -369,9 +464,9 @@ TEST(StreamSim, StreamStatsJsonRoundTrip) {
   EXPECT_EQ(decoded, stats);
 }
 
-/// The acceptance contract of the flight-record engine: everything in
+/// The acceptance contract of the flight-record mode: everything in
 /// StreamStats except `events` is byte-identical to the per-hop reference
-/// engine — across seeds, failure waves, mobility re-pins, their
+/// mode — across seeds, failure waves, mobility re-pins, their
 /// combination, and thread counts — and tick batching pops strictly fewer
 /// heap events than one-event-per-hop.
 TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
@@ -379,10 +474,18 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
     std::uint64_t seed;
     bool waves;
     bool mobility;
+    int packets = 10;
+    double packet_interval = 1.0;
+    double hop_delay = 0.5;
+    double wave_time = 3.0;
   };
   const Case cases[] = {
       {23, false, false}, {23, true, false}, {23, false, true},
       {23, true, true},   {61, true, true},  {83, false, true},
+      // Every packet in the air at once: the tick after the wave holds
+      // 160 active flights, over the 64 (2 * kMinGrain) the threads = 4
+      // arm needs to take the parallel step.
+      {23, true, false, 40, 0.0, 0.25, 1.0},
   };
   for (const Case& c : cases) {
     auto run = [&c](StreamEngine engine, int threads, std::size_t* events) {
@@ -391,12 +494,12 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
       auto [s, d] = far_pair(net, c.seed);
       StreamConfig config;
       if (s != kInvalidNode) config.pairs.emplace_back(s, d);
-      config.packets = 10;
-      config.packet_interval = 1.0;
-      config.hop_delay = 0.5;
+      config.packets = c.packets;
+      config.packet_interval = c.packet_interval;
+      config.hop_delay = c.hop_delay;
       if (c.waves) {
         StreamWave wave;
-        wave.time = 3.0;
+        wave.time = c.wave_time;
         for (NodeId u = 0; u < net.graph().size(); u += 17) {
           if (u != s && u != d) wave.casualties.push_back(u);
         }
@@ -421,8 +524,9 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
     StreamStats tick = run(StreamEngine::kFlightRecord, 1, &tick_events);
     StreamStats threaded =
         run(StreamEngine::kFlightRecord, 4, &threaded_events);
-    const char* shape = c.waves ? (c.mobility ? "waves+mobility" : "waves")
+    std::string shape = c.waves ? (c.mobility ? "waves+mobility" : "waves")
                                 : (c.mobility ? "mobility" : "plain");
+    if (c.packet_interval == 0.0) shape += ", all at once";
     // Struct equality sees every field; the JSON text also sees the sign
     // of zero.
     EXPECT_TRUE(tick == ref) << "seed " << c.seed << " " << shape;
