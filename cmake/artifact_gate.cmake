@@ -94,17 +94,22 @@ if(NOT mobility_validate EQUAL 0)
   message(FATAL_ERROR "mobility-rate JSON artifact failed to re-parse")
 endif()
 
-# Hostile-input probes: a negative count, a flag the command does not take
-# and a removed verb or alias must each exit nonzero, never fall back to a
-# default workload.
+# Hostile-input probes: a negative count, a non-finite or non-positive
+# range, a malformed node id, a flag the command does not take and a
+# removed verb or alias must each be rejected, never fall back to a default
+# workload. A rejection is exit status 1 (bad usage) or 2 (bad value); any
+# other result, a signal included (which execute_process reports as a
+# string such as "Child aborted"), is a crash and fails the gate.
 function(expect_rejected)
   execute_process(
     COMMAND "${SPR_CLI}" ${ARGN}
     RESULT_VARIABLE probe_result
     OUTPUT_QUIET ERROR_QUIET)
-  if(probe_result EQUAL 0)
+  if(NOT (probe_result STREQUAL "1" OR probe_result STREQUAL "2"))
     string(REPLACE ";" " " probe "${ARGN}")
-    message(FATAL_ERROR "spr_cli ${probe} exited 0; expected a rejection")
+    message(FATAL_ERROR
+            "spr_cli ${probe} ended with '${probe_result}'; expected a "
+            "rejection (exit 1 or 2)")
   endif()
 endfunction()
 
@@ -116,3 +121,10 @@ expect_rejected(sweep --threads=-2)
 expect_rejected(sweep --nodes=400)
 expect_rejected(scenario mobile-stream)
 expect_rejected(sweep --shard 1/2 --json "${OUT_DIR}/artifact-gate-shard.json")
+expect_rejected(label --nodes=-5)
+expect_rejected(label --range=nan)
+expect_rejected(label --range=-3)
+expect_rejected(label --range=inf)
+expect_rejected(sweep --range=nan --networks 1 --pairs 1)
+expect_rejected(route abc 5)
+expect_rejected(route 99999999999999999999 5)

@@ -17,9 +17,6 @@
 #include "report/serialize.h"
 #include "sim/stream_sim.h"
 #include "routing/baselines.h"
-#include "routing/gf.h"
-#include "routing/lgf.h"
-#include "routing/slgf.h"
 #include "routing/slgf2.h"
 #include "safety/distributed.h"
 #include "safety/incremental.h"
@@ -517,6 +514,8 @@ int run_failure_dynamics(const ScenarioOptions& opts, ScenarioReport& report) {
     config.seed = base_seed + static_cast<std::uint64_t>(trial);
     config.build_pool = &build_pool;
     Network before = Network::create(config);
+    // Labeled first, so the degraded copy continues it incrementally.
+    before.force(Network::kNeedsSafety);
 
     Rng rng(config.seed ^ 0xdead);
     auto [s, d] = before.random_connected_interior_pair(rng);
@@ -531,43 +530,20 @@ int run_failure_dynamics(const ScenarioOptions& opts, ScenarioReport& report) {
       }
     }
 
-    // Shares the original graph's spatial grid — no re-bucketing.
-    UnitDiskGraph dead_graph =
-        before.graph().with_failures(casualties, &build_pool);
-    if (!connected(dead_graph, s, d)) continue;
+    IncrementalStats inc_stats;
+    Network after = before.with_failures(casualties, &inc_stats);
+    if (!connected(after.graph(), s, d)) continue;
     ++connected_trials;
-
-    InterestArea degraded_area =
-        before.interest_area().after_failures(dead_graph);
-    SafetyInfo degraded_info = before.safety();
-    auto inc_stats = update_safety_after_failures(dead_graph, degraded_area,
-                                                  casualties, degraded_info);
     flips.add(static_cast<double>(inc_stats.flips));
     incremental_reevals.add(static_cast<double>(inc_stats.reevaluations));
 
-    PlanarOverlay degraded_overlay(dead_graph, PlanarOverlay::Kind::kGabriel);
-    BoundHoleInfo degraded_boundhole(dead_graph);
     for (int k = 0; k < 4; ++k) {
-      auto router_before = before.make_router(schemes[k]);
-      if (router_before->route(s, d).delivered()) ++delivered_before[k];
-      std::unique_ptr<Router> router_after;
-      switch (schemes[k]) {
-        case Scheme::kGf:
-          router_after = std::make_unique<GfRouter>(
-              dead_graph, degraded_overlay, &degraded_boundhole,
-              GfRouter::Recovery::kBoundHole);
-          break;
-        case Scheme::kLgf:
-          router_after = std::make_unique<LgfRouter>(dead_graph);
-          break;
-        case Scheme::kSlgf:
-          router_after = std::make_unique<SlgfRouter>(dead_graph, degraded_info);
-          break;
-        default:
-          router_after =
-              std::make_unique<Slgf2Router>(dead_graph, degraded_info);
+      if (before.make_router(schemes[k])->route(s, d).delivered()) {
+        ++delivered_before[k];
       }
-      if (router_after->route(s, d).delivered()) ++delivered_after[k];
+      if (after.make_router(schemes[k])->route(s, d).delivered()) {
+        ++delivered_after[k];
+      }
     }
   }
 

@@ -9,18 +9,19 @@
 namespace spr {
 
 namespace {
-struct EmptyHeader final : public PacketHeader {};
-
 struct VisitedHeader final : public PacketHeader {
   std::vector<bool> visited;
+};
+
+/// The BFS-optimal path, computed when the packet is armed, and the index
+/// of the next hop on it.
+struct FloodHeader final : public PacketHeader {
+  std::vector<NodeId> path;
+  std::size_t next = 1;
 };
 }  // namespace
 
 // ---------------------------------------------------------------- MFR ----
-
-std::unique_ptr<PacketHeader> MfrRouter::make_header(NodeId, NodeId) const {
-  return std::make_unique<EmptyHeader>();
-}
 
 Router::Decision MfrRouter::select_successor(NodeId u, NodeId d,
                                              PacketHeader&) const {
@@ -43,11 +44,14 @@ Router::Decision MfrRouter::select_successor(NodeId u, NodeId d,
 
 // ------------------------------------------------------------ Compass ----
 
-std::unique_ptr<PacketHeader> CompassRouter::make_header(NodeId s, NodeId) const {
-  auto header = std::make_unique<VisitedHeader>();
-  header->visited.assign(graph().size(), false);
-  header->visited[s] = true;
-  return header;
+std::unique_ptr<PacketHeader> CompassRouter::make_header() const {
+  return std::make_unique<VisitedHeader>();
+}
+
+void CompassRouter::reset_header(PacketHeader& header, NodeId s, NodeId) const {
+  auto& h = static_cast<VisitedHeader&>(header);
+  h.visited.assign(graph().size(), false);
+  h.visited[s] = true;
 }
 
 Router::Decision CompassRouter::select_successor(NodeId u, NodeId d,
@@ -80,30 +84,22 @@ Router::Decision CompassRouter::select_successor(NodeId u, NodeId d,
 
 // ----------------------------------------------------------- Flooding ----
 
-std::unique_ptr<PacketHeader> FloodingRouter::make_header(NodeId, NodeId) const {
-  return std::make_unique<EmptyHeader>();
+std::unique_ptr<PacketHeader> FloodingRouter::make_header() const {
+  return std::make_unique<FloodHeader>();
+}
+
+void FloodingRouter::reset_header(PacketHeader& header, NodeId s,
+                                  NodeId d) const {
+  auto& h = static_cast<FloodHeader&>(header);
+  h.path = bfs_path(graph(), s, d).path;  // empty when d is unreachable
+  h.next = 1;
 }
 
 Router::Decision FloodingRouter::select_successor(NodeId, NodeId,
-                                                  PacketHeader&) const {
-  // Never called: route() is overridden.
-  return {kInvalidNode, HopPhase::kGreedy, false};
-}
-
-PathResult FloodingRouter::route(NodeId s, NodeId d,
-                                 const RouteOptions&) const {
-  PathResult result;
-  auto sp = bfs_path(graph(), s, d);
-  if (sp.path.empty() && s != d) {
-    result.status = RouteStatus::kDeadEnd;
-    result.path = {s};
-    return result;
-  }
-  result.status = RouteStatus::kDelivered;
-  result.path = sp.path.empty() ? std::vector<NodeId>{s} : sp.path;
-  result.length = sp.length;
-  result.hop_phases.assign(result.path.size() - 1, HopPhase::kGreedy);
-  return result;
+                                                  PacketHeader& header) const {
+  auto& h = static_cast<FloodHeader&>(header);
+  if (h.next >= h.path.size()) return {kInvalidNode, HopPhase::kGreedy, false};
+  return {h.path[h.next++], HopPhase::kGreedy, false};
 }
 
 std::size_t FloodingRouter::broadcast_cost(NodeId s) const {

@@ -2,7 +2,8 @@
 
 /// \file baselines.h
 /// Classic geographic forwarding baselines from the literature the paper
-/// builds on, used by the extended benches to put GF/LGF/SLGF2 in context:
+/// builds on, used by the `delivery` scenario to put GF/LGF/SLGF/SLGF2 in
+/// context:
 ///
 ///  * MFR ("most forward within radius", Takagi & Kleinrock): forward to
 ///    the neighbor whose projection onto the line u->d is farthest forward.
@@ -30,7 +31,6 @@ class MfrRouter final : public Router {
  protected:
   Decision select_successor(NodeId u, NodeId d,
                             PacketHeader& header) const override;
-  std::unique_ptr<PacketHeader> make_header(NodeId s, NodeId d) const override;
 };
 
 /// Compass routing: minimal angular deviation from the ray u->d. The
@@ -44,26 +44,27 @@ class CompassRouter final : public Router {
  protected:
   Decision select_successor(NodeId u, NodeId d,
                             PacketHeader& header) const override;
-  std::unique_ptr<PacketHeader> make_header(NodeId s, NodeId d) const override;
+  std::unique_ptr<PacketHeader> make_header() const override;
+  void reset_header(PacketHeader& header, NodeId s, NodeId d) const override;
 };
 
-/// Flooding "router": conceptually every node rebroadcasts once. route()
-/// reports the BFS-optimal path as the delivered path and accounts the
-/// broadcast cost (n transmissions) separately.
+/// Flooding "router": conceptually every node rebroadcasts once. The walk
+/// reports the BFS-optimal path as the delivered path (the header holds it,
+/// computed when the packet is armed; an unreachable d is a dead end at s)
+/// and the broadcast cost (n transmissions) is accounted separately.
 class FloodingRouter final : public Router {
  public:
   explicit FloodingRouter(const UnitDiskGraph& g) : Router(g) {}
   std::string_view name() const noexcept override { return "Flooding"; }
 
-  PathResult route(NodeId s, NodeId d,
-                   const RouteOptions& options = {}) const override;
-
   /// Transmissions a real flood would cost (every reachable node once).
   std::size_t broadcast_cost(NodeId s) const;
 
  protected:
-  Decision select_successor(NodeId, NodeId, PacketHeader&) const override;
-  std::unique_ptr<PacketHeader> make_header(NodeId, NodeId) const override;
+  Decision select_successor(NodeId u, NodeId d,
+                            PacketHeader& header) const override;
+  std::unique_ptr<PacketHeader> make_header() const override;
+  void reset_header(PacketHeader& header, NodeId s, NodeId d) const override;
 };
 
 }  // namespace spr

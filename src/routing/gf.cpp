@@ -63,19 +63,12 @@ const BoundHoleInfo* GfRouter::boundhole() const {
   return boundhole_.load(std::memory_order_relaxed);
 }
 
-std::unique_ptr<PacketHeader> GfRouter::make_header(NodeId, NodeId) const {
+std::unique_ptr<PacketHeader> GfRouter::make_header() const {
   return std::make_unique<GfHeader>();
 }
 
-bool GfRouter::reset_header(PacketHeader& header, NodeId, NodeId) const {
+void GfRouter::reset_header(PacketHeader& header, NodeId, NodeId) const {
   static_cast<GfHeader&>(header) = GfHeader{};
-  return true;
-}
-
-std::vector<PathResult> GfRouter::route_batch(
-    std::span<const std::pair<NodeId, NodeId>> pairs,
-    const RouteOptions& options) const {
-  return route_batch_reusing_headers(pairs, options);
 }
 
 Router::Decision GfRouter::select_successor(NodeId u, NodeId d,

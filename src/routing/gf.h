@@ -56,19 +56,11 @@ class GfRouter final : public Router {
     return recovery_ == Recovery::kFace ? "GF/face" : "GF";
   }
 
-  /// Batched form: one header reused across packets. The lazy recovery
-  /// providers still materialize at most once for the whole batch — on the
-  /// first packet that actually hits a local minimum — so an all-greedy
-  /// batch builds neither the overlay nor the BOUNDHOLE boundaries.
-  std::vector<PathResult> route_batch(
-      std::span<const std::pair<NodeId, NodeId>> pairs,
-      const RouteOptions& options = {}) const override;
-
  protected:
   Decision select_successor(NodeId u, NodeId d,
                             PacketHeader& header) const override;
-  std::unique_ptr<PacketHeader> make_header(NodeId s, NodeId d) const override;
-  bool reset_header(PacketHeader& header, NodeId s, NodeId d) const override;
+  std::unique_ptr<PacketHeader> make_header() const override;
+  void reset_header(PacketHeader& header, NodeId s, NodeId d) const override;
 
  private:
   struct GfHeader;

@@ -15,26 +15,16 @@ struct LgfHeader final : public PacketHeader {
 };
 }  // namespace
 
-std::unique_ptr<PacketHeader> LgfRouter::make_header(NodeId s, NodeId) const {
-  auto header = std::make_unique<LgfHeader>();
-  header->visited.assign(graph().size(), false);
-  header->visited[s] = true;
-  return header;
+std::unique_ptr<PacketHeader> LgfRouter::make_header() const {
+  return std::make_unique<LgfHeader>();
 }
 
-bool LgfRouter::reset_header(PacketHeader& header, NodeId s, NodeId) const {
+void LgfRouter::reset_header(PacketHeader& header, NodeId s, NodeId) const {
   auto& h = static_cast<LgfHeader&>(header);
   h.visited.assign(graph().size(), false);
   h.visited[s] = true;
   h.in_perimeter = false;
   h.stuck_dist = 0.0;
-  return true;
-}
-
-std::vector<PathResult> LgfRouter::route_batch(
-    std::span<const std::pair<NodeId, NodeId>> pairs,
-    const RouteOptions& options) const {
-  return route_batch_reusing_headers(pairs, options);
 }
 
 Router::Decision LgfRouter::select_successor(NodeId u, NodeId d,

@@ -23,17 +23,11 @@ class LgfRouter final : public Router {
 
   std::string_view name() const noexcept override { return "LGF"; }
 
-  /// Batched form: reuses one header (and its O(n) visited buffer) across
-  /// the whole span instead of reallocating per packet.
-  std::vector<PathResult> route_batch(
-      std::span<const std::pair<NodeId, NodeId>> pairs,
-      const RouteOptions& options = {}) const override;
-
  protected:
   Decision select_successor(NodeId u, NodeId d,
                             PacketHeader& header) const override;
-  std::unique_ptr<PacketHeader> make_header(NodeId s, NodeId d) const override;
-  bool reset_header(PacketHeader& header, NodeId s, NodeId d) const override;
+  std::unique_ptr<PacketHeader> make_header() const override;
+  void reset_header(PacketHeader& header, NodeId s, NodeId d) const override;
 };
 
 }  // namespace spr

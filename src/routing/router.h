@@ -1,25 +1,21 @@
 #pragma once
 
 /// \file router.h
-/// The router interface and the shared hop-by-hop walk machinery. Every
-/// scheme in the paper is expressed as a *successor selection* at the
-/// current node using only local knowledge (N(u), positions of u/d, and
-/// whatever state the packet header carries); the walk itself — TTL, path
+/// The router interface and the one hop-by-hop walk every scheme shares.
+/// Each scheme in the paper is a *successor selection* at the current node
+/// from local knowledge only (N(u), the positions of u and d, and whatever
+/// state the packet header carries); the walk around it — TTL, path
 /// recording, phase accounting — lives in RouteStepper, a public state
 /// machine that advances one hop per `step()` call.
 ///
-/// `route` is a thin driver that steps a stepper to completion;
-/// discrete-event simulators (sim/stream_sim.h) instead keep steppers for
-/// many in-flight packets and interleave their hops on one timeline,
-/// observing topology changes between hops. Both produce bit-identical
-/// results for an unchanged topology (tests enforce this per scheme).
-///
-/// Batching: `route_batch` routes a span of (s, d) pairs and is always
-/// equivalent to looping `route`. The default implementation is exactly
-/// that loop; schemes override it (via `route_batch_reusing_headers`) to
-/// hoist per-packet setup — the header heap allocation, the O(n) visited
-/// buffers, path capacity — out of the inner loop, which is the hot path
-/// of every sweep cell.
+/// `Router::restart_stepper` is the only code that arms a walk. `route`
+/// arms a local slot and steps it to completion; `route_batch` re-arms one
+/// slot per pair, so a batch allocates its header (and the O(n) visited
+/// buffers) once, which is the hot path of every sweep cell; discrete-event
+/// simulators (sim/stream_sim.h) keep pooled slots for many in-flight
+/// packets and interleave their hops on one timeline, observing topology
+/// changes between hops. A scheme supplies only `select_successor` and, if
+/// its packets carry state, `make_header` and `reset_header`.
 
 #include <memory>
 #include <span>
@@ -35,7 +31,8 @@ namespace spr {
 class RouteStepper;
 
 /// Mutable per-packet header state threaded through successor selections.
-/// Routers downcast to their own header type.
+/// Routers downcast to their own header type; a scheme that carries no
+/// state uses this empty base as is.
 class PacketHeader {
  public:
   virtual ~PacketHeader() = default;
@@ -48,41 +45,30 @@ class Router {
 
   virtual std::string_view name() const noexcept = 0;
 
-  /// Routes one packet from s to d: steps a RouteStepper to completion
-  /// under the TTL in `options`. Out-of-range endpoints (e.g. a
+  /// Routes one packet from s to d: arms a local slot and steps it to
+  /// completion under the TTL in `options`. Out-of-range endpoints (e.g. a
   /// kInvalidNode pair from a failed connected-pair draw) yield an empty
   /// kDeadEnd result, never UB.
-  virtual PathResult route(NodeId s, NodeId d,
-                           const RouteOptions& options = {}) const;
+  PathResult route(NodeId s, NodeId d, const RouteOptions& options = {}) const;
 
   /// Routes pairs[i] for every i, returning one PathResult per pair in
-  /// order. Semantically identical to calling `route` in a loop (tests
-  /// enforce this per scheme); overrides only hoist per-packet setup.
-  virtual std::vector<PathResult> route_batch(
+  /// order: `route` in a loop, except that one slot is re-armed per pair,
+  /// so the header and the walk buffers are allocated once per batch.
+  std::vector<PathResult> route_batch(
       std::span<const std::pair<NodeId, NodeId>> pairs,
       const RouteOptions& options = {}) const;
 
-  /// An in-flight packet from s toward d, advanced one hop per
-  /// RouteStepper::step() call. The stepper owns its header; the router
-  /// (and the structures it references) must outlive it. `ttl_limit`
-  /// overrides the options-derived hop budget when nonzero — simulators
-  /// re-planning a packet mid-flight pass its remaining budget so the
-  /// re-plan never extends the packet's life.
-  ///
-  /// Stepping the returned stepper to exhaustion yields exactly
-  /// `route(s, d, options)` (for equal TTL): same path, same phases, same
-  /// floating-point length.
-  std::unique_ptr<RouteStepper> make_stepper(NodeId s, NodeId d,
-                                             const RouteOptions& options = {},
-                                             std::size_t ttl_limit = 0) const;
-
-  /// Re-arms a pooled `stepper` slot in place for a new (s, d) packet —
-  /// the zero-allocation sibling of `make_stepper`. The slot's header is
-  /// reused through `reset_header` when possible (falling back to a fresh
-  /// `make_header` on the first use of a slot or for routers without an
-  /// in-place reset) and the path/phase buffers keep their capacity.
-  /// Stepping the re-armed slot is bit-identical to stepping a fresh
-  /// `make_stepper(s, d, options, ttl_limit)` (tests enforce this).
+  /// Arms `stepper` for a new (s, d) packet: sets the slot's router,
+  /// endpoints, hop budget and header, and clears its walk. A slot without
+  /// a header (new, or released) gets one from `make_header`; otherwise
+  /// its header is reset in place, so a slot must be re-armed only by
+  /// routers of one scheme unless released in between. The path/phase
+  /// buffers keep their capacity. `ttl_limit` overrides the options-derived
+  /// hop budget when nonzero — simulators re-planning a packet mid-flight
+  /// pass its remaining budget so the re-plan never extends the packet's
+  /// life. s == d delivers at once with the one-node path; out-of-range
+  /// endpoints finish as an empty kDeadEnd. The router (and the structures
+  /// it references) must outlive the walk.
   void restart_stepper(RouteStepper& stepper, NodeId s, NodeId d,
                        const RouteOptions& options = {},
                        std::size_t ttl_limit = 0) const;
@@ -101,27 +87,14 @@ class Router {
   virtual Decision select_successor(NodeId u, NodeId d,
                                     PacketHeader& header) const = 0;
 
-  /// Fresh per-packet header.
-  virtual std::unique_ptr<PacketHeader> make_header(NodeId s, NodeId d) const = 0;
+  /// A header for one slot, uninitialized: `reset_header` sets it up for
+  /// each packet. The default is the stateless `PacketHeader`.
+  virtual std::unique_ptr<PacketHeader> make_header() const;
 
-  /// Re-initializes `header` (previously produced by this router's
-  /// `make_header`) for a new (s, d) packet, reusing its buffers. Returns
-  /// false when the router has no in-place reset (the batch loop then
-  /// falls back to a fresh header). The default supports no reset.
-  virtual bool reset_header(PacketHeader& header, NodeId s, NodeId d) const;
-
-  /// The hop loop behind `route`: steps a stepper over an externally owned
-  /// and already initialized header to completion. `reserve_hint`
-  /// pre-sizes the path/phase buffers (pass the previous packet's hop
-  /// count in batch loops; 0 = no reserve).
-  PathResult drive(NodeId s, NodeId d, const RouteOptions& options,
-                   PacketHeader& header, std::size_t reserve_hint = 0) const;
-
-  /// Shared `route_batch` override body: one header allocated up front,
-  /// `reset_header` per packet, path capacity carried between packets.
-  std::vector<PathResult> route_batch_reusing_headers(
-      std::span<const std::pair<NodeId, NodeId>> pairs,
-      const RouteOptions& options) const;
+  /// Initializes `header` (made by this scheme's `make_header`) for an
+  /// (s, d) packet, reusing its buffers — the scheme's only header
+  /// initializer. The default, for stateless schemes, does nothing.
+  virtual void reset_header(PacketHeader& header, NodeId s, NodeId d) const;
 
   const UnitDiskGraph& graph() const noexcept { return g_; }
 
@@ -130,17 +103,17 @@ class Router {
   const UnitDiskGraph& g_;
 };
 
-/// The hop-by-hop walk of one packet, factored out of the old atomic
-/// `Router::route` TTL loop. Holds the scheme header and the partial
-/// PathResult; each `step()` makes exactly one successor decision and
-/// appends the hop (or finishes the packet). Obtain one via
-/// `Router::make_stepper`; `Router::route` itself is `while (step());`.
+/// The hop-by-hop walk of one packet. Holds the scheme header and the
+/// partial PathResult; each `step()` makes exactly one successor decision
+/// and appends the hop (or finishes the packet). Armed only by
+/// `Router::restart_stepper`; `Router::route` is that plus
+/// `while (step());`.
 ///
 /// The stepper borrows the router — it must not outlive it (nor the graph
 /// and safety/overlay structures the router references). It never observes
 /// the topology except through the router, so a simulator that swaps the
-/// substrate between hops re-plans by building a fresh stepper at the
-/// packet's current node with its remaining TTL.
+/// substrate between hops re-plans by re-arming the slot at the packet's
+/// current node with its remaining TTL.
 class RouteStepper {
  public:
   /// An empty slot: not in flight, no header, no router. Simulators keep
@@ -182,15 +155,14 @@ class RouteStepper {
   /// but appends nothing to the result's path/phase vectors — flight
   /// simulators that only reduce per-flight aggregates skip the per-walk
   /// buffer growth (and its memory footprint) entirely. Arming a slot
-  /// (`make_stepper` / `restart_stepper`) resets recording to on.
+  /// resets recording to on.
   void set_record_path(bool record) noexcept { record_path_ = record; }
 
   /// Frees the header and the walk buffers, returning the slot to its
   /// default-constructed footprint. Pooled simulators call this when a
   /// flight terminates, so finished flights hold no header or buffers.
   void release() noexcept {
-    owned_header_.reset();
-    header_ = nullptr;
+    header_.reset();
     result_ = PathResult{};
     in_flight_ = false;
     u_ = kInvalidNode;
@@ -201,21 +173,13 @@ class RouteStepper {
  private:
   friend class Router;
 
-  /// `owned` may be null when `header` points at an externally owned
-  /// header (the batch driver) or when the packet finished on
-  /// construction (s == d, invalid endpoints, zero TTL).
-  RouteStepper(const Router& router, NodeId s, NodeId d,
-               std::unique_ptr<PacketHeader> owned, PacketHeader* header,
-               std::size_t ttl, std::size_t reserve_hint);
-
   void finish(RouteStatus status) noexcept {
     result_.status = status;
     in_flight_ = false;
   }
 
   const Router* router_ = nullptr;
-  std::unique_ptr<PacketHeader> owned_header_;
-  PacketHeader* header_ = nullptr;
+  std::unique_ptr<PacketHeader> header_;
   NodeId u_ = kInvalidNode;
   NodeId d_ = kInvalidNode;
   std::size_t ttl_remaining_ = 0;

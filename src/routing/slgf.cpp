@@ -15,26 +15,16 @@ struct SlgfHeader final : public PacketHeader {
 };
 }  // namespace
 
-std::unique_ptr<PacketHeader> SlgfRouter::make_header(NodeId s, NodeId) const {
-  auto header = std::make_unique<SlgfHeader>();
-  header->visited.assign(graph().size(), false);
-  header->visited[s] = true;
-  return header;
+std::unique_ptr<PacketHeader> SlgfRouter::make_header() const {
+  return std::make_unique<SlgfHeader>();
 }
 
-bool SlgfRouter::reset_header(PacketHeader& header, NodeId s, NodeId) const {
+void SlgfRouter::reset_header(PacketHeader& header, NodeId s, NodeId) const {
   auto& h = static_cast<SlgfHeader&>(header);
   h.visited.assign(graph().size(), false);
   h.visited[s] = true;
   h.in_perimeter = false;
   h.stuck_dist = 0.0;
-  return true;
-}
-
-std::vector<PathResult> SlgfRouter::route_batch(
-    std::span<const std::pair<NodeId, NodeId>> pairs,
-    const RouteOptions& options) const {
-  return route_batch_reusing_headers(pairs, options);
 }
 
 Router::Decision SlgfRouter::select_successor(NodeId u, NodeId d,

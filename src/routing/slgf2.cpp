@@ -19,14 +19,11 @@ struct Slgf2Router::Header final : public PacketHeader {
   std::vector<bool> visited;
 };
 
-std::unique_ptr<PacketHeader> Slgf2Router::make_header(NodeId s, NodeId) const {
-  auto header = std::make_unique<Header>();
-  header->visited.assign(graph().size(), false);
-  header->visited[s] = true;
-  return header;
+std::unique_ptr<PacketHeader> Slgf2Router::make_header() const {
+  return std::make_unique<Header>();
 }
 
-bool Slgf2Router::reset_header(PacketHeader& header, NodeId s, NodeId) const {
+void Slgf2Router::reset_header(PacketHeader& header, NodeId s, NodeId) const {
   auto& h = static_cast<Header&>(header);
   h.mode = Header::Mode::kNormal;
   h.hand = Hand::kRight;
@@ -34,13 +31,6 @@ bool Slgf2Router::reset_header(PacketHeader& header, NodeId s, NodeId) const {
   h.perimeter_rect.reset();
   h.visited.assign(graph().size(), false);
   h.visited[s] = true;
-  return true;
-}
-
-std::vector<PathResult> Slgf2Router::route_batch(
-    std::span<const std::pair<NodeId, NodeId>> pairs,
-    const RouteOptions& options) const {
-  return route_batch_reusing_headers(pairs, options);
 }
 
 Router::Decision Slgf2Router::select_successor(NodeId u, NodeId d,

@@ -3,8 +3,8 @@
 /// \file trace.h
 /// Post-hoc analysis of routed paths: per-hop records (phase, geometric
 /// progress toward the destination, hop length) and detour segmentation.
-/// Used by the examples to explain *where* a path lost its straightness and
-/// by tests asserting phase semantics.
+/// It explains *where* a path lost its straightness; the tests use it to
+/// assert phase semantics.
 
 #include <string>
 #include <vector>

@@ -11,7 +11,7 @@
 /// shared discrete-event core (sim/event_queue.h); this engine is a thin
 /// protocol driver over them. Used to validate that the safety-information
 /// construction converges to the same fixpoint without round
-/// synchronization (tests) and by the failure-dynamics example.
+/// synchronization (`compute_safety_distributed_async`, run by the tests).
 
 #include <cstddef>
 #include <functional>

@@ -360,8 +360,8 @@ StreamStats StreamSim::run() {
   };
 
   // Walk memo: scheme copies with identical endpoints injected into the
-  // same epoch take the same deterministic walk (restart_stepper is
-  // bit-identical to a fresh stepper, property-tested per scheme), so the
+  // same epoch take the same deterministic walk (a re-armed slot walks
+  // bit-identically to Router::route, property-tested per scheme), so the
   // first copy steps it and later copies replay the recorded aggregates —
   // traffic cycling over few pairs pays one routed walk per (scheme, pair)
   // per epoch instead of one per flight. Replay re-accumulates the hop

@@ -80,7 +80,7 @@
 ///    parallel step — against the plain one-event-per-hop schedule. It
 ///    does not re-check the shared handlers: verify_relabeling
 ///    cross-checks the relabeling, and the stepper tests pin pooled
-///    (re-armed, pathless) slots to fresh steppers.
+///    (re-armed, pathless) slots to Router::route.
 ///
 /// Everything in StreamStats except `events` is byte-identical between the
 /// two modes (tests enforce this across seeds, waves, mobility and thread

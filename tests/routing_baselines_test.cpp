@@ -81,15 +81,27 @@ TEST(Flooding, AlwaysDeliversOnConnectedPairs) {
     auto [s, d] = net.random_connected_interior_pair(rng);
     PathResult r = router.route(s, d);
     EXPECT_TRUE(r.delivered());
-    // Flooding reports the BFS-optimal path.
-    EXPECT_EQ(r.hops(), bfs_path(net.graph(), s, d).hops());
+    // Flooding reports the BFS-optimal path, every hop greedy, and sums
+    // the hop lengths in path order as path_length does: the same double.
+    ShortestPath optimum = bfs_path(net.graph(), s, d);
+    EXPECT_EQ(r.path, optimum.path);
+    EXPECT_EQ(r.hop_phases,
+              std::vector<HopPhase>(optimum.hops(), HopPhase::kGreedy));
+    EXPECT_EQ(r.length, optimum.length);
+    EXPECT_EQ(r.local_minima, 0u);
   }
 }
 
 TEST(Flooding, FailsAcrossDisconnection) {
   auto g = test::make_graph({{0.0, 0.0}, {100.0, 0.0}}, 10.0);
   FloodingRouter router(g);
-  EXPECT_FALSE(router.route(0, 1).delivered());
+  PathResult r = router.route(0, 1);
+  EXPECT_FALSE(r.delivered());
+  // An unreachable destination is a dead end at the source.
+  EXPECT_EQ(r.status, RouteStatus::kDeadEnd);
+  EXPECT_EQ(r.path, std::vector<NodeId>{0});
+  EXPECT_TRUE(r.hop_phases.empty());
+  EXPECT_EQ(r.length, 0.0);
 }
 
 TEST(Flooding, BroadcastCostCountsComponent) {

@@ -1,8 +1,8 @@
 /// \file routing_route_batch_test.cpp
 /// route_batch ≡ loop-of-route, for every scheme the sweep runs (the four
-/// paper schemes plus GF/face) and for the default implementation the
-/// baselines inherit. The batch path reuses headers and buffers, so any
-/// state leaking between packets shows up as a divergence here.
+/// paper schemes plus GF/face) and for the baselines. The batch re-arms
+/// one slot per pair, reusing its header and buffers, so any state leaking
+/// between packets shows up as a divergence here.
 
 #include <gtest/gtest.h>
 
@@ -77,7 +77,7 @@ TEST(RouteBatch, RespectsRouteOptions) {
   }
 }
 
-TEST(RouteBatch, DefaultImplementationCoversBaselineRouters) {
+TEST(RouteBatch, EquivalentToLoopOfRouteForBaselineRouters) {
   Network net = test::random_network(400, 29);
   auto pairs = batch_pairs(net, 31, 8);
   MfrRouter mfr(net.graph());
@@ -100,15 +100,20 @@ TEST(RouteBatch, InvalidEndpointsYieldDeadEnd) {
   Network net = test::random_network(400, 41);
   std::vector<std::pair<NodeId, NodeId>> pairs = {
       {kInvalidNode, kInvalidNode}, {0, kInvalidNode}, {kInvalidNode, 0}};
-  for (Scheme scheme : {Scheme::kGf, Scheme::kSlgf2}) {
-    auto router = net.make_router(scheme);
+  auto gf = net.make_router(Scheme::kGf);
+  auto slgf2 = net.make_router(Scheme::kSlgf2);
+  MfrRouter mfr(net.graph());
+  CompassRouter compass(net.graph());
+  FloodingRouter flooding(net.graph());
+  const Router* routers[] = {gf.get(), slgf2.get(), &mfr, &compass, &flooding};
+  for (const Router* router : routers) {
     auto batch = router->route_batch(pairs);
-    ASSERT_EQ(batch.size(), pairs.size());
+    ASSERT_EQ(batch.size(), pairs.size()) << router->name();
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       PathResult single = router->route(pairs[i].first, pairs[i].second);
-      EXPECT_EQ(single.status, RouteStatus::kDeadEnd);
-      EXPECT_TRUE(single.path.empty());
-      expect_identical(batch[i], single, scheme_name(scheme), i);
+      EXPECT_EQ(single.status, RouteStatus::kDeadEnd) << router->name();
+      EXPECT_TRUE(single.path.empty()) << router->name();
+      expect_identical(batch[i], single, router->name().data(), i);
     }
   }
 }

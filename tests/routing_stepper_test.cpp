@@ -11,8 +11,9 @@ namespace {
 const Scheme kAllSchemes[] = {Scheme::kGf, Scheme::kGfFace, Scheme::kLgf,
                               Scheme::kSlgf, Scheme::kSlgf2};
 
-/// Stepping a stepper to exhaustion must reproduce route() exactly —
-/// nodes, phases, float-exact length, status, local-minimum count.
+/// Stepping an armed slot hop by hop walks route()'s path exactly — the
+/// packet sits at path[k] after k steps — and ends with route()'s nodes,
+/// phases, float-exact length, status and local-minimum count.
 TEST(RouteStepper, StepToCompletionEqualsRoutePerScheme) {
   for (std::uint64_t seed : test::property_seeds()) {
     Network net = test::random_network(500, seed, DeployModel::kForbiddenAreas);
@@ -23,10 +24,15 @@ TEST(RouteStepper, StepToCompletionEqualsRoutePerScheme) {
         auto [s, d] = net.random_connected_interior_pair(rng);
         if (s == kInvalidNode) continue;
         PathResult atomic = router->route(s, d);
-        auto stepper = router->make_stepper(s, d);
-        while (stepper->step()) {
+        RouteStepper stepper;
+        router->restart_stepper(stepper, s, d);
+        std::size_t hops = 0;
+        while (stepper.step()) {
+          ++hops;
+          ASSERT_LT(hops, atomic.path.size());
+          EXPECT_EQ(stepper.current(), atomic.path[hops]);
         }
-        PathResult stepped = stepper->take_result();
+        PathResult stepped = stepper.take_result();
         EXPECT_EQ(stepped.status, atomic.status);
         EXPECT_EQ(stepped.path, atomic.path);
         EXPECT_EQ(stepped.hop_phases, atomic.hop_phases);
@@ -43,18 +49,19 @@ TEST(RouteStepper, PartialWalkIsObservableBetweenSteps) {
   auto [s, d] = net.random_connected_interior_pair(rng);
   ASSERT_NE(s, kInvalidNode);
   auto router = net.make_router(Scheme::kSlgf2);
-  auto stepper = router->make_stepper(s, d);
-  ASSERT_TRUE(stepper->in_flight());
-  EXPECT_EQ(stepper->current(), s);
-  EXPECT_EQ(stepper->destination(), d);
-  ASSERT_EQ(stepper->result().path.size(), 1u);
+  RouteStepper stepper;
+  router->restart_stepper(stepper, s, d);
+  ASSERT_TRUE(stepper.in_flight());
+  EXPECT_EQ(stepper.current(), s);
+  EXPECT_EQ(stepper.destination(), d);
+  ASSERT_EQ(stepper.result().path.size(), 1u);
   std::size_t hops = 0;
-  while (stepper->step()) {
+  while (stepper.step()) {
     ++hops;
     // The partial result grows hop by hop; the head is always `s`.
-    EXPECT_EQ(stepper->result().path.size(), hops + 1);
-    EXPECT_EQ(stepper->result().path.front(), s);
-    EXPECT_EQ(stepper->result().path.back(), stepper->current());
+    EXPECT_EQ(stepper.result().path.size(), hops + 1);
+    EXPECT_EQ(stepper.result().path.front(), s);
+    EXPECT_EQ(stepper.result().path.back(), stepper.current());
   }
 }
 
@@ -67,10 +74,11 @@ TEST(RouteStepper, TtlLimitCapsTheWalk) {
   PathResult full = router->route(s, d);
   ASSERT_TRUE(full.delivered());
   if (full.hops() < 2) GTEST_SKIP() << "pair too close for a cap test";
-  auto stepper = router->make_stepper(s, d, {}, full.hops() - 1);
-  while (stepper->step()) {
+  RouteStepper stepper;
+  router->restart_stepper(stepper, s, d, {}, full.hops() - 1);
+  while (stepper.step()) {
   }
-  PathResult capped = stepper->take_result();
+  PathResult capped = stepper.take_result();
   EXPECT_EQ(capped.status, RouteStatus::kTtlExpired);
   EXPECT_EQ(capped.hops(), full.hops() - 1);
 }
@@ -83,19 +91,21 @@ TEST(RouteStepper, RemainingTtlResumesWithoutExtendingLife) {
   auto [s, d] = net.random_connected_interior_pair(rng);
   ASSERT_NE(s, kInvalidNode);
   auto router = net.make_router(Scheme::kLgf);
-  auto first = router->make_stepper(s, d);
-  std::size_t initial_budget = first->ttl_remaining();
-  ASSERT_TRUE(first->step());
-  EXPECT_EQ(first->ttl_remaining(), initial_budget - 1);
-  NodeId at = first->current();
-  auto resumed = router->make_stepper(at, d, {}, first->ttl_remaining());
-  EXPECT_EQ(resumed->ttl_remaining(), initial_budget - 1);
+  RouteStepper first;
+  router->restart_stepper(first, s, d);
+  std::size_t initial_budget = first.ttl_remaining();
+  ASSERT_TRUE(first.step());
+  EXPECT_EQ(first.ttl_remaining(), initial_budget - 1);
+  NodeId at = first.current();
+  RouteStepper resumed;
+  router->restart_stepper(resumed, at, d, {}, first.ttl_remaining());
+  EXPECT_EQ(resumed.ttl_remaining(), initial_budget - 1);
 }
 
 /// A pooled slot restarted in place across many pairs must walk exactly
-/// like a fresh stepper every time — the reuse path (header reset,
-/// capacity-keeping buffer clears, release between lives) must leak no
-/// state from one flight into the next.
+/// like route(), which arms a fresh slot every time — the reuse path
+/// (header reset, capacity-keeping buffer clears, release between lives)
+/// must leak no state from one flight into the next.
 TEST(RouteStepper, RestartInPlaceEqualsFreshStepperPerScheme) {
   for (std::uint64_t seed : test::property_seeds()) {
     Network net = test::random_network(500, seed, DeployModel::kForbiddenAreas);
@@ -109,22 +119,18 @@ TEST(RouteStepper, RestartInPlaceEqualsFreshStepperPerScheme) {
       for (int trial = 0; trial < 8; ++trial) {
         auto [s, d] = net.random_connected_interior_pair(rng);
         if (s == kInvalidNode) continue;
-        auto fresh = router->make_stepper(s, d);
+        PathResult want = router->route(s, d);
         router->restart_stepper(pooled, s, d, {});
         router->restart_stepper(pathless, s, d, {});
         pathless.set_record_path(false);
-        EXPECT_EQ(pooled.in_flight(), fresh->in_flight());
-        EXPECT_EQ(pathless.in_flight(), fresh->in_flight());
-        while (fresh->step()) {
-          ASSERT_TRUE(pooled.step());
+        ASSERT_TRUE(pooled.in_flight());
+        ASSERT_TRUE(pathless.in_flight());
+        while (pooled.step()) {
           ASSERT_TRUE(pathless.step());
-          EXPECT_EQ(pooled.current(), fresh->current());
-          EXPECT_EQ(pathless.current(), fresh->current());
+          EXPECT_EQ(pathless.current(), pooled.current());
         }
-        EXPECT_FALSE(pooled.step());
         EXPECT_FALSE(pathless.step());
-        EXPECT_EQ(pathless.current(), fresh->current());
-        PathResult want = fresh->take_result();
+        EXPECT_EQ(pathless.current(), pooled.current());
         PathResult got = pooled.take_result();
         EXPECT_EQ(got.status, want.status);
         EXPECT_EQ(got.path, want.path);
@@ -148,8 +154,8 @@ TEST(RouteStepper, RestartInPlaceEqualsFreshStepperPerScheme) {
   }
 }
 
-/// Restarting honors the same degenerate-endpoint contract as
-/// make_stepper: s == d delivers immediately, out-of-range endpoints
+/// Re-arming honors the degenerate-endpoint contract on a slot that has
+/// walked before: s == d delivers immediately, out-of-range endpoints
 /// finish as an empty dead end, and an explicit TTL caps the walk.
 TEST(RouteStepper, RestartHandlesDegenerateEndpointsAndTtl) {
   Network net = test::random_network(400, 17);
@@ -178,20 +184,25 @@ TEST(RouteStepper, RestartHandlesDegenerateEndpointsAndTtl) {
   }
 }
 
-TEST(RouteStepper, DegenerateEndpointsFinishOnConstruction) {
+/// A fresh slot finishes degenerate walks on arming, as route() reports
+/// them: s == d delivers with the one-node path and takes no step, and
+/// out-of-range endpoints are the empty dead end.
+TEST(RouteStepper, DegenerateEndpointsFinishOnArming) {
   Network net = test::random_network(400, 13);
   auto router = net.make_router(Scheme::kGf);
-  // s == d: delivered with the single-node path, no steps taken.
-  auto same = router->make_stepper(5, 5);
-  EXPECT_FALSE(same->in_flight());
-  EXPECT_EQ(same->result().status, RouteStatus::kDelivered);
-  EXPECT_EQ(same->result().path, std::vector<NodeId>{5});
-  EXPECT_FALSE(same->step());
-  // Invalid endpoints: the empty dead-end result route() returns.
-  auto invalid = router->make_stepper(kInvalidNode, 5);
-  EXPECT_FALSE(invalid->in_flight());
-  EXPECT_EQ(invalid->result().status, RouteStatus::kDeadEnd);
-  EXPECT_TRUE(invalid->result().path.empty());
+  RouteStepper same;
+  router->restart_stepper(same, 5, 5);
+  EXPECT_FALSE(same.in_flight());
+  EXPECT_EQ(same.result().status, RouteStatus::kDelivered);
+  EXPECT_EQ(same.result().path, std::vector<NodeId>{5});
+  EXPECT_FALSE(same.step());
+  EXPECT_EQ(router->route(5, 5).path, same.result().path);
+  RouteStepper invalid;
+  router->restart_stepper(invalid, kInvalidNode, 5);
+  EXPECT_FALSE(invalid.in_flight());
+  EXPECT_EQ(invalid.result().status, RouteStatus::kDeadEnd);
+  EXPECT_TRUE(invalid.result().path.empty());
+  EXPECT_EQ(router->route(kInvalidNode, 5).status, RouteStatus::kDeadEnd);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 /// `sweep --tiles`.)
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -62,6 +63,30 @@ void add_common(FlagSet& flags, CommonArgs& args, bool with_nodes = true) {
   flags.add_double("range", &args.range, "transmission radius (m)");
 }
 
+/// Rejects common values no network can be built from: a negative node
+/// count, or a radio range that is not finite and positive. Prints the
+/// reason; callers exit 2, as for a negative count at `run`.
+bool valid_common(const CommonArgs& args) {
+  if (args.nodes < 0) {
+    std::fprintf(stderr, "nodes must be >= 0, got %d\n", args.nodes);
+    return false;
+  }
+  if (!std::isfinite(args.range) || args.range <= 0.0) {
+    std::fprintf(stderr, "range must be finite and > 0, got %g\n",
+                 args.range);
+    return false;
+  }
+  return true;
+}
+
+/// Parses a whole token as a number ("5x" is an error, not 5).
+template <typename T>
+bool parse_full(std::string_view token, T& out) {
+  auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), out);
+  return ec == std::errc() && ptr == token.data() + token.size();
+}
+
 Network build_network(const CommonArgs& args) {
   NetworkConfig config;
   config.deployment.node_count = args.nodes;
@@ -77,6 +102,7 @@ int cmd_info(int argc, const char* const* argv) {
   FlagSet flags("spr_cli info: network structure summary");
   add_common(flags, args);
   if (!flags.parse(argc, argv)) return 1;
+  if (!valid_common(args)) return 2;
   Network net = build_network(args);
   const auto& g = net.graph();
   auto degrees = degree_stats(g);
@@ -101,11 +127,6 @@ int cmd_info(int argc, const char* const* argv) {
 /// malformed. Empty spec leaves rows/cols at 0 (monolithic labeling).
 bool parse_tile_grid(const std::string& spec, int& rows, int& cols) {
   if (spec.empty()) return true;
-  auto parse_full = [](std::string_view token, int& out) {
-    auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(),
-                                     out);
-    return ec == std::errc() && ptr == token.data() + token.size();
-  };
   std::size_t cross = spec.find('x');
   if (cross == std::string::npos ||
       !parse_full(std::string_view(spec).substr(0, cross), rows) ||
@@ -131,6 +152,7 @@ int cmd_label(int argc, const char* const* argv) {
   flags.add_string("tiles", &tiles_spec,
                    "also label via an RxC spatial-tile grid and compare");
   if (!flags.parse(argc, argv)) return 1;
+  if (!valid_common(args)) return 2;
   int tile_rows = 0, tile_cols = 0;
   if (!parse_tile_grid(tiles_spec, tile_rows, tile_cols)) return 1;
   Network net = build_network(args);
@@ -196,11 +218,17 @@ int cmd_route(int argc, const char* const* argv) {
   FlagSet flags("spr_cli route <s> <d>: route one pair with every scheme");
   add_common(flags, args);
   if (!flags.parse(argc, argv)) return 1;
+  if (!valid_common(args)) return 2;
+  const auto& ids = flags.positional();
+  NodeId s = kInvalidNode, d = kInvalidNode;
+  if (ids.size() >= 2 &&
+      (!parse_full(ids[0], s) || !parse_full(ids[1], d))) {
+    std::fprintf(stderr, "node ids must be non-negative integers, got %s %s\n",
+                 ids[0].c_str(), ids[1].c_str());
+    return 1;
+  }
   Network net = build_network(args);
-  NodeId s, d;
-  if (flags.positional().size() >= 2) {
-    s = static_cast<NodeId>(std::stoul(flags.positional()[0]));
-    d = static_cast<NodeId>(std::stoul(flags.positional()[1]));
+  if (ids.size() >= 2) {
     if (s >= net.graph().size() || d >= net.graph().size()) {
       std::fprintf(stderr, "node ids out of range (network has %zu nodes)\n",
                    net.graph().size());
@@ -251,11 +279,6 @@ bool parse_slice_spec(const std::string& spec, int& index, int& count) {
     count = 1;
     return true;
   }
-  auto parse_full = [](std::string_view token, int& out) {
-    auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(),
-                                     out);
-    return ec == std::errc() && ptr == token.data() + token.size();
-  };
   std::size_t slash = spec.find('/');
   if (slash == std::string::npos ||
       !parse_full(std::string_view(spec).substr(0, slash), index) ||
@@ -294,6 +317,7 @@ int cmd_sweep(int argc, const char* const* argv) {
     std::fprintf(stderr, "%s\n", count_error.c_str());
     return 2;
   }
+  if (!valid_common(args)) return 2;
   int slice_index = 0, slice_count = 1;
   if (!parse_slice_spec(slice_spec, slice_index, slice_count)) return 1;
   int tile_rows = 0, tile_cols = 0;
@@ -497,6 +521,7 @@ int cmd_render(int argc, const char* const* argv) {
   FlagSet flags("spr_cli render <out.svg>: render the deployment");
   add_common(flags, args);
   if (!flags.parse(argc, argv)) return 1;
+  if (!valid_common(args)) return 2;
   if (flags.positional().empty()) {
     std::fprintf(stderr, "usage: spr_cli render [flags] <out.svg>\n");
     return 1;
