@@ -8,8 +8,23 @@ namespace spr {
 SpatialGrid::SpatialGrid(std::vector<Vec2> points, Rect bounds,
                          double cell_size)
     : points_(std::move(points)), bounds_(bounds), cell_size_(cell_size) {
-  cols_ = std::max(1, static_cast<int>(std::ceil(bounds.width() / cell_size_)));
-  rows_ = std::max(1, static_cast<int>(std::ceil(bounds.height() / cell_size_)));
+  // The table is bounded by the point count (constant-degree fields use
+  // about n/6 cells). A side too small for the bound is widened until the
+  // table fits, so a tiny cell can neither exhaust memory nor overflow the
+  // int casts; queries span every cell they touch, so they stay exact.
+  const double max_cells = 4.0 * static_cast<double>(points_.size()) + 1024.0;
+  auto along = [&](double extent) {
+    return std::max(1.0, std::ceil(extent / cell_size_));
+  };
+  if (along(bounds.width()) * along(bounds.height()) > max_cells) {
+    cell_size_ = std::max(bounds.width(), bounds.height()) /
+                 std::floor(std::sqrt(max_cells));
+    while (along(bounds.width()) * along(bounds.height()) > max_cells) {
+      cell_size_ *= 2.0;
+    }
+  }
+  cols_ = static_cast<int>(along(bounds.width()));
+  rows_ = static_cast<int>(along(bounds.height()));
   const std::size_t cell_count =
       static_cast<size_t>(cols_) * static_cast<size_t>(rows_);
 

@@ -26,7 +26,9 @@ namespace spr {
 class SpatialGrid {
  public:
   /// Builds the grid over all `points`. `cell_size` should be >= the query
-  /// radius for single-ring neighbor queries (we use the radio range).
+  /// radius for single-ring neighbor queries (we use the radio range). The
+  /// table holds at most 4 * points.size() + 1024 cells: a smaller
+  /// `cell_size` is widened until it fits.
   SpatialGrid(std::vector<Vec2> points, Rect bounds, double cell_size);
 
   /// Appends to `out` the ids of all points within `radius` of `center`

@@ -38,11 +38,13 @@ class Arena {
   Arena& operator=(const Arena&) = delete;
 
   /// Bump-allocates `bytes` aligned to `align` (a power of two). Never
-  /// returns null; falls back to a fresh block when the current one is
-  /// exhausted.
+  /// returns null, not even for 0 bytes; falls back to a fresh block when
+  /// the current one is exhausted or none exists yet.
   void* allocate(std::size_t bytes, std::size_t align) {
     std::uintptr_t p = (cursor_ + (align - 1)) & ~(align - 1);
-    if (p + bytes > limit_) {
+    // p is 0 only before the first block, whose empty [0, 0) range a
+    // 0-byte request would otherwise fit.
+    if (p + bytes > limit_ || p == 0) {
       grow(bytes + align);
       p = (cursor_ + (align - 1)) & ~(align - 1);
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_algos.h"
+#include "safety/labeling.h"
 #include "test_helpers.h"
 
 namespace spr {
@@ -199,6 +200,21 @@ TEST(Network, FaModelPropagatesToDeployment) {
   config.seed = 4;
   Network net = Network::create(config);
   EXPECT_FALSE(net.deployment().forbidden_areas.empty());
+}
+
+/// An empty network is an accepted input (`spr_cli label --nodes=0`): its
+/// labeling, from scratch and through a failure wave, is empty, and the
+/// kernel's zero-byte scratch is real memory (the sanitizer build checks
+/// the memsets over it).
+TEST(Network, EmptyNetworkLabels) {
+  Deployment d;
+  d.field = Rect::from_bounds({0.0, 0.0}, {200.0, 200.0});
+  d.radio_range = 20.0;
+  Network net{std::move(d)};
+  EXPECT_EQ(compute_safety(net.graph(), net.interest_area()).size(), 0u);
+  EXPECT_EQ(net.safety().size(), 0u);
+  Network degraded = net.with_failures({});
+  EXPECT_EQ(degraded.safety().size(), 0u);
 }
 
 TEST(Network, TinyNetworkNoInterior) {

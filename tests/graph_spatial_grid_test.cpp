@@ -84,6 +84,37 @@ TEST(SpatialGrid, QueryRectMatchesBruteForce) {
   }
 }
 
+/// A cell far below the field's scale (a tiny radio range) must not size
+/// the table by field / cell: at 0.1 m that is 4e6 cells for 50 points, and
+/// at 1e-300 the count overflows an int. The table stays within the
+/// constructor's 4n + 1024 bound and queries stay exact.
+TEST(SpatialGrid, TinyCellsKeepTheTableBoundedAndQueriesExact) {
+  Deployment d = random_deployment(50, 9, DeployModel::kIdeal);
+  for (double cell : {0.1, 1e-300}) {
+    SpatialGrid grid(d.positions, d.field, cell);
+    EXPECT_LE(static_cast<std::size_t>(grid.cols()) *
+                  static_cast<std::size_t>(grid.rows()),
+              4u * 50u + 1024u)
+        << "cell " << cell;
+    for (NodeId center_id = 0; center_id < d.positions.size(); ++center_id) {
+      const Vec2 center = d.positions[center_id];
+      std::vector<NodeId> fast;
+      grid.query_radius(center, d.radio_range, center_id, fast);
+      std::vector<NodeId> brute;
+      for (NodeId v = 0; v < d.positions.size(); ++v) {
+        if (v != center_id &&
+            distance(d.positions[v], center) <= d.radio_range) {
+          brute.push_back(v);
+        }
+      }
+      EXPECT_EQ(sorted(fast), sorted(brute)) << "cell " << cell;
+    }
+    std::vector<NodeId> all;
+    grid.query_rect(d.field, all);
+    EXPECT_EQ(all.size(), d.positions.size()) << "cell " << cell;
+  }
+}
+
 TEST(SpatialGrid, OwnsItsPointCopy) {
   std::vector<Vec2> points = {{1.0, 1.0}, {5.0, 5.0}};
   Rect bounds = Rect::from_bounds({0.0, 0.0}, {10.0, 10.0});

@@ -27,6 +27,14 @@ TEST(Arena, AllocationsAreDisjointAndAligned) {
   EXPECT_GE(arena.bytes_allocated(), 29u);
 }
 
+TEST(Arena, ZeroByteAllocationIsNonNull) {
+  // A fresh arena has no block yet; an empty network's labeling scratch
+  // asks for 0 bytes and hands the pointer to memset.
+  Arena arena;
+  EXPECT_NE(arena.allocate(0, 1), nullptr);
+  EXPECT_NE(arena.allocate(0, 8), nullptr);
+}
+
 TEST(Arena, GrowsBeyondTheFirstBlock) {
   Arena arena(64);
   // Far more than the first block; every allocation must still succeed

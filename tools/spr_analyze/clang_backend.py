@@ -55,7 +55,28 @@ def parse_file(path: str, rel: str,
     tu = index.parse(path, args=["-std=c++20", "-Isrc", "-x", "c++"])
     fm = model.FileModel(rel)
     _walk(tu.cursor, fm, rel, stripped_lines, class_name="")
+    fm.unordered_loop_lines = _unordered_loop_lines(tu, rel)
     return fm
+
+
+def _unordered_loop_lines(tu, path: str) -> list[int]:
+    """Range-for statements in this file whose range expression has an
+    unordered container type (canonical spelling, so aliases count)."""
+    lines = set()
+    for top in tu.cursor.get_children():
+        if not _in_file(top, path):
+            continue
+        for cursor in top.walk_preorder():
+            if cursor.kind != _cx.CursorKind.CXX_FOR_RANGE_STMT:
+                continue
+            children = list(cursor.get_children())
+            # Children: [init-statement,] loop variable, range, body.
+            if len(children) < 2:
+                continue
+            range_type = children[-2].type.get_canonical().spelling
+            if "unordered_" in range_type:
+                lines.add(cursor.location.line)
+    return sorted(lines)
 
 
 def _in_file(cursor, path: str) -> bool:

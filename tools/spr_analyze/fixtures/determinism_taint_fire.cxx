@@ -34,7 +34,7 @@ void indirect(Report& report) {
 // Unordered-container iteration order is load-factor/seed dependent.
 void unordered_iter(Report& report,
                     const std::unordered_map<int, double>& scores) {
-  for (const auto& kv : scores) {
+  for (const auto& kv : scores) {  // EXPECT[unordered-iter]
     report.param("score", kv.second);  // EXPECT[determinism-taint]
   }
 }
@@ -43,7 +43,7 @@ void unordered_iter(Report& report,
 void thread_stamp(Report& report) {
   report.param("tid",  // EXPECT[determinism-taint]
                static_cast<double>(std::hash<std::thread::id>{}(
-                   std::this_thread::get_id())));
+                   std::this_thread::get_id())));  // EXPECT[wallclock]
 }
 
 }  // namespace spr_fixture

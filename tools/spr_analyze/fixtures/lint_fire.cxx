@@ -1,5 +1,5 @@
-// Must-fire fixture for the token-level lint rules. EXPECT markers name
-// the finding the harness asserts on that line.
+// Must-fire fixture for the line rules. EXPECT markers name the finding
+// the harness asserts on that line.
 #include <chrono>
 #include <cstdlib>
 #include <random>
@@ -38,6 +38,10 @@ int hash_order_sum() {
     sum += kv.second;
   }
   return sum;
+}
+
+void pointer_stamp(int* p) {
+  std::printf("%p\n", static_cast<void*>(p));  // EXPECT[wallclock]
 }
 
 }  // namespace lint_fixture

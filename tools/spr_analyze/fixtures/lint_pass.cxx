@@ -1,5 +1,6 @@
-// Must-pass fixture: the sanctioned counterparts of every lint rule.
+// Must-pass fixture: the sanctioned counterparts of every line rule.
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -30,5 +31,8 @@ int ordered_sum(const std::map<int, int>& counts) {
   for (const auto& kv : counts) sum += kv.second;
   return sum;
 }
+
+// Integer formats are fine; only %p prints an address.
+void print_size(std::size_t n) { std::printf("%zu\n", n); }
 
 }  // namespace lint_fixture

@@ -1,4 +1,5 @@
 // Must-fire fixture: malformed pragmas are themselves findings.
+#include <random>
 #include <span>
 #include <vector>
 
@@ -9,6 +10,12 @@ std::span<const int> bad() {
   return std::span<const int>(local);  // spr-analyze: allow(view-lifetime)
 }
 // EXPECT-PRAGMA: the allow above has no reason text.
+
+unsigned unjustified(unsigned seed) {
+  std::mt19937 gen(seed);  // spr-analyze: allow(raw-rng)
+  return static_cast<unsigned>(gen());
+}
+// EXPECT-PRAGMA: a line rule's allow needs a reason too.
 
 std::span<const int> worse() {
   std::vector<int> local{2};

@@ -5,8 +5,7 @@ model — classes with typed fields, functions with ordered statements —
 that two front-ends can produce: clang_backend.py lowers libclang cursors
 into it when the bindings are importable, and this module lexes and
 scope-scans the raw source when they are not (the common case on build
-boxes without libclang wheels; mirrors spr_lint's libclang-or-fallback
-split).
+boxes without libclang wheels).
 
 The fallback is not a C++ parser. It is a brace/paren-matched token
 scanner tuned to this repo's idiom (one class per header, root-relative
@@ -154,6 +153,9 @@ class FileModel:
     classes: list[ClassInfo] = field(default_factory=list)
     functions: list[FunctionInfo] = field(default_factory=list)
     globals: list[Field] = field(default_factory=list)
+    # Lines of range-fors over unordered containers, found by type on the
+    # clang front-end (the fallback leaves it empty).
+    unordered_loop_lines: list[int] = field(default_factory=list)
 
 
 class Registry:

@@ -1,6 +1,7 @@
-"""The analyzer's semantic rules over the micro-AST (model.py).
+"""The analyzer's rules: four dataflow contracts over the micro-AST
+(model.py) and five line rules over the stripped source.
 
-Four repo-specific contracts, each a named rule with a pragma escape hatch
+Each is a named rule with a pragma escape hatch
 (`// spr-analyze: allow(rule) reason`):
 
   arena-escape       Values derived from Arena-backed allocations
@@ -41,8 +42,37 @@ Four repo-specific contracts, each a named rule with a pragma escape hatch
                      (sort/stable_sort/merge family) after the dispatch;
                      anything else needs a pragma.
 
+  wallclock          No wall-clock time, thread ids or pointer values
+                     anywhere: std::chrono::system_clock, time()/
+                     localtime()/gmtime()/strftime()/gettimeofday(),
+                     std::this_thread::get_id and %p pointer formatting
+                     (matched inside string literals). steady_clock
+                     durations are left to determinism-taint, which only
+                     bans their flow into report sinks.
+
+  raw-rng            No unseeded/global randomness outside the seeded RNG
+                     wrapper (src/deploy/rng.*): rand(), srand(),
+                     std::random_device, and direct std::mt19937 /
+                     default_random_engine construction.
+
+  unordered-iter     No range-for over std::unordered_map/unordered_set
+                     (hash order is implementation- and run-dependent),
+                     and no unordered containers at all in the ordered-only
+                     layer (src/report/, src/stats/, serialize* files).
+                     Keyed lookups elsewhere are fine. The clang engine
+                     adds the loops it finds by the range expression's
+                     type.
+
+  raw-new            No raw `new` / `delete`: allocation goes through
+                     containers, smart pointers or util/arena.h.
+
+  header-hygiene     Every header starts with #pragma once, and project
+                     includes are root-relative ("util/check.h"), never
+                     parent-relative ("../util/check.h").
+
 Heuristics are tuned against this repo's idiom and proven by the fixture
-corpus (fixtures/); src/ holds a zero-findings baseline enforced in CI.
+corpus (fixtures/); src/ and tools/ hold a zero-findings baseline enforced
+in CI.
 """
 
 from __future__ import annotations
@@ -50,8 +80,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from model import (ClassInfo, FunctionInfo, Param, Registry, Stmt, Token,
-                   _match_braces, _parse_params, split_statements)
+from model import (ClassInfo, FileModel, FunctionInfo, Param, Registry,
+                   Stmt, Token, _match_braces, _parse_params,
+                   split_statements)
 
 RULES = {
     "arena-escape": "arena-backed value escaping its reset() scope",
@@ -61,6 +92,12 @@ RULES = {
     "report/serialize/merge sink",
     "merge-ordering": "parallel callback writing shared state without "
     "an id-ordered merge",
+    "wallclock": "wall-clock/thread-id/pointer value in deterministic code",
+    "raw-rng": "randomness outside the seeded RNG wrapper",
+    "unordered-iter": "hash-order iteration (or unordered container in "
+    "report/serialize path)",
+    "raw-new": "raw new/delete outside containers/arena",
+    "header-hygiene": "public header include hygiene",
     "pragma": "malformed or unjustified spr-analyze pragma",
 }
 
@@ -836,3 +873,146 @@ def _ordered_merge_after(fn: FunctionInfo, dispatch_at: int,
                 stmt.tokens, {target}):
             return True
     return False
+
+
+# ----------------------------------------------------------------- line rules
+#
+# Token bans with no dataflow. Each runs over one file's lines with comments
+# and string/char literals blanked (`code`), so prose never fires them.
+
+_WALLCLOCK_PATTERNS = [
+    (re.compile(r"\bsystem_clock\b"), "std::chrono::system_clock"),
+    (re.compile(r"\bstd::time\s*\("), "std::time()"),
+    (re.compile(r"[^:\w]time\s*\(\s*(NULL|nullptr|0)\s*\)"), "time(NULL)"),
+    (re.compile(r"\blocaltime\s*\("), "localtime()"),
+    (re.compile(r"\bgmtime\s*\("), "gmtime()"),
+    (re.compile(r"\bstrftime\s*\("), "strftime()"),
+    (re.compile(r"\bgettimeofday\s*\("), "gettimeofday()"),
+    (re.compile(r"\bthis_thread::get_id\s*\("), "std::this_thread::get_id()"),
+]
+# A pointer format only ever sits inside a string literal, so it is matched
+# on the lines with comments blanked but strings kept.
+_POINTER_FORMAT_RE = re.compile(r"%p\b")
+
+_RAW_RNG_PATTERNS = [
+    (re.compile(r"[^\w:.]s?rand\s*\("), "rand()/srand()"),
+    (re.compile(r"\brandom_device\b"), "std::random_device"),
+    (re.compile(r"\bmt19937(_64)?\b"), "direct std::mt19937"),
+    (re.compile(r"\bdefault_random_engine\b"), "std::default_random_engine"),
+]
+# The seeded wrapper is the one place raw engines may live.
+_RAW_RNG_ALLOWED = ("deploy/rng.h", "deploy/rng.cpp")
+
+# `new` used as an allocation expression. Operator-overload declarations
+# ("operator new") match too and must be pragma'd if ever added.
+_RAW_NEW_RE = re.compile(r"(^|[^\w.])new\s+[\w:<]")
+_RAW_DELETE_RE = re.compile(r"(^|[^\w.])delete(\s*\[\s*\])?\s+[\w:*(]")
+
+# Report/serialize/merge layer: no unordered containers at all.
+_ORDERED_ONLY_DIRS = ("src/report/", "src/stats/")
+_UNORDERED_DECL_RE = re.compile(
+    r"\bstd::unordered_(map|set|multimap|multiset)\s*<[^;{}]*?>\s+(\w+)"
+)
+_UNORDERED_ANY_RE = re.compile(
+    r"\bstd::unordered_(map|set|multimap|multiset)\b")
+_RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;()]*?:\s*\(?\s*([A-Za-z_]\w*)")
+
+# `.hxx` is the fixture corpus's header extension (the tree walk skips it).
+_HEADER_EXTS = (".h", ".hxx")
+_QUOTED_INCLUDE_RE = re.compile(r'\s*#\s*include\s+"([^"]+)"')
+
+
+def check_wallclock(code: list[str], with_strings: list[str], emit) -> None:
+    for idx, line in enumerate(code, start=1):
+        for pattern, what in _WALLCLOCK_PATTERNS:
+            if pattern.search(line):
+                emit(idx, "wallclock", f"{what} is nondeterministic across "
+                     "runs/machines; reports must not depend on it")
+    # Both line lists keep every column, so a `%p` whose column is blanked
+    # in `code` sits inside a literal.
+    for idx, line in enumerate(with_strings, start=1):
+        if any(code[idx - 1][m.start()] == " "
+               for m in _POINTER_FORMAT_RE.finditer(line)):
+            emit(idx, "wallclock", "%p pointer formatting is "
+                 "nondeterministic across runs/machines; reports must not "
+                 "depend on it")
+
+
+def check_raw_rng(rel: str, code: list[str], emit) -> None:
+    if rel.endswith(_RAW_RNG_ALLOWED):
+        return
+    for idx, line in enumerate(code, start=1):
+        for pattern, what in _RAW_RNG_PATTERNS:
+            if pattern.search(line):
+                emit(idx, "raw-rng", f"{what} outside deploy/rng — use the "
+                     "seeded spr::Rng wrapper")
+
+
+def check_raw_new(code: list[str], emit) -> None:
+    for idx, line in enumerate(code, start=1):
+        if _RAW_NEW_RE.search(line):
+            emit(idx, "raw-new", "raw `new` — use make_unique/containers "
+                 "or util/arena.h")
+        if _RAW_DELETE_RE.search(line):
+            emit(idx, "raw-new", "raw `delete` — ownership belongs in "
+                 "smart pointers/containers")
+
+
+def _unordered_loops_by_token(fm: FileModel,
+                              code: list[str]) -> list[tuple[int, str]]:
+    """(line, container) of range-fors over unordered containers: by-value
+    declarations anywhere in the file, and reference/pointer parameters
+    within their own function."""
+    names = {m.group(2) for line in code
+             for m in _UNORDERED_DECL_RE.finditer(line)}
+    loops = set()
+    for idx, line in enumerate(code, start=1):
+        m = _RANGE_FOR_RE.search(line)
+        if m and m.group(1) in names:
+            loops.add((idx, m.group(1)))
+    for fn in fm.functions:
+        params = {p.name for p in fn.params if "unordered_" in p.type_text}
+        if not params or not fn.body_tokens:
+            continue
+        for idx in range(fn.body_tokens[0].line, fn.body_tokens[-1].line + 1):
+            m = _RANGE_FOR_RE.search(code[idx - 1])
+            if m and m.group(1) in params:
+                loops.add((idx, m.group(1)))
+    return sorted(loops)
+
+
+def check_unordered_iter(fm: FileModel, code: list[str], emit) -> None:
+    rel = fm.path
+    if any(d in rel for d in _ORDERED_ONLY_DIRS) or (
+            "serialize" in rel.rsplit("/", 1)[-1]):
+        for idx, line in enumerate(code, start=1):
+            if _UNORDERED_ANY_RE.search(line):
+                emit(idx, "unordered-iter", "unordered container in the "
+                     "report/serialize layer — hash order would leak into "
+                     "artifacts; use std::map/std::vector")
+        return
+    # The token pass names the container; the clang front-end's type-based
+    # loops add the ones no name reveals (aliases, members of other files).
+    loops = dict.fromkeys(fm.unordered_loop_lines, "")
+    loops.update(_unordered_loops_by_token(fm, code))
+    for line, name in sorted(loops.items()):
+        what = f" '{name}'" if name else ""
+        emit(line, "unordered-iter", f"range-for over unordered container"
+             f"{what} — iteration order is hash-order; copy into a sorted "
+             "container first")
+
+
+def check_header_hygiene(rel: str, raw_lines: list[str], code: list[str],
+                         emit) -> None:
+    if not rel.endswith(_HEADER_EXTS):
+        return
+    first = next(((idx, line.strip()) for idx, line in enumerate(code, 1)
+                  if line.strip()), None)
+    if first is None or first[1] != "#pragma once":
+        emit(first[0] if first else 1, "header-hygiene",
+             "header must start with #pragma once")
+    for idx, line in enumerate(raw_lines, start=1):
+        m = _QUOTED_INCLUDE_RE.match(line)
+        if m and m.group(1).startswith(".."):
+            emit(idx, "header-hygiene", f'parent-relative include '
+                 f'"{m.group(1)}" — include root-relative from src/')

@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""spr_analyze: AST/dataflow contract analyzer for the spr tree.
+"""spr_analyze: the static analyzer for the spr tree's determinism contracts.
 
-Where spr_lint is token-level (it catches `rand()` by name), spr_analyze
-follows values: arena scratch escaping its reset() scope, spans outliving
-the topology epoch that built them, nondeterministic values flowing
-through assignments into report/serialize/merge sinks, and parallel
-callbacks whose shared writes skip the id-ordered merge discipline. See
-rules.py for the rule catalog and tools/spr_analyze/README.md for the
-contract each rule defends.
+Nine rules, each proven by the fixture corpus (fixtures/). Four follow
+values over a micro-AST: arena scratch escaping its reset() scope, spans
+outliving the topology epoch that built them, nondeterministic values
+flowing through assignments into report/serialize/merge sinks, and
+parallel callbacks whose shared writes skip the id-ordered merge
+discipline. Five are line rules that ban tokens outright: wall clock,
+thread ids and %p pointer formats; randomness outside the seeded RNG;
+hash-order iteration; raw new/delete; and header hygiene. See rules.py
+for the rule catalog and tools/spr_analyze/README.md for the contract
+each rule defends.
 
 Front-ends: libclang (python bindings) when importable, and a
 self-contained token/micro-AST engine otherwise — both lower into the
 same model (model.py) so the rules and fixtures behave identically.
 
-Inputs: explicit files/directories, or `--compile-commands
-build/compile_commands.json` to analyze exactly the TUs the build sees
-(headers under src/ are added alongside). Findings print as
+Inputs: files/directories, `src tools` by default. Findings print as
 `path:line: [rule] message`; `--sarif out.sarif` additionally writes
 SARIF 2.1.0 for code-scanning upload.
 
@@ -39,19 +40,17 @@ import json
 import os
 import sys
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-_ROOT = os.path.dirname(os.path.dirname(_HERE))
-sys.path.insert(0, _HERE)
-sys.path.insert(0, os.path.join(_ROOT, "scripts"))
-
-from spr_source import (Finding, bind_comment_pragmas, collect_files,  # noqa: E402
+import model
+from rules import (RULES, check_arena_escape, check_determinism_taint,
+                   check_header_hygiene, check_merge_ordering, check_raw_new,
+                   check_raw_rng, check_unordered_iter, check_view_lifetime,
+                   check_view_members, check_wallclock,
+                   compute_taint_summaries, _sink_names)
+from spr_source import (Finding, bind_comment_pragmas, collect_files,
                         parse_pragmas, relpath, strip_comments_and_strings)
 
-import model  # noqa: E402
-import rules as rules_mod  # noqa: E402
-from rules import (RULES, check_arena_escape, check_determinism_taint,  # noqa: E402
-                   check_merge_ordering, check_view_lifetime,
-                   check_view_members, compute_taint_summaries, _sink_names)
+_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 try:
     import clang_backend
@@ -61,24 +60,12 @@ except Exception:  # pragma: no cover - environment dependent
     HAVE_LIBCLANG = False
 
 
-def load_compile_commands(path: str) -> list[str]:
-    """Source files named by a compile_commands.json, absolute paths."""
-    with open(path) as f:
-        db = json.load(f)
-    files = set()
-    for entry in db:
-        src = entry.get("file", "")
-        if not os.path.isabs(src):
-            src = os.path.join(entry.get("directory", ""), src)
-        files.add(os.path.normpath(src))
-    return sorted(files)
-
-
 def analyze_files(files: list[str], root: str,
                   engine: str) -> list[Finding]:
     """Parses every file, builds the cross-file registry, runs the rules."""
     registry = model.Registry()
-    per_file: list[tuple[str, model.FileModel, list[str], list[str]]] = []
+    per_file: list[tuple[str, model.FileModel, list[str], list[str],
+                         list[str]]] = []
     findings: list[Finding] = []
 
     for path in files:
@@ -91,20 +78,22 @@ def analyze_files(files: list[str], root: str,
             continue
         raw_lines = text.split("\n")
         stripped = strip_comments_and_strings(text)
+        # The `%p` ban is the one check that reads inside string literals.
+        with_strings = (strip_comments_and_strings(text, keep_strings=True)
+                        if "%p" in text else stripped)
         if engine == "clang" and HAVE_LIBCLANG:
             fm = clang_backend.parse_file(path, rel, stripped)
         else:
             fm = model.parse_file(rel, stripped)
         registry.add(fm)
-        per_file.append((rel, fm, raw_lines, stripped))
+        per_file.append((rel, fm, raw_lines, stripped, with_strings))
 
     # Interprocedural-lite summaries need the whole registry first.
     tainted_fns = compute_taint_summaries(registry)
     sink_names = _sink_names(registry)
 
-    for rel, fm, raw_lines, stripped in per_file:
-        pragmas = parse_pragmas(raw_lines, findings, rel, "spr-analyze",
-                                RULES)
+    for rel, fm, raw_lines, stripped, with_strings in per_file:
+        pragmas = parse_pragmas(raw_lines, findings, rel, RULES)
         bind_comment_pragmas(pragmas, stripped)
 
         def emit(line_no: int, rule: str, message: str,
@@ -121,9 +110,13 @@ def analyze_files(files: list[str], root: str,
             check_determinism_taint(fn, registry, tainted_fns, sink_names,
                                     emit)
             check_merge_ordering(fn, registry, emit)
+        check_wallclock(stripped, with_strings, emit)
+        check_raw_rng(rel, stripped, emit)
+        check_raw_new(stripped, emit)
+        check_unordered_iter(fm, stripped, emit)
+        check_header_hygiene(rel, raw_lines, stripped, emit)
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    # Deduplicate identical findings (a header parsed for several TUs).
     unique: list[Finding] = []
     for f in findings:
         if not unique or str(f) != str(unique[-1]):
@@ -185,12 +178,9 @@ def main(argv: list[str]) -> int:
         description=__doc__.splitlines()[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("paths", nargs="*",
-                        help="files or directories (default: src)")
+                        help="files or directories (default: src tools)")
     parser.add_argument("--root", default=_ROOT,
                         help="repo root findings are reported relative to")
-    parser.add_argument("--compile-commands", default="",
-                        help="analyze the TUs of this compile_commands.json "
-                        "(src/ only) plus the headers next to them")
     parser.add_argument("--sarif", default="",
                         help="also write SARIF 2.1.0 to this path")
     parser.add_argument("--engine", choices=("auto", "clang", "fallback"),
@@ -213,22 +203,7 @@ def main(argv: list[str]) -> int:
               "importable", file=sys.stderr)
         return 2
 
-    files: list[str] = []
-    if args.compile_commands:
-        src_root = os.path.join(args.root, "src")
-        tu_files = [f for f in load_compile_commands(args.compile_commands)
-                    if os.path.normpath(f).startswith(
-                        os.path.normpath(src_root) + os.sep)]
-        files.extend(tu_files)
-        # Headers don't appear as TUs; analyze them alongside.
-        files.extend(collect_files(["src"], args.root, exts=(".h", ".hpp")))
-    if args.paths:
-        files.extend(collect_files(args.paths, args.root))
-    if not files and not args.compile_commands:
-        files = collect_files(["src"], args.root)
-    files = sorted({os.path.normpath(
-        f if os.path.isabs(f) else os.path.join(args.root, f))
-        for f in files})
+    files = collect_files(args.paths or ["src", "tools"], args.root)
     if not files:
         print("spr_analyze: no input files", file=sys.stderr)
         return 2

@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
-"""spr_source: source-handling machinery shared by spr_lint and spr_analyze.
+"""spr_source: the source-handling layer under spr_analyze.
 
-Both tools walk the same C++ tree, blank comments/strings the same way, and
-honor the same pragma grammar — only the tag differs (`spr-lint` vs
-`spr-analyze`). This module owns that common layer so the two stay in
-lockstep:
+Every rule reads the C++ tree through this module:
 
   * strip_comments_and_strings — per-line source with comments and
-    string/char literals blanked, line structure intact.
-  * PragmaSet / parse_pragmas — `<tag>: allow(rule) reason` line pragmas
-    and `<tag>-file: allow(rule) reason` file pragmas (first 10 lines),
-    with malformed/unjustified pragmas surfaced as findings.
+    string/char literals blanked, line structure intact (or with only the
+    comments blanked, for the one rule that matches inside strings).
+  * PragmaSet / parse_pragmas — `spr-analyze: allow(rule) reason` line
+    pragmas and `spr-analyze-file: allow(rule) reason` file pragmas (first
+    10 lines), with malformed/unjustified pragmas surfaced as findings.
   * Finding — one (path, line, rule, message) record.
   * collect_files / relpath — deterministic tree walking.
 """
@@ -19,6 +17,13 @@ from __future__ import annotations
 
 import os
 import re
+
+# The one pragma tag: `spr-analyze: allow(...)` and `spr-analyze-file: ...`.
+PRAGMA_TAG = "spr-analyze"
+
+# Extensions the tree walk picks up. Fixtures use `.cxx`/`.hxx`, so a walk
+# over tools/ skips them.
+SOURCE_EXTS = (".h", ".cpp", ".cc", ".hpp")
 
 
 class Finding:
@@ -32,15 +37,21 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def strip_comments_and_strings(text: str) -> list[str]:
+def strip_comments_and_strings(text: str,
+                               keep_strings: bool = False) -> list[str]:
     """Per-line source with comments and string/char literals blanked.
 
     Keeps line structure (and therefore line numbers) intact.  Raw strings
     are handled with their full delimiter; escapes inside ordinary literals
     are honored.  Blanked spans become spaces so column-sensitive regexes
-    keep working.
+    keep working.  With `keep_strings`, literals keep their text and only
+    comments are blanked.
     """
-    out = []
+    def blank(span: str) -> str:
+        if keep_strings:
+            return span
+        return "".join("\n" if ch == "\n" else " " for ch in span)
+
     i = 0
     n = len(text)
     buf = []
@@ -65,17 +76,17 @@ def strip_comments_and_strings(text: str) -> list[str]:
                 if m:
                     raw_terminator = ")" + m.group(1) + '"'
                     state = "raw"
-                    buf.append(" " * (len(m.group(0))))
+                    buf.append(blank(m.group(0)))
                     i += len(m.group(0))
                     continue
             if c == '"':
                 state = "string"
-                buf.append(" ")
+                buf.append(blank(c))
                 i += 1
                 continue
             if c == "'":
                 state = "char"
-                buf.append(" ")
+                buf.append(blank(c))
                 i += 1
                 continue
             buf.append(c)
@@ -100,24 +111,24 @@ def strip_comments_and_strings(text: str) -> list[str]:
             continue
         if state == "raw":
             if text.startswith(raw_terminator, i):
-                buf.append(" " * len(raw_terminator))
+                buf.append(blank(raw_terminator))
                 i += len(raw_terminator)
                 state = "code"
             else:
-                buf.append("\n" if c == "\n" else " ")
+                buf.append(blank(c))
                 i += 1
             continue
         # string / char
         if c == "\\":
-            buf.append("  ")
+            buf.append(blank(text[i:i + 2]))
             i += 2
             continue
         if (state == "string" and c == '"') or (state == "char" and c == "'"):
             state = "code"
-            buf.append(" ")
+            buf.append(blank(c))
             i += 1
             continue
-        buf.append("\n" if c == "\n" else " ")
+        buf.append(blank(c))
         i += 1
     return "".join(buf).split("\n")
 
@@ -135,28 +146,23 @@ class PragmaSet:
         )
 
 
-def parse_pragmas(
-    raw_lines: list[str],
-    findings: list[Finding],
-    path: str,
-    tag: str,
-    rules: dict[str, str],
-    pragma_rule: str = "pragma",
-) -> PragmaSet:
-    """Parses `<tag>: allow(...)` / `<tag>-file: allow(...)` pragmas.
+def parse_pragmas(raw_lines: list[str], findings: list[Finding], path: str,
+                  rules: dict[str, str]) -> PragmaSet:
+    """Parses `spr-analyze: allow(...)` / `spr-analyze-file: allow(...)`
+    pragmas.
 
     Malformed pragmas (unknown rule, missing reason, file pragma past line
-    10, unparseable tag mention) are appended to `findings` under
-    `pragma_rule`.
+    10, unparseable tag mention) are appended to `findings` under the
+    `pragma` rule.
     """
-    line_re = re.compile(rf"{re.escape(tag)}:\s*allow\(([a-z\-,\s]+)\)\s*(.*)")
+    line_re = re.compile(
+        rf"{re.escape(PRAGMA_TAG)}:\s*allow\(([a-z\-,\s]+)\)\s*(.*)")
     file_re = re.compile(
-        rf"{re.escape(tag)}-file:\s*allow\(([a-z\-,\s]+)\)\s*(.*)"
-    )
+        rf"{re.escape(PRAGMA_TAG)}-file:\s*allow\(([a-z\-,\s]+)\)\s*(.*)")
     line_allow: dict[int, set[str]] = {}
     file_allow: set[str] = set()
     for idx, line in enumerate(raw_lines, start=1):
-        if tag not in line:
+        if PRAGMA_TAG not in line:
             continue
         m = file_re.search(line)
         if m:
@@ -164,12 +170,12 @@ def parse_pragmas(
             bad = wanted - set(rules)
             if bad:
                 findings.append(
-                    Finding(path, idx, pragma_rule,
+                    Finding(path, idx, "pragma",
                             f"unknown rule(s) {sorted(bad)}")
                 )
             if not m.group(2).strip():
                 findings.append(
-                    Finding(path, idx, pragma_rule,
+                    Finding(path, idx, "pragma",
                             "file pragma without a reason")
                 )
             if idx > 10:
@@ -177,7 +183,7 @@ def parse_pragmas(
                     Finding(
                         path,
                         idx,
-                        pragma_rule,
+                        "pragma",
                         "file pragma must sit in the first 10 lines",
                     )
                 )
@@ -189,17 +195,17 @@ def parse_pragmas(
             bad = wanted - set(rules)
             if bad:
                 findings.append(
-                    Finding(path, idx, pragma_rule,
+                    Finding(path, idx, "pragma",
                             f"unknown rule(s) {sorted(bad)}")
                 )
             if not m.group(2).strip():
                 findings.append(
-                    Finding(path, idx, pragma_rule, "pragma without a reason")
+                    Finding(path, idx, "pragma", "pragma without a reason")
                 )
             line_allow.setdefault(idx, set()).update(wanted & set(rules))
             continue
         findings.append(
-            Finding(path, idx, pragma_rule, f"unparseable {tag} pragma")
+            Finding(path, idx, "pragma", f"unparseable {PRAGMA_TAG} pragma")
         )
     return PragmaSet(line_allow, file_allow)
 
@@ -223,9 +229,7 @@ def relpath(path: str, root: str) -> str:
     return os.path.relpath(path, root).replace(os.sep, "/")
 
 
-def collect_files(paths: list[str], root: str,
-                  exts: tuple[str, ...] = (".h", ".cpp", ".cc",
-                                           ".hpp")) -> list[str]:
+def collect_files(paths: list[str], root: str) -> list[str]:
     out = []
     for p in paths:
         full = p if os.path.isabs(p) else os.path.join(root, p)
@@ -234,6 +238,6 @@ def collect_files(paths: list[str], root: str,
             continue
         for dirpath, _dirnames, filenames in os.walk(full):
             for name in sorted(filenames):
-                if name.endswith(exts):
+                if name.endswith(SOURCE_EXTS):
                     out.append(os.path.join(dirpath, name))
     return sorted(set(out))

@@ -2,11 +2,12 @@
 """Fixture proofs for spr_analyze: every rule must fire where the corpus
 says it fires and stay silent on the sanctioned idioms.
 
-Fixture convention: `*.cxx` files under fixtures/ carry
-`EXPECT[rule-name]` comment markers on the exact line a finding is
-required. `*_pass.cxx` files carry no markers and must come back clean.
-The pragma fixtures assert the escape-hatch machinery itself
-(reason-required, unknown-rule rejection, comment-line binding).
+Fixture convention: `*.cxx` files (and `*.hxx` headers) under fixtures/
+carry `EXPECT[rule-name]` comment markers on the exact line a finding is
+required. `*_pass.*` and `*_good.*` files carry no markers and must come
+back clean. The pragma fixtures assert the escape-hatch machinery itself
+(reason-required, unknown-rule rejection, same-line and comment-line
+binding).
 
 Run directly (`python3 test_spr_analyze.py`) or through ctest
 (`spr_analyze_fixtures`).
@@ -17,16 +18,14 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 import tempfile
 import unittest
 
+import rules
+import spr_analyze
+
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _ROOT = os.path.dirname(os.path.dirname(_HERE))
-sys.path.insert(0, _HERE)
-sys.path.insert(0, os.path.join(_ROOT, "scripts"))
-
-import spr_analyze  # noqa: E402
 
 _FIXTURES = os.path.join(_HERE, "fixtures")
 _EXPECT_RE = re.compile(r"EXPECT\[([a-z\-]+)\]")
@@ -78,13 +77,27 @@ class FixtureCorpus(unittest.TestCase):
     def test_merge_ordering_pass(self):
         self.assert_fixture("merge_ordering_pass.cxx")
 
+    def test_line_rules_fire(self):
+        self.assert_fixture("lint_fire.cxx")
+
+    def test_line_rules_pass(self):
+        self.assert_fixture("lint_pass.cxx")
+
+    def test_serialize_layer(self):
+        self.assert_fixture("serialize_bad.cxx")
+
+    def test_header_bad(self):
+        self.assert_fixture("header_bad.hxx")
+
+    def test_header_good(self):
+        self.assert_fixture("header_good.hxx")
+
     def test_every_rule_has_fire_coverage(self):
         """No rule may silently die: the corpus proves each one fires."""
         covered = set()
         for name in os.listdir(_FIXTURES):
             covered |= {r for _, r in expected_findings(
                 os.path.join(_FIXTURES, name))}
-        import rules
         expected = set(rules.RULES) - {"pragma"}  # pragma: proven below
         self.assertEqual(covered & expected, expected,
                          "rules without a must-fire fixture")
@@ -96,27 +109,29 @@ class PragmaMachinery(unittest.TestCase):
         got = analyze(path)
         with open(path) as f:
             lines = f.readlines()
-        no_reason = next(i for i, l in enumerate(lines, 1)
-                         if "allow(view-lifetime)" in l)
+        no_reason = [i for i, l in enumerate(lines, 1)
+                     if "allow(view-lifetime)" in l or "allow(raw-rng)" in l]
         unknown = next(i for i, l in enumerate(lines, 1)
                        if "made-up-rule" in l)
+        self.assertEqual(len(no_reason), 2)
         self.assertEqual(got, {
-            (no_reason, "pragma"),    # allow without a reason
-            (unknown, "pragma"),      # unknown rule name
+            (no_reason[0], "pragma"),  # allow without a reason
+            (no_reason[1], "pragma"),  # ... on a line rule's finding too
+            (unknown, "pragma"),       # unknown rule name
             (unknown + 1, "view-lifetime"),  # bogus allow suppresses nothing
         })
 
     def test_pragma_pass(self):
         path = os.path.join(_FIXTURES, "pragma_pass.cxx")
         self.assertEqual(analyze(path), set(),
-                         "justified comment-line pragma must bind to the "
-                         "next code line and suppress the finding")
+                         "justified same-line and comment-line pragmas "
+                         "must suppress the findings they cover")
 
 
 class Baseline(unittest.TestCase):
-    def test_src_is_clean(self):
+    def test_src_and_tools_are_clean(self):
         """The tree-wide zero-findings baseline the CI job gates."""
-        files = spr_analyze.collect_files(["src"], _ROOT)
+        files = spr_analyze.collect_files(["src", "tools"], _ROOT)
         findings = spr_analyze.analyze_files(files, _ROOT, "fallback")
         self.assertEqual([str(f) for f in findings], [])
 
@@ -146,8 +161,6 @@ class EngineAgreement(unittest.TestCase):
                          "libclang bindings not importable")
     def test_fixtures_agree_across_engines(self):
         for name in sorted(os.listdir(_FIXTURES)):
-            if not name.endswith(".cxx"):
-                continue
             path = os.path.join(_FIXTURES, name)
             self.assertEqual(analyze(path, "clang"),
                              analyze(path, "fallback"),
