@@ -95,9 +95,9 @@ if(NOT mobility_validate EQUAL 0)
 endif()
 
 # Hostile-input probes: a negative count, a non-finite or non-positive
-# range, a malformed node id, a flag the command does not take and a
-# removed verb or alias must each be rejected, never fall back to a default
-# workload. A rejection is exit status 1 (bad usage) or 2 (bad value); any
+# range, more tiles than nodes, a malformed node id, a flag the command
+# does not take and a removed verb or alias must each be rejected, never
+# fall back to a default workload. A rejection is exit status 1 (bad usage) or 2 (bad value); any
 # other result, a signal included (which execute_process reports as a
 # string such as "Child aborted"), is a crash and fails the gate.
 function(expect_rejected)
@@ -125,6 +125,8 @@ expect_rejected(label --nodes=-5)
 expect_rejected(label --range=nan)
 expect_rejected(label --range=-3)
 expect_rejected(label --range=inf)
+expect_rejected(label --tiles=1000x1000 --nodes=50)
+expect_rejected(sweep --tiles 2x2)
 expect_rejected(sweep --range=nan --networks 1 --pairs 1)
 expect_rejected(route abc 5)
 expect_rejected(route 99999999999999999999 5)

@@ -5,8 +5,8 @@
 #include <mutex>
 
 #include "graph/graph_algos.h"
-#include "shard/sharded_network.h"
 #include "util/arena.h"
+#include "util/check.h"
 #include "util/task_pool.h"
 
 namespace spr {
@@ -85,17 +85,6 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
   net_config.seed = sweep_cell_seed(config, n, net_index);
   auto start = std::chrono::steady_clock::now();
   Network network = Network::create(net_config);
-  if (config.tile_rows > 0 && config.tile_cols > 0) {
-    // Spatial-tile execution path: label through the halo-synced sharded
-    // fixpoint and adopt the (bit-identical, by the tile layer's
-    // invariance contract) result, so force() below finds it built.
-    ShardedNetwork::Config tile_config;
-    tile_config.tile_rows = config.tile_rows;
-    tile_config.tile_cols = config.tile_cols;
-    ShardedNetwork sharded(network.graph(), net_config.edge_band,
-                           tile_config);
-    network.adopt_safety(sharded.safety());
-  }
   // Force every structure the scheme set will touch, so the construction
   // bucket really holds construction (GF's recovery structures stay lazy by
   // design — if a packet gets stuck their build lands in the routing
@@ -148,6 +137,47 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
   return cell;
 }
 
+/// The cells of slice `slice_index` of `slice_count`: every cell whose
+/// canonical index (point-major: node_counts outer, net_index inner) is
+/// congruent to `slice_index`, in that order, results empty.
+std::vector<SliceCell> slice_cells(const SweepConfig& config, int slice_index,
+                                   int slice_count) {
+  std::vector<SliceCell> cells;
+  std::size_t global_index = 0;
+  for (int node_count : config.node_counts) {
+    for (int i = 0; i < config.networks_per_point; ++i, ++global_index) {
+      if (global_index % static_cast<std::size_t>(slice_count) ==
+          static_cast<std::size_t>(slice_index)) {
+        cells.push_back({node_count, i, {}});
+      }
+    }
+  }
+  return cells;
+}
+
+/// The sweep's one cell runner: fills each cell's result through run_cell,
+/// serially or on the config's pool, and returns the summed cost
+/// breakdown. `progress`, when set, fires once per cell under a lock.
+SweepTimings run_cells(const SweepConfig& config,
+                       std::vector<SliceCell>& cells,
+                       const SweepProgress& progress) {
+  SweepTimings spent;
+  std::mutex mutex;
+  for_each_cell(config.threads, cells.size(), [&](std::size_t ci) {
+    SliceCell& cell = cells[ci];
+    if (progress) {
+      std::lock_guard<std::mutex> lock(mutex);
+      progress(cell.node_count, cell.net_index, config.networks_per_point);
+    }
+    SweepTimings cell_timings;
+    cell.result =
+        run_cell(config, cell.node_count, cell.net_index, &cell_timings);
+    std::lock_guard<std::mutex> lock(mutex);
+    spent.merge(cell_timings);
+  });
+  return spent;
+}
+
 }  // namespace
 
 CellResult run_sweep_cell(const SweepConfig& config, int node_count,
@@ -160,39 +190,13 @@ CellResult run_sweep_cell(const SweepConfig& config, int node_count,
 std::vector<SliceCell> run_sweep_slice(const SweepConfig& config,
                                        int slice_index, int slice_count,
                                        SweepTimings* timings) {
-  std::vector<SliceCell> slice;
   if (slice_count < 1 || slice_index < 0 || slice_index >= slice_count) {
-    return slice;
+    return {};
   }
-  // Canonical cell enumeration, filtered by congruence class.
-  std::size_t global_index = 0;
-  for (int node_count : config.node_counts) {
-    for (int i = 0; i < config.networks_per_point; ++i, ++global_index) {
-      if (global_index % static_cast<std::size_t>(slice_count) !=
-          static_cast<std::size_t>(slice_index)) {
-        continue;
-      }
-      slice.push_back({node_count, i, {}});
-    }
-  }
-
-  SweepTimings accumulated;
-  std::mutex timings_mutex;
-  auto run_one = [&](std::size_t ci) {
-    SweepTimings cell_timings;
-    slice[ci].result = run_cell(config, slice[ci].node_count,
-                                slice[ci].net_index, &cell_timings);
-    std::lock_guard<std::mutex> lock(timings_mutex);
-    accumulated.merge(cell_timings);
-  };
-  if (config.threads == 1) {
-    for (std::size_t ci = 0; ci < slice.size(); ++ci) run_one(ci);
-  } else {
-    TaskPool pool(config.threads);
-    pool.parallel_for(slice.size(), run_one);
-  }
-  if (timings != nullptr) timings->merge(accumulated);
-  return slice;
+  std::vector<SliceCell> cells = slice_cells(config, slice_index, slice_count);
+  const SweepTimings spent = run_cells(config, cells, {});
+  if (timings != nullptr) timings->merge(spent);
+  return cells;
 }
 
 std::vector<SweepPoint> merge_cell_results(
@@ -206,8 +210,9 @@ std::vector<SweepPoint> merge_cell_results(
     }
     return node_counts.size();
   };
-  // run_sweep merges cells point-major in net_index order; replay that
-  // order exactly so Summary::merge sees the same sample sequence.
+  // Merge in canonical cell order (point-major, net_index inner), so
+  // Summary::merge sees one sample sequence whichever worker, slice or
+  // file each cell came from.
   std::stable_sort(cells.begin(), cells.end(),
                    [&](const SliceCell& a, const SliceCell& b) {
                      std::size_t pa = point_of(a.node_count);
@@ -256,65 +261,31 @@ std::vector<std::pair<NodeId, NodeId>> sweep_cell_pairs(
 std::vector<SweepPoint> run_sweep(const SweepConfig& config,
                                   const SweepProgress& progress,
                                   SweepTimings* timings) {
-  // Flatten the sweep into independent (node_count, network_index) cells.
-  struct Cell {
-    std::size_t point_index;
-    int node_count;
-    int net_index;
-  };
-  std::vector<Cell> cells;
-  cells.reserve(config.node_counts.size() *
-                static_cast<std::size_t>(config.networks_per_point));
-  for (std::size_t pi = 0; pi < config.node_counts.size(); ++pi) {
-    for (int i = 0; i < config.networks_per_point; ++i) {
-      cells.push_back({pi, config.node_counts[pi], i});
-    }
-  }
+  // merge_cell_results keys points by node count: a repeated count would
+  // pool both points' cells into the first.
+  std::vector<int> counts = config.node_counts;
+  std::sort(counts.begin(), counts.end());
+  SPR_CHECK(std::adjacent_find(counts.begin(), counts.end()) == counts.end(),
+            "run_sweep: a node count appears twice in node_counts");
 
-  std::vector<CellResult> results(cells.size());
-  SweepTimings accumulated;
-  std::mutex progress_mutex;
-  std::mutex timings_mutex;
-  auto run_one = [&](std::size_t ci) {
-    const Cell& cell = cells[ci];
-    if (progress) {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      progress(cell.node_count, cell.net_index, config.networks_per_point);
-    }
-    SweepTimings cell_timings;
-    results[ci] = run_cell(config, cell.node_count, cell.net_index,
-                           &cell_timings);
-    {
-      std::lock_guard<std::mutex> lock(timings_mutex);
-      accumulated.merge(cell_timings);
-    }
-  };
+  std::vector<SliceCell> cells = slice_cells(config, 0, 1);
+  const SweepTimings spent = run_cells(config, cells, progress);
+  if (timings != nullptr) *timings = spent;
+  std::vector<std::string> labels;
+  for (const auto& spec : config.schemes) {
+    labels.push_back(spec.display_label());
+  }
+  return merge_cell_results(config.node_counts, labels, std::move(cells));
+}
 
-  if (config.threads == 1) {
-    for (std::size_t ci = 0; ci < cells.size(); ++ci) run_one(ci);
-  } else {
-    TaskPool pool(config.threads);
-    pool.parallel_for(cells.size(), run_one);
+void for_each_cell(int threads, std::size_t count,
+                   const std::function<void(std::size_t)>& fn) {
+  if (threads == 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
   }
-
-  // Merge per-cell aggregates in cell order. Summary::merge replays samples
-  // in insertion order, so this reduction is bit-identical to the serial
-  // accumulation regardless of which thread ran which cell.
-  std::vector<SweepPoint> points(config.node_counts.size());
-  for (std::size_t pi = 0; pi < config.node_counts.size(); ++pi) {
-    points[pi].node_count = config.node_counts[pi];
-    for (const auto& spec : config.schemes) {
-      points[pi].by_scheme.emplace(spec.display_label(), RouteAggregate{});
-    }
-  }
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    SweepPoint& point = points[cells[ci].point_index];
-    for (auto& [label, agg] : results[ci]) {
-      point.by_scheme.at(label).merge(agg);
-    }
-  }
-  if (timings != nullptr) *timings = accumulated;
-  return points;
+  TaskPool pool(threads);
+  pool.parallel_for(count, fn);
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {

@@ -55,14 +55,6 @@ struct SweepConfig {
   /// the calling thread (no pool), N = pool of N. Results are bit-identical
   /// for every value.
   int threads = 0;
-  /// When both are positive, each cell's safety labeling is computed by a
-  /// spatial-tile ShardedNetwork (shard/sharded_network.h) over a
-  /// tile_rows x tile_cols grid and adopted into the cell's Network. The
-  /// tile layer's shard-count-invariance contract makes the sweep results
-  /// bit-identical to the monolithic path for every grid (tested), so this
-  /// is purely an execution-strategy knob — `spr_cli sweep --tiles RxC`.
-  int tile_rows = 0;
-  int tile_cols = 0;
 
   /// The paper's four schemes in figure order.
   static std::vector<SchemeSpec> paper_schemes();
@@ -122,6 +114,9 @@ struct SweepTimings {
 
 /// Runs the sweep; one SweepPoint per node count, in order. Deterministic:
 /// the result depends only on `config`, not on `config.threads` or timing.
+/// It is the one-slice run_sweep_slice reduced by merge_cell_results, so
+/// merged slice files equal it by construction. `config.node_counts` must
+/// hold no duplicate (checked): the merge keys points by node count.
 /// `timings`, when non-null, receives the accumulated cost breakdown.
 std::vector<SweepPoint> run_sweep(const SweepConfig& config,
                                   const SweepProgress& progress = {},
@@ -142,12 +137,12 @@ std::vector<SliceCell> run_sweep_slice(const SweepConfig& config,
                                        int slice_index, int slice_count,
                                        SweepTimings* timings = nullptr);
 
-/// Merges tagged cell results into sweep points, replaying run_sweep's
-/// canonical cell-order reduction (node_counts outer, net_index inner) —
-/// given every cell of a sweep, the result is bit-identical to running
-/// run_sweep in process. Cells with a node_count not in `node_counts` are
-/// ignored; every point starts with an empty aggregate per label in
-/// `scheme_labels`.
+/// The sweep's one reduction: merges tagged cell results into sweep points
+/// in canonical cell order (node_counts outer, net_index inner). run_sweep
+/// returns it over its own cells, so given every cell of a sweep the result
+/// is bit-identical to run_sweep. Cells with a node_count not in
+/// `node_counts` are ignored; every point starts with an empty aggregate
+/// per label in `scheme_labels`.
 std::vector<SweepPoint> merge_cell_results(
     const std::vector<int>& node_counts,
     const std::vector<std::string>& scheme_labels,
@@ -167,6 +162,14 @@ std::vector<std::pair<NodeId, NodeId>> sweep_cell_pairs(
 /// exposed so scenarios and tests can reconstruct any cell's network.
 std::uint64_t sweep_cell_seed(const SweepConfig& config, int node_count,
                               int net_index);
+
+/// Runs `fn(i)` for every cell index i < `count`: inline when `threads` is 1,
+/// otherwise on a pool of `threads` workers (0 = hardware). Each call must
+/// write only its own cell, so the caller's in-order reduction is the same
+/// for every thread count. The one dispatch behind the sweep and every
+/// scenario cell grid.
+void for_each_cell(int threads, std::size_t count,
+                   const std::function<void(std::size_t)>& fn);
 
 /// Seconds elapsed since `start` — the wall-clock helper behind
 /// SweepTimings and the scenario reports.

@@ -114,16 +114,6 @@ Network Network::with_moves(const std::vector<Vec2>& positions,
   return moved;
 }
 
-bool Network::adopt_safety(SafetyInfo info) const {
-  bool installed = false;
-  std::call_once(lazy_->safety_once, [&] {
-    lazy_->safety = std::make_unique<SafetyInfo>(std::move(info));
-    lazy_->safety_built.store(true, std::memory_order_release);
-    installed = true;
-  });
-  return installed;
-}
-
 const SafetyInfo& Network::safety() const {
   std::call_once(lazy_->safety_once, [this] {
     lazy_->safety = std::make_unique<SafetyInfo>(

@@ -99,14 +99,6 @@ class Network {
 
   /// Lazy, memoized, thread-safe: built on first call, then cached.
   const SafetyInfo& safety() const;
-
-  /// Installs an externally-computed safety labeling (`info.size()` must be
-  /// `graph().size()`) so `safety()` returns it instead of building one —
-  /// the spatial-tile sweep path injects the halo-exchanged labeling here,
-  /// which is bit-identical to what `safety()` would compute (the tile
-  /// layer's invariance contract). No-op if the labeling was already built
-  /// or adopted; returns whether `info` was installed.
-  bool adopt_safety(SafetyInfo info) const;
   const PlanarOverlay& overlay() const;
   const BoundHoleInfo& boundhole() const;
 
@@ -145,7 +137,8 @@ class Network {
                         IncrementalStats* stats = nullptr) const;
 
   /// A moved copy of this network: the same node set at `positions`
-  /// (`positions.size()` must equal `graph().size()`), built incrementally —
+  /// (`positions.size()` must equal `graph().size()` and every coordinate
+  /// must be finite; both are checked), built incrementally —
   /// the spatial grid is relocated and the adjacency patched from the edge
   /// delta (`UnitDiskGraph::with_moves`) instead of rebuilt, prior
   /// casualties stay dead, and the edge band carries over (the interest

@@ -35,20 +35,6 @@ const char* model_name(DeployModel model) noexcept {
   return model == DeployModel::kIdeal ? "IA (uniform)" : "FA (forbidden areas)";
 }
 
-/// Runs `fn(i)` for every cell index i < `count`: inline when `threads` is 1,
-/// otherwise on a pool of `threads` workers (0 = hardware). Each call must
-/// write only its own cell, so the caller's in-order reduction is the same
-/// for every thread count.
-void for_each_cell(int threads, std::size_t count,
-                   const std::function<void(std::size_t)>& fn) {
-  if (threads == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  TaskPool pool(threads);
-  pool.parallel_for(count, fn);
-}
-
 /// The paper sweep config with scenario-option overrides applied.
 SweepConfig figure_config(DeployModel model, const ScenarioOptions& opts) {
   SweepConfig config;
@@ -364,16 +350,18 @@ int run_construction_cost(const ScenarioOptions& opts,
       Network net = Network::create(config);
       const auto result =
           compute_safety_distributed(net.graph(), net.interest_area());
-      // The naive re-flood runs the same fixpoint one synchronous pass per
-      // round, plus a hello round, with every node broadcasting each round.
-      std::size_t passes = 0;
-      compute_safety_round_based(net.graph(), net.interest_area(), &passes);
+      // The naive re-flood has every node broadcast in every round of the
+      // same fixpoint run as synchronous passes. The protocol's statuses
+      // evolve as those passes, and a tuple changes only in the round its
+      // status flips (its anchors come from neighbors that flipped in an
+      // earlier round, with final anchors), so its rounds are the hello
+      // round plus one per pass, the final quiescent pass included.
       Cell& cell = cells[ci];
       cell.rounds = static_cast<double>(result.stats.rounds);
       cell.broadcasts = static_cast<double>(result.stats.broadcasts);
       cell.receptions = static_cast<double>(result.stats.receptions);
       cell.naive_broadcasts =
-          static_cast<double>(net.graph().size() * (passes + 1));
+          static_cast<double>(net.graph().size() * result.stats.rounds);
     });
 
     Table table({"nodes", "rounds", "broadcasts", "bcast/node", "receptions",

@@ -128,14 +128,23 @@ void SpatialGrid::relocate(std::span<const NodeId> ids,
   cell_ids_ = std::move(new_ids);
 }
 
+namespace {
+/// Clamps a fractional cell index to [0, count - 1] in `double` before the
+/// cast, so a coordinate far outside the field cannot overflow `int`; NaN
+/// goes to cell 0.
+int clamp_cell(double c, int count) noexcept {
+  if (!(c >= 0.0)) return 0;
+  if (c >= count) return count - 1;
+  return static_cast<int>(c);
+}
+}  // namespace
+
 int SpatialGrid::cell_col(double x) const noexcept {
-  int c = static_cast<int>((x - bounds_.lo().x) / cell_size_);
-  return std::clamp(c, 0, cols_ - 1);
+  return clamp_cell((x - bounds_.lo().x) / cell_size_, cols_);
 }
 
 int SpatialGrid::cell_row(double y) const noexcept {
-  int r = static_cast<int>((y - bounds_.lo().y) / cell_size_);
-  return std::clamp(r, 0, rows_ - 1);
+  return clamp_cell((y - bounds_.lo().y) / cell_size_, rows_);
 }
 
 void SpatialGrid::query_radius(Vec2 center, double radius, NodeId exclude,

@@ -1,12 +1,26 @@
 #include "graph/unit_disk.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "graph/spatial_grid.h"
 #include "util/check.h"
 #include "util/task_pool.h"
 
 namespace spr {
+
+namespace {
+/// Rejects a NaN or infinite coordinate where positions enter the graph: it
+/// has no grid cell and no distance, so no adjacency could be exact.
+void check_finite(const std::vector<Vec2>& positions, const char* where) {
+  const auto bad =
+      std::find_if(positions.begin(), positions.end(), [](Vec2 p) {
+        return !std::isfinite(p.x) || !std::isfinite(p.y);
+      });
+  SPR_CHECK(bad == positions.end(), where, ": node ",
+            bad - positions.begin(), " has a non-finite position");
+}
+}  // namespace
 
 bool edge_diff_normalized(const EdgeDiff& diff) {
   auto normalized = [](const std::vector<std::pair<NodeId, NodeId>>& pairs) {
@@ -103,6 +117,7 @@ void UnitDiskGraph::adopt_zones(QuadrantZones zones) const {
 
 void UnitDiskGraph::build(const std::vector<bool>& alive,
                           TaskPool* build_pool) {
+  check_finite(positions_, "UnitDiskGraph");
   zones_cache_ = std::make_shared<ZonesCache>();
   alive_ = alive;
   alive_.resize(positions_.size(), true);
@@ -176,20 +191,19 @@ UnitDiskGraph UnitDiskGraph::with_moves(const std::vector<Vec2>& new_positions,
                                         EdgeDiff* diff,
                                         TaskPool* build_pool) const {
   const std::size_t n = positions_.size();
+  SPR_CHECK(new_positions.size() == n, "with_moves: ", new_positions.size(),
+            " positions for ", n, " nodes");
+  check_finite(new_positions, "with_moves");
   if (diff != nullptr) *diff = EdgeDiff{};
 
   // Which nodes actually moved (exact coordinate comparison: the waypoint
   // process hands back untouched doubles for paused nodes).
   std::vector<NodeId> moved;
-  for (NodeId u = 0; u < n && u < new_positions.size(); ++u) {
+  for (NodeId u = 0; u < n; ++u) {
     if (!(new_positions[u] == positions_[u])) moved.push_back(u);
   }
   if (diff != nullptr) diff->moved_nodes = moved.size();
   std::vector<Vec2> positions(new_positions);
-  positions.resize(n, Vec2{});
-  for (std::size_t i = new_positions.size(); i < n; ++i) {
-    positions[i] = positions_[i];
-  }
 
   // Adaptive cutover: when most nodes moved (whole-field mobility epochs),
   // every neighbor list re-queries anyway, so the grid-relocation and

@@ -53,7 +53,8 @@ bool edge_diff_normalized(const EdgeDiff& diff);
 /// blocking on the same pool from one of its workers deadlocks.
 class UnitDiskGraph {
  public:
-  /// Builds adjacency with a spatial grid; O(n + |E|) expected.
+  /// Builds adjacency with a spatial grid; O(n + |E|) expected. Every
+  /// coordinate must be finite (checked).
   UnitDiskGraph(std::vector<Vec2> positions, double range, Rect bounds,
                 TaskPool* build_pool = nullptr);
 
@@ -133,9 +134,10 @@ class UnitDiskGraph {
   /// resulting CSR is bit-identical to a from-scratch build over
   /// `new_positions` (tests enforce offsets+adjacency equality). Aliveness
   /// carries over: dead nodes move but stay edgeless. `new_positions` must
-  /// have exactly size() entries. `diff`, when non-null, receives the
-  /// added/removed edge sets (alive endpoints only). With a `build_pool` the
-  /// moved nodes' radius queries fan out (deterministic id-ordered merge).
+  /// have exactly size() entries, every coordinate finite (both checked).
+  /// `diff`, when non-null, receives the added/removed edge sets (alive
+  /// endpoints only). With a `build_pool` the moved nodes' radius queries
+  /// fan out (deterministic id-ordered merge).
   UnitDiskGraph with_moves(const std::vector<Vec2>& new_positions,
                            EdgeDiff* diff = nullptr,
                            TaskPool* build_pool = nullptr) const;

@@ -202,35 +202,6 @@ SafetyInfo compute_safety_scalar(const UnitDiskGraph& g,
   return SafetyInfo(std::move(tuples));
 }
 
-SafetyInfo compute_safety_round_based(const UnitDiskGraph& g,
-                                      const InterestArea& area,
-                                      std::size_t* passes) {
-  const std::size_t n = g.size();
-  std::vector<SafetyTuple> tuples(n);
-  std::size_t pass_count = 0;
-  bool changed = true;
-  while (changed) {
-    ++pass_count;
-    changed = false;
-    std::vector<std::pair<NodeId, ZoneType>> flips;
-    for (NodeId u = 0; u < n; ++u) {
-      if (!g.alive(u) || area.is_edge_node(u)) continue;
-      for (ZoneType t : kAllZoneTypes) {
-        if (tuples[u].is_safe(t) && must_flip(g, tuples, u, t)) {
-          flips.emplace_back(u, t);
-        }
-      }
-    }
-    for (auto [u, t] : flips) {
-      tuples[u].set_safe(t, false);
-      changed = true;
-    }
-  }
-  compute_anchors(g, tuples);
-  if (passes != nullptr) *passes = pass_count;
-  return SafetyInfo(std::move(tuples));
-}
-
 std::vector<NodeId> unsafe_area_members(const UnitDiskGraph& g,
                                         const SafetyInfo& info, NodeId u,
                                         ZoneType t) {

@@ -63,15 +63,6 @@ SafetyInfo compute_safety_scalar(const UnitDiskGraph& g,
                                  const InterestArea& area,
                                  LabelingStats* stats = nullptr);
 
-/// As above but evaluates the fixpoint in synchronous rounds (the paper's
-/// Fig. 3 narration). Exists to test order-independence of the fixpoint
-/// and to price a naive re-flood (the construction-cost scenario): `passes`,
-/// when non-null, receives the number of rounds run, the final quiescent
-/// one included.
-SafetyInfo compute_safety_round_based(const UnitDiskGraph& g,
-                                      const InterestArea& area,
-                                      std::size_t* passes = nullptr);
-
 /// Convenience: one node's connected unsafe area of type `t` (the connected
 /// component of type-t unsafe nodes containing `u`, via UDG edges).
 std::vector<NodeId> unsafe_area_members(const UnitDiskGraph& g,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_algos.h"
+#include "util/check.h"
 
 namespace spr {
 namespace {
@@ -115,34 +116,17 @@ TEST(Experiment, ParallelAggregatesBitIdenticalToSerial) {
   }
 }
 
-/// Labeling each cell through a spatial-tile grid (`--tiles RxC`) is an
-/// execution strategy, not a different experiment: the tile layer's
-/// shard-count-invariance contract makes every aggregate bit-identical to
-/// the monolithic sweep for every grid.
-TEST(Experiment, SpatialTileSweepBitIdenticalToMonolithic) {
+/// merge_cell_results keys points by node count, so a repeated count
+/// would pool two points' cells into one: run_sweep rejects it before
+/// running any cell.
+TEST(Experiment, DuplicateNodeCountFailsTheCheck) {
+  ScopedCheckHandler guard(throwing_check_handler);
   SweepConfig config = tiny_sweep();
-  config.networks_per_point = 2;
-  config.pairs_per_network = 3;
-
-  auto monolithic = run_sweep(config);
-  for (auto [rows, cols] : {std::pair{1, 2}, std::pair{2, 2}}) {
-    config.tile_rows = rows;
-    config.tile_cols = cols;
-    auto tiled = run_sweep(config);
-    ASSERT_EQ(monolithic.size(), tiled.size());
-    for (std::size_t pi = 0; pi < monolithic.size(); ++pi) {
-      for (const auto& [label, agg] : monolithic[pi].by_scheme) {
-        const auto& other = tiled[pi].by_scheme.at(label);
-        EXPECT_EQ(agg.attempted, other.attempted) << label;
-        EXPECT_EQ(agg.delivered, other.delivered) << label;
-        EXPECT_EQ(agg.hops.sum(), other.hops.sum()) << label;
-        EXPECT_EQ(agg.hops.variance(), other.hops.variance()) << label;
-        EXPECT_EQ(agg.length.sum(), other.length.sum()) << label;
-        EXPECT_EQ(agg.stretch_hops.mean(), other.stretch_hops.mean()) << label;
-        EXPECT_EQ(agg.local_minima.sum(), other.local_minima.sum()) << label;
-      }
-    }
-  }
+  config.node_counts = {400, 450, 400};
+  int calls = 0;
+  EXPECT_THROW(run_sweep(config, [&](int, int, int) { ++calls; }),
+               CheckError);
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(Experiment, OneSearchPerPairPerMetricPerCell) {

@@ -115,6 +115,29 @@ TEST(SpatialGrid, TinyCellsKeepTheTableBoundedAndQueriesExact) {
   }
 }
 
+/// A coordinate far outside the field clamps to a border cell in `double`,
+/// before the cast to a cell index: relocating points to x = +-1e300 and
+/// querying there neither overflows the `int` index nor loses a point.
+TEST(SpatialGrid, FarOutsideCoordinatesClampToBorderCells) {
+  Deployment d = random_deployment(100, 4, DeployModel::kIdeal);
+  SpatialGrid grid(d.positions, d.field, d.radio_range);
+  const std::vector<NodeId> ids = {3, 7};
+  const std::vector<Vec2> far = {{1e300, d.positions[3].y},
+                                 {-1e300, d.positions[7].y}};
+  grid.relocate(ids, far);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(grid.position(ids[k]).x, far[k].x);
+    std::vector<NodeId> out;
+    grid.query_radius(far[k], 1.0, kInvalidNode, out);
+    EXPECT_EQ(out, std::vector<NodeId>{ids[k]}) << "x = " << far[k].x;
+  }
+  std::vector<NodeId> all;
+  grid.query_rect(Rect::from_bounds({-1e300, d.field.lo().y},
+                                    {1e300, d.field.hi().y}),
+                  all);
+  EXPECT_EQ(all.size(), d.positions.size());
+}
+
 TEST(SpatialGrid, OwnsItsPointCopy) {
   std::vector<Vec2> points = {{1.0, 1.0}, {5.0, 5.0}};
   Rect bounds = Rect::from_bounds({0.0, 0.0}, {10.0, 10.0});

@@ -137,15 +137,6 @@ TEST(SafetyLabeling, ForbiddenAreaNetworksHaveUnsafeNodes) {
   EXPECT_GT(total_unsafe, 0u);
 }
 
-TEST(SafetyLabeling, WorklistMatchesRoundBased) {
-  for (std::uint64_t seed : test::property_seeds()) {
-    Network net = test::random_network(300, seed, DeployModel::kForbiddenAreas);
-    SafetyInfo round_based =
-        compute_safety_round_based(net.graph(), net.interest_area());
-    EXPECT_EQ(net.safety(), round_based) << "seed " << seed;
-  }
-}
-
 TEST(SafetyLabeling, FixpointConsistency) {
   // At the fixpoint: interior safe node => has a safe same-type neighbor in
   // the quadrant; unsafe node => every quadrant neighbor is unsafe.

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "mobility/waypoint.h"
 #include "shard/sharded_network.h"
 #include "test_helpers.h"
+#include "util/check.h"
 #include "util/task_pool.h"
 
 namespace spr {
@@ -118,6 +121,35 @@ TEST(IncrementalMoves, NoMotionIsNoOp) {
   EXPECT_EQ(stats.flips, 0u);
   EXPECT_EQ(stats.promotions, 0u);
   EXPECT_EQ(same.safety(), net.safety());
+}
+
+/// A non-finite position is rejected where it enters, before any labeling:
+/// let through, a NaN x on node 17 of this network gives the moved copy an
+/// anchor that a from-scratch build on the same positions lacks, and
+/// incremental == from-scratch fails silently. The from-scratch build
+/// rejects it too, and with_moves rejects a position list of the wrong
+/// size.
+TEST(IncrementalMoves, NonFinitePositionsAreRejected) {
+  ScopedCheckHandler guard(throwing_check_handler);
+  Network net = test::random_network(600, 3);
+  net.force(Network::kNeedsSafety);
+  const UnitDiskGraph& g = net.graph();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (double Vec2::*axis : {&Vec2::x, &Vec2::y}) {
+      std::vector<Vec2> moved = g.positions();
+      moved[17].*axis = bad;
+      std::optional<Network> after;
+      EXPECT_THROW(after.emplace(net.with_moves(moved)), CheckError)
+          << "coordinate " << bad;
+      EXPECT_FALSE(after.has_value());
+      EXPECT_THROW(UnitDiskGraph(moved, g.range(), g.bounds()), CheckError)
+          << "coordinate " << bad;
+    }
+  }
+  std::vector<Vec2> short_positions = g.positions();
+  short_positions.pop_back();
+  EXPECT_THROW(net.with_moves(short_positions), CheckError);
 }
 
 /// Without a built labeling, with_moves leaves safety lazy (and the lazily

@@ -11,6 +11,8 @@ struct TaskPool {};
 void parallel_for_blocked(TaskPool* pool, std::size_t n, std::size_t grain,
                           const std::function<void(std::size_t,
                                                    std::size_t)>& fn);
+void for_each_cell(int threads, std::size_t count,
+                   const std::function<void(std::size_t)>& fn);
 
 // Every block accumulates into one captured double: the result depends
 // on which thread adds first (and the writes race outright).
@@ -34,6 +36,16 @@ void racy_collect(TaskPool* pool, std::size_t n,
           out.push_back(i);  // EXPECT[merge-ordering]
         }
       });
+}
+
+// A cell grid summing into one captured total: the rounding of the sum
+// depends on which cell finishes first.
+double racy_cell_total(int threads, const std::vector<double>& cells) {
+  double total = 0.0;
+  for_each_cell(threads, cells.size(), [&](std::size_t ci) {
+    total += cells[ci];  // EXPECT[merge-ordering]
+  });
+  return total;
 }
 
 // A mid-region atomic load snapshots scheduler state: the stored value

@@ -11,6 +11,8 @@ struct TaskPool {};
 void parallel_for_blocked(TaskPool* pool, std::size_t n, std::size_t grain,
                           const std::function<void(std::size_t,
                                                    std::size_t)>& fn);
+void for_each_cell(int threads, std::size_t count,
+                   const std::function<void(std::size_t)>& fn);
 
 // Disjoint per-index slots: each iteration owns out[i].
 void per_slot(TaskPool* pool, std::vector<double>& out,
@@ -63,6 +65,22 @@ void tile_local(TaskPool* pool, std::vector<Tile>& tiles) {
           tile.inbox.push_back(static_cast<unsigned>(t));
         }
       });
+}
+
+// A cell grid filling each cell through a reference to its own slot (the
+// sweep's SliceCell& idiom); the caller reduces in cell order.
+struct Cell {
+  double value = 0.0;
+};
+
+double cell_slots(int threads, std::vector<Cell>& cells) {
+  for_each_cell(threads, cells.size(), [&](std::size_t ci) {
+    Cell& cell = cells[ci];
+    cell.value = static_cast<double>(ci) * 2.0;
+  });
+  double total = 0.0;
+  for (const Cell& cell : cells) total += cell.value;
+  return total;
 }
 
 }  // namespace spr_fixture

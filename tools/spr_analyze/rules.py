@@ -22,7 +22,7 @@ Each is a named rule with a pragma escape hatch
                      neighbors, QuadrantZones members/observers rows,
                      FlatLabeler flipped/raise_clusters) in members of
                      long-lived classes; and no use of an epoch view after
-                     a with_failures/with_moves/adopt_* epoch advance.
+                     a with_failures/with_moves epoch advance.
 
   determinism-taint  Dataflow from nondeterministic sources (thread ids,
                      pointer-to-integer casts, wall clock, hardware
@@ -35,7 +35,7 @@ Each is a named rule with a pragma escape hatch
                      sites.
 
   merge-ordering     Callbacks handed to parallel_for_blocked / TaskPool
-                     fan-outs may write shared non-atomic state only via
+                     fan-outs / for_each_cell may write shared non-atomic state only via
                      disjoint per-index slots (subscripts driven by the
                      block/loop index) or when the enclosing function
                      feeds the written container to an ordered merge
@@ -119,7 +119,7 @@ _EPOCH_PRODUCER_RE = re.compile(
 )
 # Epoch advancers: calls after which previously-obtained views are stale.
 _EPOCH_ADVANCERS = (
-    "with_failures", "with_moves", "adopt_safety", "rebuild_partition",
+    "with_failures", "with_moves", "rebuild_partition",
 )
 _EPOCH_ADVANCER_RE = re.compile(
     r"\b(" + "|".join(_EPOCH_ADVANCERS) + r")\s*\("
@@ -140,7 +140,8 @@ _TAINT_SOURCES = [
 # Files whose functions are report/serialize/merge sinks.
 _SINK_FILE_RE = re.compile(r"(?:^|/)src/(report|stats)/|(?:^|/)util/json\.")
 
-_DISPATCH_NAMES = ("parallel_for_blocked", "parallel_for", "submit")
+_DISPATCH_NAMES = ("parallel_for_blocked", "parallel_for", "submit",
+                   "for_each_cell")
 _MUTATOR_METHODS = {
     "push_back", "emplace_back", "insert", "emplace", "erase", "clear",
     "resize", "assign", "append",

@@ -5,9 +5,7 @@
 ///   spr_cli label    [flags]            safety labeling summary / dump
 ///   spr_cli route    [flags] <s> <d>    route one pair with every scheme
 ///   spr_cli sweep    [flags]            mini figure sweep (table output);
-///                                       --slice i/m writes a slice JSON;
-///                                       --tiles RxC labels each cell via
-///                                       spatial-tile sharding
+///                                       --slice i/m writes a slice JSON
 ///   spr_cli merge    [flags] <slice.json>...  merge sweep slices
 ///   spr_cli validate <file.json>...     parse JSON artifacts (CI gate)
 ///   spr_cli run      [flags] <name>     run a registered scenario (--list);
@@ -23,10 +21,12 @@
 /// machines, copy the JSONs back, and `merge` reproduces the in-process
 /// sweep bit-identically. (Sweep slices are unrelated to the *spatial
 /// tiles* of shard/, which partition one deployment's field; see
-/// `sweep --tiles`.)
+/// `label --tiles`.)
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -155,6 +155,16 @@ int cmd_label(int argc, const char* const* argv) {
   if (!valid_common(args)) return 2;
   int tile_rows = 0, tile_cols = 0;
   if (!parse_tile_grid(tiles_spec, tile_rows, tile_cols)) return 1;
+  // Every tile holds its own grid and shard: more tiles than nodes is
+  // memory spent on empty tiles, and 1000x1000 exhausts it.
+  const auto tile_count = static_cast<std::int64_t>(tile_rows) * tile_cols;
+  if (tile_count > std::max<std::int64_t>(args.nodes, 1)) {
+    std::fprintf(stderr,
+                 "--tiles must give at most max(--nodes, 1) = %d tiles, got "
+                 "%dx%d\n",
+                 std::max(args.nodes, 1), tile_rows, tile_cols);
+    return 2;
+  }
   Network net = build_network(args);
   const auto& info = net.safety();
 
@@ -305,9 +315,6 @@ int cmd_sweep(int argc, const char* const* argv) {
   flags.add_int("threads", &threads, "sweep threads (0=hardware, 1=serial)");
   flags.add_string("slice", &slice_spec,
                    "compute only slice i/m of the sweep's cells");
-  std::string tiles_spec;
-  flags.add_string("tiles", &tiles_spec,
-                   "label each cell via an RxC spatial-tile grid");
   flags.add_string("json", &json_path,
                    "write the per-cell aggregates as a slice JSON here");
   if (!flags.parse(argc, argv)) return 1;
@@ -320,8 +327,6 @@ int cmd_sweep(int argc, const char* const* argv) {
   if (!valid_common(args)) return 2;
   int slice_index = 0, slice_count = 1;
   if (!parse_slice_spec(slice_spec, slice_index, slice_count)) return 1;
-  int tile_rows = 0, tile_cols = 0;
-  if (!parse_tile_grid(tiles_spec, tile_rows, tile_cols)) return 1;
   if (slice_count > 1 && json_path.empty()) {
     std::fprintf(stderr, "--slice needs --json <path> to store the slice\n");
     return 1;
@@ -335,37 +340,32 @@ int cmd_sweep(int argc, const char* const* argv) {
   config.threads = threads;
   config.schemes = SweepConfig::paper_schemes();
   config.deployment_template.radio_range = args.range;
-  config.tile_rows = tile_rows;
-  config.tile_cols = tile_cols;
 
-  if (json_path.empty()) {
-    // Plain in-process sweep.
-    print_sweep_table(run_sweep(config));
-    return 0;
-  }
-
-  // Serialized path: compute this slice's cells and persist them in full
-  // (sample-retaining) form, so `spr_cli merge` can reproduce the sweep
-  // bit-identically from the slice files.
+  // Compute this slice's cells (the whole sweep when no --slice is given),
+  // persist them in full (sample-retaining) form when --json is given, so
+  // `spr_cli merge` can reproduce the sweep bit-identically from the slice
+  // files, and print the table when the slice is the whole sweep.
   auto cells = run_sweep_slice(config, slice_index, slice_count);
-  std::size_t cell_count = cells.size();
+  const std::size_t cell_count = cells.size();
   SweepSlice slice = make_slice(config, slice_index, slice_count,
                                 std::move(cells));
-  JsonWriter w;
-  to_json(w, slice);
-  if (!w.write_file(json_path)) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  if (!json_path.empty()) {
+    JsonWriter w;
+    to_json(w, slice);
+    if (!w.write_file(json_path)) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      return 1;
+    }
   }
   if (slice_count == 1) {
-    std::vector<std::string> labels;
-    for (const auto& spec : config.schemes)
-      labels.push_back(spec.display_label());
-    print_sweep_table(
-        merge_cell_results(config.node_counts, labels, slice.cells));
+    print_sweep_table(merge_cell_results(config.node_counts,
+                                         slice.scheme_labels,
+                                         std::move(slice.cells)));
   }
-  std::printf("wrote slice %d/%d (%zu cells) to %s\n", slice_index,
-              slice_count, cell_count, json_path.c_str());
+  if (!json_path.empty()) {
+    std::printf("wrote slice %d/%d (%zu cells) to %s\n", slice_index,
+                slice_count, cell_count, json_path.c_str());
+  }
   return 0;
 }
 
