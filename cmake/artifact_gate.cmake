@@ -1,5 +1,5 @@
-# Artifact validity gate (ctest): run a quick scenario with the JSON, CSV
-# and SVG sinks enabled, then re-parse the emitted JSON artifact with the
+# Artifact validity gate (ctest): run quick scenarios with the JSON, CSV
+# and SVG sinks enabled, then re-parse each emitted JSON artifact with the
 # bundled reader (`spr_cli validate`). Catches a writer/reader drift the
 # unit tests could miss — the gate exercises the exact bytes CI uploads.
 #
@@ -10,96 +10,67 @@ if(NOT DEFINED SPR_CLI OR NOT DEFINED OUT_DIR)
   message(FATAL_ERROR "artifact_gate.cmake needs -DSPR_CLI=... and -DOUT_DIR=...")
 endif()
 
-set(json "${OUT_DIR}/artifact-gate.json")
-set(csv "${OUT_DIR}/artifact-gate.csv")
-set(svg "${OUT_DIR}/artifact-gate.svg")
+# Runs `spr_cli run <RUN args>` with one `--<ext> <path>` sink flag per
+# ARTIFACTS file (written under OUT_DIR, stale copies removed first), then
+# checks that the run exits 0, that every artifact was written and that the
+# JSON one re-parses with the bundled reader.
+function(expect_artifacts)
+  cmake_parse_arguments(PARSE_ARGV 0 gate "" "" "RUN;ARTIFACTS")
+  string(REPLACE ";" " " run "${gate_RUN}")
+  set(sink_flags)
+  set(paths)
+  foreach(name ${gate_ARTIFACTS})
+    get_filename_component(ext "${name}" LAST_EXT)
+    string(SUBSTRING "${ext}" 1 -1 ext)
+    list(APPEND sink_flags "--${ext}" "${OUT_DIR}/${name}")
+    list(APPEND paths "${OUT_DIR}/${name}")
+    if(ext STREQUAL "json")
+      set(json_artifact "${OUT_DIR}/${name}")
+    endif()
+  endforeach()
+  file(REMOVE ${paths})
 
-execute_process(
-  COMMAND "${SPR_CLI}" run mobile-stream --networks 2
-          --json "${json}" --csv "${csv}" --svg "${svg}"
-  RESULT_VARIABLE run_result
-  OUTPUT_QUIET)
-if(NOT run_result EQUAL 0)
-  message(FATAL_ERROR "scenario run failed (exit ${run_result})")
-endif()
-
-foreach(artifact "${json}" "${csv}" "${svg}")
-  if(NOT EXISTS "${artifact}")
-    message(FATAL_ERROR "expected artifact missing: ${artifact}")
+  execute_process(
+    COMMAND "${SPR_CLI}" run ${gate_RUN} ${sink_flags}
+    RESULT_VARIABLE run_result
+    OUTPUT_QUIET)
+  if(NOT run_result EQUAL 0)
+    message(FATAL_ERROR "spr_cli run ${run} failed (exit ${run_result})")
   endif()
-endforeach()
-
-execute_process(
-  COMMAND "${SPR_CLI}" validate "${json}"
-  RESULT_VARIABLE validate_result)
-if(NOT validate_result EQUAL 0)
-  message(FATAL_ERROR "emitted JSON artifact failed to re-parse")
-endif()
-
-# Streaming-delivery: the discrete-event stream with mid-stream failure
-# waves. The scenario itself cross-checks each wave's incremental
-# relabeling against a from-scratch recompute (nonzero exit on mismatch),
-# so this gate also guards the safety layer's incremental path.
-set(stream_json "${OUT_DIR}/artifact-gate-stream.json")
-set(stream_csv "${OUT_DIR}/artifact-gate-stream.csv")
-
-execute_process(
-  COMMAND "${SPR_CLI}" run streaming-delivery --networks 1 --pairs 4
-          --format json,csv --json "${stream_json}" --csv "${stream_csv}"
-  RESULT_VARIABLE stream_result
-  OUTPUT_QUIET)
-if(NOT stream_result EQUAL 0)
-  message(FATAL_ERROR "streaming-delivery run failed (exit ${stream_result})")
-endif()
-
-foreach(artifact "${stream_json}" "${stream_csv}")
-  if(NOT EXISTS "${artifact}")
-    message(FATAL_ERROR "expected artifact missing: ${artifact}")
+  foreach(artifact ${paths})
+    if(NOT EXISTS "${artifact}")
+      message(FATAL_ERROR "spr_cli run ${run}: expected artifact missing: "
+                          "${artifact}")
+    endif()
+  endforeach()
+  execute_process(
+    COMMAND "${SPR_CLI}" validate "${json_artifact}"
+    RESULT_VARIABLE validate_result)
+  if(NOT validate_result EQUAL 0)
+    message(FATAL_ERROR "spr_cli run ${run}: JSON artifact failed to re-parse")
   endif()
-endforeach()
+endfunction()
 
-execute_process(
-  COMMAND "${SPR_CLI}" validate "${stream_json}"
-  RESULT_VARIABLE stream_validate)
-if(NOT stream_validate EQUAL 0)
-  message(FATAL_ERROR "streaming-delivery JSON artifact failed to re-parse")
-endif()
+expect_artifacts(RUN mobile-stream --networks 2
+                 ARTIFACTS artifact-gate.json artifact-gate.csv
+                           artifact-gate.svg)
+# The two stream scenarios cross-check every incremental relabeling (after
+# each failure wave, and after each waypoint re-pin through
+# Network::with_moves) against a from-scratch compute_safety and exit
+# nonzero on a mismatch, so these runs also guard both update paths.
+expect_artifacts(RUN streaming-delivery --networks 1 --pairs 4 --format json,csv
+                 ARTIFACTS artifact-gate-stream.json artifact-gate-stream.csv)
+expect_artifacts(RUN mobility-rate --networks 1 --pairs 4 --format json,csv
+                 ARTIFACTS artifact-gate-mobility.json
+                           artifact-gate-mobility.csv)
 
-# Mobility-rate: random-waypoint re-pins riding the *incremental* motion
-# path (Network::with_moves). The scenario cross-checks every re-pin's
-# bidirectional relabeling against a from-scratch compute_safety and exits
-# nonzero on divergence, so this gate also guards the motion updater.
-set(mobility_json "${OUT_DIR}/artifact-gate-mobility.json")
-set(mobility_csv "${OUT_DIR}/artifact-gate-mobility.csv")
-
-execute_process(
-  COMMAND "${SPR_CLI}" run mobility-rate --networks 1 --pairs 4
-          --format json,csv --json "${mobility_json}" --csv "${mobility_csv}"
-  RESULT_VARIABLE mobility_result
-  OUTPUT_QUIET)
-if(NOT mobility_result EQUAL 0)
-  message(FATAL_ERROR "mobility-rate run failed (exit ${mobility_result})")
-endif()
-
-foreach(artifact "${mobility_json}" "${mobility_csv}")
-  if(NOT EXISTS "${artifact}")
-    message(FATAL_ERROR "expected artifact missing: ${artifact}")
-  endif()
-endforeach()
-
-execute_process(
-  COMMAND "${SPR_CLI}" validate "${mobility_json}"
-  RESULT_VARIABLE mobility_validate)
-if(NOT mobility_validate EQUAL 0)
-  message(FATAL_ERROR "mobility-rate JSON artifact failed to re-parse")
-endif()
-
-# Hostile-input probes: a negative count, a non-finite or non-positive
-# range, more tiles than nodes, a malformed node id, a flag the command
-# does not take and a removed verb or alias must each be rejected, never
-# fall back to a default workload. A rejection is exit status 1 (bad usage) or 2 (bad value); any
-# other result, a signal included (which execute_process reports as a
-# string such as "Child aborted"), is a crash and fails the gate.
+# Hostile-input probes: a negative count, a node count past `int`, a
+# non-finite or non-positive range, more tiles than nodes, a malformed node
+# id, a flag the command does not take and a removed verb or alias must
+# each be rejected, never fall back to a default workload. A rejection is
+# exit status 1 (bad usage) or 2 (bad value); any other result, a signal
+# included (which execute_process reports as a string such as "Child
+# aborted"), is a crash and fails the gate.
 function(expect_rejected)
   execute_process(
     COMMAND "${SPR_CLI}" ${ARGN}
@@ -130,3 +101,4 @@ expect_rejected(sweep --tiles 2x2)
 expect_rejected(sweep --range=nan --networks 1 --pairs 1)
 expect_rejected(route abc 5)
 expect_rejected(route 99999999999999999999 5)
+expect_rejected(run tile-scaling --networks 3000000)

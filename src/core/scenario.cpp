@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstring>
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <optional>
 
 #include "graph/graph_algos.h"
 #include "mobility/waypoint.h"
@@ -669,18 +671,267 @@ void merge_stream_scheme(StreamSchemeStats& into,
   into.local_minima.merge(from.local_minima);
 }
 
-/// One stream scheme's totals in the sweep-section shape: every injected
-/// copy counts as requested and attempted.
-RouteAggregate stream_scheme_aggregate(const StreamSchemeStats& s) {
-  RouteAggregate agg;
-  agg.requested = s.injected;
-  agg.attempted = s.injected;
-  agg.delivered = s.delivered;
-  agg.hops = s.hops;
-  agg.length = s.length;
-  agg.stretch_hops = s.stretch_hops;
-  return agg;
+/// The per-scheme values the stream tables and curves show; an empty
+/// accumulator (no delivered copy) reads 0.
+double stream_delivery(const StreamSchemeStats& s) {
+  return s.delivery_ratio();
 }
+double stream_hops(const StreamSchemeStats& s) {
+  return s.hops.empty() ? 0.0 : s.hops.mean();
+}
+double stream_stretch(const StreamSchemeStats& s) {
+  return s.stretch_hops.empty() ? 0.0 : s.stretch_hops.mean();
+}
+using StreamMetric = double (*)(const StreamSchemeStats&);
+
+/// The values of one scenario axis as a JSON array.
+JsonValue number_array(const std::vector<double>& values) {
+  JsonValue out = JsonValue::array();
+  for (double v : values) out.push(JsonValue::of(v));
+  return out;
+}
+
+/// One point of a stream grid: its cells' per-scheme totals and
+/// incremental-relabeling counters, summed in cell order. A cell has
+/// failure waves or waypoint re-pins, never both, so one sum serves both
+/// kinds: `flips` counts the demotions of the waves or of the re-pins.
+struct StreamPoint {
+  std::vector<StreamSchemeStats> schemes;  ///< the paper's four, in order
+  std::size_t casualties = 0;
+  std::size_t repins = 0;
+  std::size_t moved = 0;
+  std::size_t edges_added = 0;
+  std::size_t edges_removed = 0;
+  std::size_t flips = 0;
+  std::size_t promotions = 0;
+  std::size_t reevaluations = 0;
+  std::size_t arena_high_water = 0;  ///< max over the point's updates
+};
+
+/// The cell grid behind streaming-delivery and mobility-rate: `points` x
+/// `networks` StreamSim runs, each on a fresh FA network with up to four
+/// long-lived endpoint pairs, 1 s packets, 0.2 s hops and every
+/// incremental relabeling checked against a from-scratch compute_safety.
+/// A scenario brings its axes (as point indices), an events hook and its
+/// texts; the grid runs the cells, reduces them per point in cell order
+/// and builds the report pieces both scenarios share.
+///
+/// The report is a pure function of (options, seeds): no wall-clock or
+/// thread-count values are recorded, so the JSON/CSV artifacts are
+/// byte-identical across reruns and `--threads` (tests enforce this).
+class StreamGrid {
+ public:
+  /// Adds a scenario's events (a failure schedule, waypoint motion) to the
+  /// stream of a cell at `point`, after its endpoints were drawn from
+  /// `rng`.
+  using Events = std::function<void(std::size_t point, const Network& net,
+                                    Rng& rng, StreamConfig& stream)>;
+
+  StreamGrid(int nodes, int networks, int packets, std::uint64_t base_seed)
+      : nodes_(nodes), networks_(networks), packets_(packets),
+        base_seed_(base_seed) {}
+
+  /// Runs `points` x `networks` cells on `threads` workers (cell ci is
+  /// network ci % networks of point ci / networks, its endpoints drawn
+  /// from Rng(seed ^ `salt`)) and reduces them per point. False, with the
+  /// report aborted, when no cell had routable endpoints.
+  bool run(int threads, std::size_t points, std::uint64_t salt,
+           const Events& events, ScenarioReport& report) {
+    const auto per_point = static_cast<std::size_t>(networks_);
+    cells_.assign(points * per_point, std::nullopt);
+    for_each_cell(threads, cells_.size(), [&](std::size_t ci) {
+      NetworkConfig nc;
+      nc.deployment.node_count = nodes_;
+      nc.deployment.model = DeployModel::kForbiddenAreas;
+      nc.seed = base_seed_ ^ ((ci + 1) * 0x9E3779B97F4A7C15ULL);
+      Network net = Network::create(nc);
+
+      Rng rng(nc.seed ^ salt);
+      StreamConfig sc;
+      sc.packets = packets_;
+      sc.packet_interval = 1.0;
+      sc.hop_delay = 0.2;
+      sc.seed = nc.seed;
+      sc.verify_relabeling = true;
+      // A handful of long-lived source/sink pairs, cycled over the stream.
+      for (int t = 0; t < 4; ++t) {
+        auto pair = net.random_connected_interior_pair(rng);
+        if (pair.first != kInvalidNode) sc.pairs.push_back(pair);
+      }
+      if (sc.pairs.empty()) return;  // the cell is skipped (counted below)
+      events(ci / per_point, net, rng, sc);
+      StreamSim sim(std::move(net), std::move(sc));
+      cells_[ci] = sim.run();
+    });
+
+    // Per-point reduction in cell order — deterministic regardless of
+    // which worker ran which cell.
+    StreamPoint empty;
+    for (const SchemeSpec& spec : SweepConfig::paper_schemes()) {
+      empty.schemes.emplace_back().label = spec.display_label();
+    }
+    points_.assign(points, empty);
+    for (std::size_t ci = 0; ci < cells_.size(); ++ci) {
+      if (!cells_[ci]) {
+        ++skipped_;
+        continue;
+      }
+      const StreamStats& stats = *cells_[ci];
+      StreamPoint& point = points_[ci / per_point];
+      for (std::size_t k = 0;
+           k < stats.schemes.size() && k < point.schemes.size(); ++k) {
+        merge_stream_scheme(point.schemes[k], stats.schemes[k]);
+      }
+      point.repins += stats.repins;
+      auto add_update = [&](const auto& record) {
+        relabel_ok_ &= !record.verified || record.matches_full_recompute;
+        point.flips += record.relabel.flips;
+        point.promotions += record.relabel.promotions;
+        point.reevaluations += record.relabel.reevaluations;
+        point.arena_high_water =
+            std::max(point.arena_high_water, record.relabel.arena_high_water);
+      };
+      for (const WaveRecord& record : stats.waves) {
+        point.casualties += record.casualties;
+        add_update(record);
+      }
+      for (const RepinRecord& record : stats.repin_records) {
+        point.moved += record.moved;
+        point.edges_added += record.edges_added;
+        point.edges_removed += record.edges_removed;
+        add_update(record);
+      }
+    }
+    if (skipped_ == cells_.size()) {
+      report.textf("no routable stream endpoints in any cell\n");
+      report.aborted = true;
+      return false;
+    }
+    return true;
+  }
+
+  const std::vector<StreamPoint>& points() const noexcept { return points_; }
+  /// Whether every verified update in the cells that ran matched.
+  bool relabel_ok() const noexcept { return relabel_ok_; }
+
+  /// The table header: `lead`, one "<scheme> deliv" column per scheme,
+  /// then `tail`.
+  std::vector<std::string> columns(std::vector<std::string> lead,
+                                   const std::vector<std::string>& tail) const {
+    for (const SchemeSpec& spec : SweepConfig::paper_schemes()) {
+      lead.push_back(spec.display_label() + " deliv");
+    }
+    lead.insert(lead.end(), tail.begin(), tail.end());
+    return lead;
+  }
+
+  /// Point `p`'s table row: `lead`, its delivery ratio per scheme, then
+  /// `tail`.
+  std::vector<std::string> row(std::size_t p, std::vector<std::string> lead,
+                               const std::vector<std::string>& tail) const {
+    for (const StreamSchemeStats& s : points_[p].schemes) {
+      lead.push_back(Table::fmt(s.delivery_ratio()));
+    }
+    lead.insert(lead.end(), tail.begin(), tail.end());
+    return lead;
+  }
+
+  /// The notes under the table: whether the incremental `update` matched a
+  /// from-scratch compute_safety at every `event`, the scenario's
+  /// `axis_note`, and how many cells had no routable endpoints.
+  void add_notes(ScenarioReport& report, const char* update,
+                 const char* event, std::string axis_note) const {
+    report.note(std::string("incremental ") + update +
+                " matched a from-scratch compute_safety at every " + event +
+                ": " + (relabel_ok_ ? "yes" : "NO"));
+    report.note(std::move(axis_note));
+    if (skipped_ > 0) {
+      report.note(std::to_string(skipped_) + " of " +
+                  std::to_string(cells_.size()) +
+                  " stream cells had no routable endpoints and were skipped");
+    }
+  }
+
+  /// Adds a per-scheme curve of `metric` over the points from `first` on,
+  /// one per x in `xs`.
+  void add_curve(ScenarioReport& report, std::string title,
+                 std::string x_label, std::string y_label, std::size_t first,
+                 const std::vector<double>& xs, StreamMetric metric) const {
+    ReportCurve curve{std::move(title), std::move(x_label),
+                      std::move(y_label), {}};
+    for (std::size_t k = 0; k < points_[first].schemes.size(); ++k) {
+      ReportSeries& series = curve.series.emplace_back();
+      series.label = points_[first].schemes[k].label;
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        series.points.emplace_back(xs[i],
+                                   metric(points_[first + i].schemes[k]));
+      }
+    }
+    report.curves.push_back(std::move(curve));
+  }
+
+  /// Adds a sweep section (the JSON "models" shape) over the points from
+  /// `first` on, one per x in `xs`, keyed by int(scale·x + 0.5) in place of
+  /// a node count (the scenario's sweep_section_x_axis param says so).
+  /// `threads` and `wall_seconds` stay 0, so the report is the same across
+  /// reruns and thread counts.
+  void add_section(ScenarioReport& report, std::size_t first,
+                   const std::vector<double>& xs, double scale) const {
+    SweepSection& section = report.sweeps.emplace_back();
+    section.model = DeployModel::kForbiddenAreas;
+    section.networks_per_point = networks_;
+    section.pairs_per_network = packets_;
+    section.base_seed = base_seed_;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      SweepPoint& point = section.points.emplace_back();
+      point.node_count = static_cast<int>(scale * xs[i] + 0.5);
+      // Every injected copy counts as requested and attempted.
+      for (const StreamSchemeStats& s : points_[first + i].schemes) {
+        RouteAggregate& agg = point.by_scheme[s.label];
+        agg.requested = agg.attempted = s.injected;
+        agg.delivered = s.delivered;
+        agg.hops = s.hops;
+        agg.length = s.length;
+        agg.stretch_hops = s.stretch_hops;
+      }
+    }
+  }
+
+  /// `member` of every point, in point order.
+  JsonValue counters(std::size_t StreamPoint::*member) const {
+    JsonValue out = JsonValue::array();
+    for (const StreamPoint& point : points_) {
+      out.push(JsonValue::of(static_cast<std::uint64_t>(point.*member)));
+    }
+    return out;
+  }
+
+  /// Every cell that ran, in cell order: the coordinates of its point (set
+  /// by `coordinates`), its network index and its full stream stats
+  /// through the typed serializer (report/serialize.h).
+  JsonValue streams(
+      const std::function<void(std::size_t, JsonValue&)>& coordinates) const {
+    const auto per_point = static_cast<std::size_t>(networks_);
+    JsonValue out = JsonValue::array();
+    for (std::size_t ci = 0; ci < cells_.size(); ++ci) {
+      if (!cells_[ci]) continue;
+      JsonValue entry = JsonValue::object();
+      coordinates(ci / per_point, entry);
+      entry.set("net", JsonValue::of(static_cast<int>(ci % per_point)));
+      entry.set("stats", stream_stats_json(*cells_[ci]));
+      out.push(std::move(entry));
+    }
+    return out;
+  }
+
+ private:
+  int nodes_, networks_, packets_;
+  std::uint64_t base_seed_;
+  std::vector<std::optional<StreamStats>> cells_;  ///< empty: skipped
+  std::vector<StreamPoint> points_;
+  std::size_t skipped_ = 0;
+  bool relabel_ok_ = true;
+};
 
 /// Streaming delivery: long-lived packet streams over StreamSim with
 /// failure waves landing *between the hops* of in-flight packets. Sweeps
@@ -688,11 +939,6 @@ RouteAggregate stream_scheme_aggregate(const StreamSchemeStats& s) {
 /// lifetime); SLGF/SLGF2 keep routing on incrementally relabeled safety
 /// information after every wave, and each wave's incremental update is
 /// cross-checked against a from-scratch compute_safety.
-///
-/// The report is a pure function of (options, seeds): no wall-clock or
-/// thread-count values are recorded, so the JSON/CSV artifacts are
-/// byte-identical across reruns and across SPR_THREADS (tests enforce
-/// this).
 int run_streaming_delivery(const ScenarioOptions& opts,
                            ScenarioReport& report) {
   const int networks = opts.networks > 0 ? opts.networks : 3;
@@ -701,252 +947,76 @@ int run_streaming_delivery(const ScenarioOptions& opts,
   const int nodes = 600;
   const std::vector<double> fractions = {0.0, 0.05, 0.10, 0.20, 0.30};
   const int waves_per_stream = 4;
-  const double packet_interval = 1.0;
-  const double hop_delay = 0.2;
 
   report.textf("== Streaming delivery: %d-node FA networks, %d streams x %d "
                "packets per failure fraction, %d mid-stream failure waves "
                "==\n\n",
                nodes, networks, packets, waves_per_stream);
 
-  struct StreamCell {
-    bool ok = false;         ///< produced traffic
-    bool relabel_ok = true;  ///< every wave matched the from-scratch fixpoint
-    StreamStats stats;
+  // The failure schedule: `fraction` of the nodes dies across
+  // `waves_per_stream` waves spread over the stream's injection span,
+  // never touching the stream endpoints.
+  const auto schedule = [&](std::size_t fi, const Network& net, Rng& rng,
+                            StreamConfig& stream) {
+    stream.waves = spread_failure_waves(
+        net.graph(), stream.pairs, fractions[fi], waves_per_stream,
+        static_cast<double>(stream.packets) * stream.packet_interval, rng);
   };
-  std::vector<StreamCell> cells(fractions.size() *
-                                static_cast<std::size_t>(networks));
-
-  auto run_one = [&](std::size_t ci) {
-    const std::size_t fi = ci / static_cast<std::size_t>(networks);
-    const double fraction = fractions[fi];
-    StreamCell& cell = cells[ci];
-
-    NetworkConfig nc;
-    nc.deployment.node_count = nodes;
-    nc.deployment.model = DeployModel::kForbiddenAreas;
-    nc.seed = base_seed ^ ((ci + 1) * 0x9E3779B97F4A7C15ULL);
-    Network net = Network::create(nc);
-
-    Rng rng(nc.seed ^ 0x57bea);
-    StreamConfig sc;
-    sc.packets = packets;
-    sc.packet_interval = packet_interval;
-    sc.hop_delay = hop_delay;
-    sc.seed = nc.seed;
-    sc.verify_relabeling = true;
-    // A handful of long-lived source/sink pairs, cycled over the stream.
-    for (int t = 0; t < 4; ++t) {
-      auto pair = net.random_connected_interior_pair(rng);
-      if (pair.first != kInvalidNode) sc.pairs.push_back(pair);
-    }
-    if (sc.pairs.empty()) return;  // cell stays !ok (counted below)
-
-    // The failure schedule: `fraction` of the nodes dies across
-    // `waves_per_stream` waves spread over the stream's injection span,
-    // never touching the stream endpoints.
-    sc.waves = spread_failure_waves(
-        net.graph(), sc.pairs, fraction, waves_per_stream,
-        static_cast<double>(packets) * packet_interval, rng);
-
-    StreamSim sim(std::move(net), std::move(sc));
-    cell.stats = sim.run();
-    cell.ok = true;
-    for (const WaveRecord& record : cell.stats.waves) {
-      if (record.verified && !record.matches_full_recompute) {
-        cell.relabel_ok = false;
-      }
-    }
-  };
-
-  for_each_cell(opts.threads, cells.size(), run_one);
-
-  // Per-fraction reduction in cell order — deterministic regardless of
-  // which worker ran which cell.
-  const auto scheme_specs = SweepConfig::paper_schemes();
-  std::vector<std::vector<StreamSchemeStats>> merged(fractions.size());
-  std::vector<std::size_t> wave_flips(fractions.size(), 0);
-  std::vector<std::size_t> wave_reevals(fractions.size(), 0);
-  std::vector<std::size_t> wave_casualties(fractions.size(), 0);
-  std::size_t skipped_cells = 0;
-  bool relabel_ok = true;
-  for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-    merged[fi].resize(scheme_specs.size());
-    for (std::size_t k = 0; k < scheme_specs.size(); ++k) {
-      merged[fi][k].label = scheme_specs[k].display_label();
-    }
-    for (int ni = 0; ni < networks; ++ni) {
-      const StreamCell& cell =
-          cells[fi * static_cast<std::size_t>(networks) +
-                static_cast<std::size_t>(ni)];
-      if (!cell.ok) {
-        ++skipped_cells;
-        continue;
-      }
-      relabel_ok &= cell.relabel_ok;
-      for (std::size_t k = 0; k < cell.stats.schemes.size() &&
-                              k < merged[fi].size();
-           ++k) {
-        merge_stream_scheme(merged[fi][k], cell.stats.schemes[k]);
-      }
-      for (const WaveRecord& record : cell.stats.waves) {
-        wave_flips[fi] += record.relabel.flips;
-        wave_reevals[fi] += record.relabel.reevaluations;
-        wave_casualties[fi] += record.casualties;
-      }
-    }
-  }
-  if (skipped_cells == cells.size()) {
-    report.textf("no routable stream endpoints in any cell\n");
-    report.aborted = true;
+  StreamGrid grid(nodes, networks, packets, base_seed);
+  if (!grid.run(opts.threads, fractions.size(), 0x57bea, schedule, report)) {
     return 1;
   }
 
-  // Console table: one row per failure fraction.
-  std::vector<std::string> header{"fail%"};
-  for (const auto& spec : scheme_specs) {
-    header.push_back(spec.display_label() + " deliv");
-  }
-  header.push_back("SLGF2 hops");
-  header.push_back("SLGF2 stretch");
-  header.push_back("relabel flips");
-  Table table(std::move(header));
+  // Console table: one row per failure percentage.
+  std::vector<double> percents;
+  for (double f : fractions) percents.push_back(100.0 * f);
+  Table table(grid.columns({"fail%"}, {"SLGF2 hops", "SLGF2 stretch",
+                                        "relabel flips"}));
   for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-    std::vector<std::string> row{Table::fmt(100.0 * fractions[fi], 0)};
-    for (std::size_t k = 0; k < merged[fi].size(); ++k) {
-      row.push_back(Table::fmt(merged[fi][k].delivery_ratio()));
-    }
-    const StreamSchemeStats& slgf2 = merged[fi].back();
-    row.push_back(Table::fmt(slgf2.hops.empty() ? 0.0 : slgf2.hops.mean()));
-    row.push_back(Table::fmt(
-        slgf2.stretch_hops.empty() ? 0.0 : slgf2.stretch_hops.mean()));
-    row.push_back(std::to_string(wave_flips[fi]));
-    table.add_row(std::move(row));
+    const StreamPoint& point = grid.points()[fi];
+    const StreamSchemeStats& slgf2 = point.schemes.back();
+    table.add_row(grid.row(fi, {Table::fmt(percents[fi], 0)},
+                           {Table::fmt(stream_hops(slgf2)),
+                            Table::fmt(stream_stretch(slgf2)),
+                            std::to_string(point.flips)}));
   }
   report.add_table(std::move(table));
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "incremental relabeling matched a from-scratch "
-                "compute_safety at every wave: %s",
-                relabel_ok ? "yes" : "NO");
-  report.note(buf);
-  std::snprintf(buf, sizeof(buf),
-                "sweep section x axis is the failure percentage (every "
-                "network has %d nodes)",
-                nodes);
-  report.note(buf);
-  if (skipped_cells > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "%zu of %zu stream cells had no routable endpoints and "
-                  "were skipped",
-                  skipped_cells, cells.size());
-    report.note(buf);
-  }
+  grid.add_notes(report, "relabeling", "wave",
+                 "sweep section x axis is the failure percentage (every "
+                 "network has " + std::to_string(nodes) + " nodes)");
 
-  // Plot curves: per-scheme series over the failure fraction.
-  struct CurveSpec {
-    const char* title;
-    const char* y_label;
-    std::function<double(const StreamSchemeStats&)> metric;
-  };
-  const CurveSpec curve_specs[] = {
-      {"streaming-delivery — delivery ratio", "delivery ratio",
-       [](const StreamSchemeStats& s) { return s.delivery_ratio(); }},
-      {"streaming-delivery — avg hops (delivered)", "hops",
-       [](const StreamSchemeStats& s) {
-         return s.hops.empty() ? 0.0 : s.hops.mean();
-       }},
-      {"streaming-delivery — hop stretch vs injection-time optimum",
-       "stretch",
-       [](const StreamSchemeStats& s) {
-         return s.stretch_hops.empty() ? 0.0 : s.stretch_hops.mean();
-       }},
-  };
-  for (const CurveSpec& spec : curve_specs) {
-    ReportCurve curve;
-    curve.title = spec.title;
-    curve.x_label = "failed %";
-    curve.y_label = spec.y_label;
-    for (std::size_t k = 0; k < scheme_specs.size(); ++k) {
-      ReportSeries series;
-      series.label = scheme_specs[k].display_label();
-      for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-        series.points.emplace_back(100.0 * fractions[fi],
-                                   spec.metric(merged[fi][k]));
-      }
-      curve.series.push_back(std::move(series));
-    }
-    report.curves.push_back(std::move(curve));
-  }
+  // Plot curves: per-scheme series over the failure percentage; the sweep
+  // section keys its points by that percentage.
+  grid.add_curve(report, "streaming-delivery — delivery ratio", "failed %",
+                 "delivery ratio", 0, percents, stream_delivery);
+  grid.add_curve(report, "streaming-delivery — avg hops (delivered)",
+                 "failed %", "hops", 0, percents, stream_hops);
+  grid.add_curve(report,
+                 "streaming-delivery — hop stretch vs injection-time optimum",
+                 "failed %", "stretch", 0, percents, stream_stretch);
+  grid.add_section(report, 0, fractions, 100.0);
 
-  // Sweep section so the JSON report carries the standard "models" shape:
-  // one point per failure percent, per-scheme RouteAggregates built from
-  // the stream totals. The point key doubles as the x axis, so here
-  // "nodes" carries the failure *percentage*, not a node count — the
-  // sweep_section_x_axis param and a console note flag the
-  // reinterpretation for consumers of the shared shape.
-  // wall_seconds/threads stay 0 by design — the report must be
-  // byte-identical across reruns and thread counts.
-  SweepSection section;
-  section.model = DeployModel::kForbiddenAreas;
-  section.networks_per_point = networks;
-  section.pairs_per_network = packets;
-  section.base_seed = base_seed;
-  section.threads = 0;
-  section.wall_seconds = 0.0;
-  for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-    SweepPoint point;
-    point.node_count = static_cast<int>(100.0 * fractions[fi] + 0.5);
-    for (const StreamSchemeStats& s : merged[fi]) {
-      point.by_scheme.emplace(s.label, stream_scheme_aggregate(s));
-    }
-    section.points.push_back(std::move(point));
-  }
-  report.sweeps.push_back(std::move(section));
-
-  // Machine-readable params: config identity plus the full per-cell
-  // stream stats through the typed serializer (report/serialize.h).
+  // Machine-readable params: config identity, per-fraction relabeling cost
+  // (summed over waves and streams, aligned with failure_fractions) and
+  // every cell's stream stats.
   report.param("nodes", JsonValue::of(nodes));
   report.param("networks_per_fraction", JsonValue::of(networks));
   report.param("packets_per_stream", JsonValue::of(packets));
   report.param("waves_per_stream", JsonValue::of(waves_per_stream));
   report.param("base_seed", JsonValue::of(base_seed));
   report.param("sweep_section_x_axis", JsonValue::of("failure_percent"));
-  report.param("relabel_matches_full_recompute", JsonValue::of(relabel_ok));
-  JsonValue fractions_json = JsonValue::array();
-  for (double f : fractions) fractions_json.push(JsonValue::of(f));
-  report.param("failure_fractions", std::move(fractions_json));
-  // Per-fraction incremental-relabeling cost (summed over waves/streams),
-  // aligned with failure_fractions.
-  JsonValue casualties_json = JsonValue::array();
-  JsonValue flips_json = JsonValue::array();
-  JsonValue reevals_json = JsonValue::array();
-  for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-    casualties_json.push(
-        JsonValue::of(static_cast<std::uint64_t>(wave_casualties[fi])));
-    flips_json.push(JsonValue::of(static_cast<std::uint64_t>(wave_flips[fi])));
-    reevals_json.push(
-        JsonValue::of(static_cast<std::uint64_t>(wave_reevals[fi])));
-  }
-  report.param("wave_casualties", std::move(casualties_json));
-  report.param("relabel_flips", std::move(flips_json));
-  report.param("relabel_reevaluations", std::move(reevals_json));
-  JsonValue streams = JsonValue::array();
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    if (!cells[ci].ok) continue;
-    JsonValue entry = JsonValue::object();
-    entry.set("fraction",
-              JsonValue::of(
-                  fractions[ci / static_cast<std::size_t>(networks)]));
-    entry.set("net",
-              JsonValue::of(static_cast<int>(
-                  ci % static_cast<std::size_t>(networks))));
-    entry.set("stats", stream_stats_json(cells[ci].stats));
-    streams.push(std::move(entry));
-  }
-  report.param("streams", std::move(streams));
-
-  return relabel_ok ? 0 : 1;
+  report.param("relabel_matches_full_recompute",
+               JsonValue::of(grid.relabel_ok()));
+  report.param("failure_fractions", number_array(fractions));
+  report.param("wave_casualties", grid.counters(&StreamPoint::casualties));
+  report.param("relabel_flips", grid.counters(&StreamPoint::flips));
+  report.param("relabel_reevaluations",
+               grid.counters(&StreamPoint::reevaluations));
+  report.param("streams",
+               grid.streams([&](std::size_t fi, JsonValue& entry) {
+                 entry.set("fraction", JsonValue::of(fractions[fi]));
+               }));
+  return grid.relabel_ok() ? 0 : 1;
 }
 
 /// Mobility rate: long-lived packet streams while every node follows a
@@ -956,11 +1026,6 @@ int run_streaming_delivery(const ScenarioOptions& opts,
 /// the edge delta, bidirectional safety update — removals demote,
 /// additions promote) and is cross-checked against a from-scratch
 /// compute_safety (StreamConfig::verify_relabeling).
-///
-/// The report is a pure function of (options, seeds): no wall-clock or
-/// thread-count values are recorded, so the JSON/CSV artifacts are
-/// byte-identical across reruns and across SPR_THREADS (tests enforce
-/// this).
 int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
   const int networks = opts.networks > 0 ? opts.networks : 2;
   const int packets = opts.pairs > 0 ? opts.pairs : 30;
@@ -968,279 +1033,101 @@ int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
   const int nodes = 500;
   const std::vector<double> intervals = {4.0, 8.0};  // re-pin period, s
   const std::vector<double> speeds = {0.5, 1.5, 3.0};  // max m/s
-  const double packet_interval = 1.0;
-  const double hop_delay = 0.2;
 
   report.textf("== Mobility rate: %d-node FA networks, %d streams x %d "
                "packets per cell, re-pin interval x speed sweep with "
                "incremental relabeling ==\n\n",
                nodes, networks, packets);
 
-  struct MobilityCell {
-    bool ok = false;         ///< produced traffic
-    bool relabel_ok = true;  ///< every re-pin matched the fresh fixpoint
-    StreamStats stats;
-  };
-  const std::size_t grid = intervals.size() * speeds.size();
-  std::vector<MobilityCell> cells(grid * static_cast<std::size_t>(networks));
-
-  auto run_one = [&](std::size_t ci) {
-    const std::size_t gi = ci / static_cast<std::size_t>(networks);
+  // Point gi is (intervals[gi / speeds.size()], speeds[gi % speeds.size()]).
+  const auto motion = [&](std::size_t gi, const Network&, Rng&,
+                          StreamConfig& stream) {
     const double interval = intervals[gi / speeds.size()];
     const double speed = speeds[gi % speeds.size()];
-    MobilityCell& cell = cells[ci];
-
-    NetworkConfig nc;
-    nc.deployment.node_count = nodes;
-    nc.deployment.model = DeployModel::kForbiddenAreas;
-    nc.seed = base_seed ^ ((ci + 1) * 0x9E3779B97F4A7C15ULL);
-    Network net = Network::create(nc);
-
-    Rng rng(nc.seed ^ 0x30b1);
-    StreamConfig sc;
-    sc.packets = packets;
-    sc.packet_interval = packet_interval;
-    sc.hop_delay = hop_delay;
-    sc.seed = nc.seed;
-    sc.verify_relabeling = true;
-    sc.mobility_interval = interval;
-    sc.mobility_dt = interval;  // virtual and waypoint time advance in step
-    sc.waypoint.max_speed_mps = speed;
-    sc.waypoint.min_speed_mps = speed * 0.25;
-    sc.waypoint.pause_s = 2.0;
-    for (int t = 0; t < 4; ++t) {
-      auto pair = net.random_connected_interior_pair(rng);
-      if (pair.first != kInvalidNode) sc.pairs.push_back(pair);
-    }
-    if (sc.pairs.empty()) return;  // cell stays !ok (counted below)
-
-    StreamSim sim(std::move(net), std::move(sc));
-    cell.stats = sim.run();
-    cell.ok = true;
-    for (const RepinRecord& record : cell.stats.repin_records) {
-      if (record.verified && !record.matches_full_recompute) {
-        cell.relabel_ok = false;
-      }
-    }
+    stream.mobility_interval = interval;
+    stream.mobility_dt = interval;  // virtual and waypoint time advance in step
+    stream.waypoint.max_speed_mps = speed;
+    stream.waypoint.min_speed_mps = speed * 0.25;
+    stream.waypoint.pause_s = 2.0;
   };
-
-  for_each_cell(opts.threads, cells.size(), run_one);
-
-  // Per-(interval, speed) reduction in cell order — deterministic
-  // regardless of which worker ran which cell.
-  const auto scheme_specs = SweepConfig::paper_schemes();
-  struct GridPoint {
-    std::vector<StreamSchemeStats> schemes;
-    std::size_t repins = 0;
-    std::size_t moved = 0;
-    std::size_t edges_added = 0;
-    std::size_t edges_removed = 0;
-    std::size_t promotions = 0;
-    std::size_t demotions = 0;
-    std::size_t reevaluations = 0;
-    std::size_t arena_high_water = 0;  ///< max over the point's re-pins
-  };
-  std::vector<GridPoint> merged(grid);
-  std::size_t skipped_cells = 0;
-  bool relabel_ok = true;
-  for (std::size_t gi = 0; gi < grid; ++gi) {
-    merged[gi].schemes.resize(scheme_specs.size());
-    for (std::size_t k = 0; k < scheme_specs.size(); ++k) {
-      merged[gi].schemes[k].label = scheme_specs[k].display_label();
-    }
-    for (int ni = 0; ni < networks; ++ni) {
-      const MobilityCell& cell =
-          cells[gi * static_cast<std::size_t>(networks) +
-                static_cast<std::size_t>(ni)];
-      if (!cell.ok) {
-        ++skipped_cells;
-        continue;
-      }
-      relabel_ok &= cell.relabel_ok;
-      for (std::size_t k = 0; k < cell.stats.schemes.size() &&
-                              k < merged[gi].schemes.size();
-           ++k) {
-        merge_stream_scheme(merged[gi].schemes[k], cell.stats.schemes[k]);
-      }
-      merged[gi].repins += cell.stats.repins;
-      for (const RepinRecord& record : cell.stats.repin_records) {
-        merged[gi].moved += record.moved;
-        merged[gi].edges_added += record.edges_added;
-        merged[gi].edges_removed += record.edges_removed;
-        merged[gi].promotions += record.relabel.promotions;
-        merged[gi].demotions += record.relabel.flips;
-        merged[gi].reevaluations += record.relabel.reevaluations;
-        merged[gi].arena_high_water = std::max(
-            merged[gi].arena_high_water, record.relabel.arena_high_water);
-      }
-    }
-  }
-  if (skipped_cells == cells.size()) {
-    report.textf("no routable stream endpoints in any cell\n");
-    report.aborted = true;
+  StreamGrid grid(nodes, networks, packets, base_seed);
+  if (!grid.run(opts.threads, intervals.size() * speeds.size(), 0x30b1,
+                motion, report)) {
     return 1;
   }
 
   // Console table: one row per (interval, speed) grid point.
-  std::vector<std::string> header{"repin s", "speed m/s"};
-  for (const auto& spec : scheme_specs) {
-    header.push_back(spec.display_label() + " deliv");
-  }
-  header.push_back("SLGF2 stretch");
-  header.push_back("repins");
-  header.push_back("promoted");
-  header.push_back("demoted");
-  Table table(std::move(header));
-  for (std::size_t gi = 0; gi < grid; ++gi) {
-    std::vector<std::string> row{
-        Table::fmt(intervals[gi / speeds.size()], 0),
-        Table::fmt(speeds[gi % speeds.size()], 1)};
-    for (const auto& s : merged[gi].schemes) {
-      row.push_back(Table::fmt(s.delivery_ratio()));
-    }
-    const StreamSchemeStats& slgf2 = merged[gi].schemes.back();
-    row.push_back(Table::fmt(
-        slgf2.stretch_hops.empty() ? 0.0 : slgf2.stretch_hops.mean()));
-    row.push_back(std::to_string(merged[gi].repins));
-    row.push_back(std::to_string(merged[gi].promotions));
-    row.push_back(std::to_string(merged[gi].demotions));
-    table.add_row(std::move(row));
+  Table table(grid.columns({"repin s", "speed m/s"},
+                           {"SLGF2 stretch", "repins", "promoted", "demoted"}));
+  for (std::size_t gi = 0; gi < grid.points().size(); ++gi) {
+    const StreamPoint& point = grid.points()[gi];
+    table.add_row(grid.row(gi,
+                           {Table::fmt(intervals[gi / speeds.size()], 0),
+                            Table::fmt(speeds[gi % speeds.size()], 1)},
+                           {Table::fmt(stream_stretch(point.schemes.back())),
+                            std::to_string(point.repins),
+                            std::to_string(point.promotions),
+                            std::to_string(point.flips)}));
   }
   report.add_table(std::move(table));
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "incremental with_moves relabeling matched a from-scratch "
-                "compute_safety at every re-pin: %s",
-                relabel_ok ? "yes" : "NO");
-  report.note(buf);
-  std::snprintf(buf, sizeof(buf),
-                "sweep section x axis is the max waypoint speed in 0.1 m/s "
-                "units (every network has %d nodes); one section per "
-                "re-pin interval, in interval order",
-                nodes);
-  report.note(buf);
-  if (skipped_cells > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "%zu of %zu stream cells had no routable endpoints and "
-                  "were skipped",
-                  skipped_cells, cells.size());
-    report.note(buf);
-  }
+  grid.add_notes(report, "with_moves relabeling", "re-pin",
+                 "sweep section x axis is the max waypoint speed in 0.1 m/s "
+                 "units (every network has " + std::to_string(nodes) +
+                     " nodes); one section per re-pin interval, in interval "
+                     "order");
 
-  // Plot curves: per-scheme series over speed, one curve per interval.
-  struct CurveSpec {
-    const char* title;
-    const char* y_label;
-    std::function<double(const StreamSchemeStats&)> metric;
-  };
-  const CurveSpec curve_specs[] = {
-      {"delivery ratio", "delivery ratio",
-       [](const StreamSchemeStats& s) { return s.delivery_ratio(); }},
-      {"hop stretch vs injection-time optimum", "stretch",
-       [](const StreamSchemeStats& s) {
-         return s.stretch_hops.empty() ? 0.0 : s.stretch_hops.mean();
-       }},
-  };
-  for (const CurveSpec& spec : curve_specs) {
+  // Plot curves: per-scheme series over speed, one curve per interval; and
+  // one sweep section per interval, keyed by the speed in 0.1 m/s units.
+  const auto speed_curves = [&](const char* what, const char* y_label,
+                                StreamMetric metric) {
     for (std::size_t ii = 0; ii < intervals.size(); ++ii) {
-      ReportCurve curve;
       char title[120];
       std::snprintf(title, sizeof(title), "mobility-rate — %s (repin %.0fs)",
-                    spec.title, intervals[ii]);
-      curve.title = title;
-      curve.x_label = "max speed (m/s)";
-      curve.y_label = spec.y_label;
-      for (std::size_t k = 0; k < scheme_specs.size(); ++k) {
-        ReportSeries series;
-        series.label = scheme_specs[k].display_label();
-        for (std::size_t si = 0; si < speeds.size(); ++si) {
-          series.points.emplace_back(
-              speeds[si], spec.metric(merged[ii * speeds.size() + si].schemes[k]));
-        }
-        curve.series.push_back(std::move(series));
-      }
-      report.curves.push_back(std::move(curve));
+                    what, intervals[ii]);
+      grid.add_curve(report, title, "max speed (m/s)", y_label,
+                     ii * speeds.size(), speeds, metric);
     }
-  }
-
-  // Sweep sections (the standard "models" JSON shape): one per re-pin
-  // interval, one point per speed. The point key carries the speed in
-  // 0.1 m/s units — flagged by the sweep_section_x_axis param and a
-  // console note. wall_seconds/threads stay 0 by design: the report must
-  // be byte-identical across reruns and thread counts.
+  };
+  speed_curves("delivery ratio", "delivery ratio", stream_delivery);
+  speed_curves("hop stretch vs injection-time optimum", "stretch",
+               stream_stretch);
   for (std::size_t ii = 0; ii < intervals.size(); ++ii) {
-    SweepSection section;
-    section.model = DeployModel::kForbiddenAreas;
-    section.networks_per_point = networks;
-    section.pairs_per_network = packets;
-    section.base_seed = base_seed;
-    section.threads = 0;
-    section.wall_seconds = 0.0;
-    for (std::size_t si = 0; si < speeds.size(); ++si) {
-      SweepPoint point;
-      point.node_count = static_cast<int>(10.0 * speeds[si] + 0.5);
-      for (const StreamSchemeStats& s :
-           merged[ii * speeds.size() + si].schemes) {
-        point.by_scheme.emplace(s.label, stream_scheme_aggregate(s));
-      }
-      section.points.push_back(std::move(point));
-    }
-    report.sweeps.push_back(std::move(section));
+    grid.add_section(report, ii * speeds.size(), speeds, 10.0);
   }
 
   // Machine-readable params: config identity, per-grid-point relabeling
-  // cost, and the full per-cell stream stats through the typed serializer.
+  // cost and every cell's stream stats.
   report.param("nodes", JsonValue::of(nodes));
   report.param("networks_per_cell", JsonValue::of(networks));
   report.param("packets_per_stream", JsonValue::of(packets));
   report.param("base_seed", JsonValue::of(base_seed));
   report.param("sweep_section_x_axis", JsonValue::of("max_speed_mps_x10"));
-  report.param("relabel_matches_full_recompute", JsonValue::of(relabel_ok));
-  JsonValue intervals_json = JsonValue::array();
-  for (double v : intervals) intervals_json.push(JsonValue::of(v));
-  report.param("repin_intervals", std::move(intervals_json));
-  JsonValue speeds_json = JsonValue::array();
-  for (double v : speeds) speeds_json.push(JsonValue::of(v));
-  report.param("max_speeds", std::move(speeds_json));
-  auto size_array = [&](auto member) {
-    JsonValue out = JsonValue::array();
-    for (const GridPoint& point : merged) {
-      out.push(JsonValue::of(static_cast<std::uint64_t>(point.*member)));
-    }
-    return out;
-  };
-  report.param("repins", size_array(&GridPoint::repins));
-  report.param("moved_nodes", size_array(&GridPoint::moved));
-  report.param("edges_added", size_array(&GridPoint::edges_added));
-  report.param("edges_removed", size_array(&GridPoint::edges_removed));
-  report.param("relabel_promotions", size_array(&GridPoint::promotions));
-  report.param("relabel_demotions", size_array(&GridPoint::demotions));
+  report.param("relabel_matches_full_recompute",
+               JsonValue::of(grid.relabel_ok()));
+  report.param("repin_intervals", number_array(intervals));
+  report.param("max_speeds", number_array(speeds));
+  report.param("repins", grid.counters(&StreamPoint::repins));
+  report.param("moved_nodes", grid.counters(&StreamPoint::moved));
+  report.param("edges_added", grid.counters(&StreamPoint::edges_added));
+  report.param("edges_removed", grid.counters(&StreamPoint::edges_removed));
+  report.param("relabel_promotions", grid.counters(&StreamPoint::promotions));
+  report.param("relabel_demotions", grid.counters(&StreamPoint::flips));
   report.param("relabel_reevaluations",
-               size_array(&GridPoint::reevaluations));
+               grid.counters(&StreamPoint::reevaluations));
   // Per-update peak (max-aggregated, so the value is thread-invariant):
   // the retained-block size after which re-pin relabeling stops touching
   // the general heap.
   report.param("relabel_arena_high_water",
-               size_array(&GridPoint::arena_high_water));
-  JsonValue streams = JsonValue::array();
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    if (!cells[ci].ok) continue;
-    const std::size_t gi = ci / static_cast<std::size_t>(networks);
-    JsonValue entry = JsonValue::object();
-    entry.set("repin_interval",
-              JsonValue::of(intervals[gi / speeds.size()]));
-    entry.set("max_speed", JsonValue::of(speeds[gi % speeds.size()]));
-    entry.set("net",
-              JsonValue::of(static_cast<int>(
-                  ci % static_cast<std::size_t>(networks))));
-    entry.set("stats", stream_stats_json(cells[ci].stats));
-    streams.push(std::move(entry));
-  }
-  report.param("streams", std::move(streams));
-
-  return relabel_ok ? 0 : 1;
+               grid.counters(&StreamPoint::arena_high_water));
+  report.param("streams",
+               grid.streams([&](std::size_t gi, JsonValue& entry) {
+                 entry.set("repin_interval",
+                           JsonValue::of(intervals[gi / speeds.size()]));
+                 entry.set("max_speed",
+                           JsonValue::of(speeds[gi % speeds.size()]));
+               }));
+  return grid.relabel_ok() ? 0 : 1;
 }
-
 
 /// Spatial-tile scaling: one scaled constant-degree FA deployment labeled
 /// through every tile grid x thread count, with a failure wave and a
@@ -1249,9 +1136,18 @@ int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
 /// and the 1x1 run to the monolithic compute_safety) and reporting the
 /// tiles x threads timing curve. `--networks K` scales the field to
 /// K*1000 nodes (default 10, i.e. 10^4; the million-node datapoint is
-/// `--networks 1000`).
+/// `--networks 1000`; a count past `int` is rejected with exit 2).
 int run_tile_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
-  const int nodes = (opts.networks > 0 ? opts.networks : 10) * 1000;
+  const std::int64_t requested =
+      std::int64_t{opts.networks > 0 ? opts.networks : 10} * 1000;
+  if (requested > std::numeric_limits<int>::max()) {
+    report.textf("tile-scaling: %lld nodes is more than a field holds (%d)\n",
+                 static_cast<long long>(requested),
+                 std::numeric_limits<int>::max());
+    report.aborted = true;
+    return 2;
+  }
+  const int nodes = static_cast<int>(requested);
   const std::uint64_t seed = opts.seed != 0 ? opts.seed : 2009;
   const int hardware = TaskPool::hardware_threads();
   const int parallel_threads = opts.threads > 1 ? opts.threads : hardware;
@@ -1549,7 +1445,7 @@ std::vector<std::unique_ptr<ReportSink>> make_sinks(
     return std::find(formats.begin(), formats.end(), f) != formats.end();
   };
   // An empty list means console; an explicit output path enables its sink
-  // either way (SPR_JSON / --json predate --format and keep working).
+  // either way (--json, --csv and --svg predate --format and keep working).
   if (formats.empty()) formats.push_back(ReportFormat::kConsole);
   if (!options.json_path.empty() && !enabled(ReportFormat::kJson)) {
     formats.push_back(ReportFormat::kJson);

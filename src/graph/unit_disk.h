@@ -43,7 +43,7 @@ bool edge_diff_normalized(const EdgeDiff& diff);
 ///
 /// Neighbor lists are stored in CSR form and sorted by node id. The optional
 /// `alive` mask models failed nodes: dead nodes keep their position but have
-/// no incident edges (used by the failure-dynamics example and tests).
+/// no incident edges (used by the failure-dynamics scenario and tests).
 ///
 /// Construction can be parallelized by passing a `build_pool`: the per-node
 /// radius queries fan out over the pool and the sorted per-node lists merge

@@ -22,6 +22,9 @@ JsonValue summary_stats(const Summary& s) {
   return v;
 }
 
+namespace {
+
+/// The per-aggregate report shape (delivery ratio + stats summaries).
 void aggregate_stats_to_json(JsonWriter& w, const RouteAggregate& agg) {
   w.begin_object();
   w.key("requested").value(agg.requested);
@@ -45,6 +48,8 @@ void aggregate_stats_to_json(JsonWriter& w, const RouteAggregate& agg) {
   summary_stats(agg.local_minima).write(w);
   w.end_object();
 }
+
+}  // namespace
 
 void sweep_section_to_json(JsonWriter& w, const SweepSection& section) {
   w.begin_object();

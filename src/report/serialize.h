@@ -3,7 +3,7 @@
 /// \file serialize.h
 /// JSON round-trip for the sweep result model. Two forms coexist:
 ///
-/// - *Stats* form (`summary_stats` / `aggregate_stats_to_json`): the
+/// - *Stats* form (`summary_stats` / `sweep_section_to_json`): the
 ///   compact derived-moments shape the scenario reports have always
 ///   emitted (count/mean/min/max/stddev). Lossy — for human and dashboard
 ///   consumption.
@@ -45,8 +45,6 @@ namespace spr {
 // ------------------------------------------------------------ stats form
 /// {count, mean, min, max, stddev} — the report shape.
 JsonValue summary_stats(const Summary& s);
-/// The per-aggregate report shape (delivery ratio + stats summaries).
-void aggregate_stats_to_json(JsonWriter& w, const RouteAggregate& agg);
 /// One sweep section in the report shape (the "models" array element).
 void sweep_section_to_json(JsonWriter& w, const SweepSection& section);
 

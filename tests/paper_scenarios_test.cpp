@@ -11,7 +11,6 @@
 #include "core/network.h"
 #include "geometry/segment.h"
 #include "graph/graph_algos.h"
-#include "routing/trace.h"
 #include "safety/regions.h"
 #include "test_helpers.h"
 
@@ -89,11 +88,19 @@ TEST_F(BlockedFieldScenario, TraceShowsSingleDetourEpisode) {
   auto slgf2 = net_->make_router(Scheme::kSlgf2);
   PathResult r = slgf2->route(s_, d_);
   ASSERT_TRUE(r.delivered());
-  RouteTrace trace(net_->graph(), r, d_);
   // One void, one detour around it (allowing one extra micro-episode for
-  // the re-approach).
-  EXPECT_LE(trace.detours().size(), 2u);
-  EXPECT_GT(trace.straightness(), 0.4);
+  // the re-approach): at most two maximal runs of non-greedy hops.
+  std::size_t detours = 0;
+  for (std::size_t i = 0; i < r.hop_phases.size(); ++i) {
+    if (r.hop_phases[i] != HopPhase::kGreedy &&
+        (i == 0 || r.hop_phases[i - 1] == HopPhase::kGreedy)) {
+      ++detours;
+    }
+  }
+  EXPECT_LE(detours, 2u);
+  // Straightness: straight-line distance over the routed length.
+  const Vec2 s = net_->graph().position(s_), d = net_->graph().position(d_);
+  EXPECT_GT(distance(s, d) / r.length, 0.4);
 }
 
 /// Fig. 4(a-c): when source and destination are both safe and no unsafe

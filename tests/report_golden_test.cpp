@@ -4,9 +4,11 @@
 /// ScenarioReport refactor. The golden strings below are verbatim captures
 /// of the pre-refactor binaries at fixed seeds (the options each test
 /// sets); the delivery, stretch and construction-cost goldens are captures
-/// of the standalone experiment mains those scenarios replaced. Any drift
-/// in the console stream — a changed format string, a reordered block, a
-/// lost table — fails here.
+/// of the standalone experiment mains those scenarios replaced; the
+/// streaming-delivery and mobility-rate goldens capture those two
+/// scenarios at the JSON digests' sizes, before both moved onto one stream
+/// grid. Any drift in the console stream — a changed format string, a
+/// reordered block, a lost table — fails here.
 ///
 /// The goldens replay sweeps at tiny sizes; each test runs in well under a
 /// second. The JsonGolden tests pin the JSON stats form the same way, as
@@ -272,6 +274,47 @@ nodes  rounds  broadcasts  bcast/node  receptions  naive bcast  saving
 
 broadcasts stay near one per node: only nodes whose status or
 anchors change rebroadcast, matching the minimality claim.
+)GOLD";
+  EXPECT_EQ(captured, expected);
+}
+
+TEST(ConsoleGolden, StreamingDelivery) {
+  ScenarioOptions opts;
+  opts.networks = 1; opts.pairs = 6; opts.threads = 1;
+  std::string captured;
+  ASSERT_EQ(run_capturing("streaming-delivery", opts, captured), 0);
+  const std::string expected = R"GOLD(== Streaming delivery: 600-node FA networks, 1 streams x 6 packets per failure fraction, 4 mid-stream failure waves ==
+
+fail%  GF deliv  LGF deliv  SLGF deliv  SLGF2 deliv  SLGF2 hops  SLGF2 stretch  relabel flips
+---------------------------------------------------------------------------------------------
+    0      1.00       1.00        1.00         1.00        6.17           1.15              0
+    5      1.00       1.00        1.00         1.00        5.33           1.25              5
+   10      1.00       0.83        1.00         1.00        8.00           1.09             17
+   20      1.00       0.83        0.83         1.00        6.33           1.15             72
+   30      1.00       1.00        1.00         1.00        6.83           1.41             33
+incremental relabeling matched a from-scratch compute_safety at every wave: yes
+sweep section x axis is the failure percentage (every network has 600 nodes)
+)GOLD";
+  EXPECT_EQ(captured, expected);
+}
+
+TEST(ConsoleGolden, MobilityRate) {
+  ScenarioOptions opts;
+  opts.networks = 1; opts.pairs = 6; opts.threads = 1;
+  std::string captured;
+  ASSERT_EQ(run_capturing("mobility-rate", opts, captured), 0);
+  const std::string expected = R"GOLD(== Mobility rate: 500-node FA networks, 1 streams x 6 packets per cell, re-pin interval x speed sweep with incremental relabeling ==
+
+repin s  speed m/s  GF deliv  LGF deliv  SLGF deliv  SLGF2 deliv  SLGF2 stretch  repins  promoted  demoted
+----------------------------------------------------------------------------------------------------------
+      4        0.5      1.00       1.00        1.00         1.00           1.21       2       106      106
+      4        1.5      1.00       1.00        1.00         1.00           1.00       2       111      123
+      4        3.0      1.00       1.00        1.00         1.00           1.19       2       221      142
+      8        0.5      1.00       1.00        1.00         1.00           1.50       1        76       80
+      8        1.5      1.00       1.00        1.00         1.00           1.36       1       116       90
+      8        3.0      1.00       1.00        1.00         1.00           1.12       1        73       38
+incremental with_moves relabeling matched a from-scratch compute_safety at every re-pin: yes
+sweep section x axis is the max waypoint speed in 0.1 m/s units (every network has 500 nodes); one section per re-pin interval, in interval order
 )GOLD";
   EXPECT_EQ(captured, expected);
 }

@@ -546,8 +546,8 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
 }
 
 /// The streaming-delivery scenario's JSON report is byte-identical across
-/// reruns and across thread counts (the acceptance criterion behind
-/// SPR_SEED determinism).
+/// reruns and across thread counts: it is a pure function of the options
+/// and the seed.
 TEST(StreamingDeliveryScenario, JsonReportIdenticalSerialVsThreaded) {
   auto render = [](int threads) {
     ScenarioOptions opts;

@@ -396,27 +396,36 @@ int cmd_merge(int argc, const char* const* argv) {
     slices.push_back(std::move(slice));
   }
 
-  // Header identity, kept before the slices move into the merge.
+  // The merged report: a console line and table, plus the sweep section
+  // the JSON sink writes when --json is given. Header identity is read
+  // before the slices move into the merge.
+  ScenarioReport report;
+  report.scenario = "merge";
+  report.param("shards", JsonValue::of(static_cast<std::uint64_t>(
+                             flags.positional().size())));
+  SweepSection& section = report.sweeps.emplace_back();
   const std::string model_tag = slices.front().model_tag;
+  if (!deploy_model_from_tag(model_tag, section.model)) {
+    section.model = DeployModel::kIdeal;
+  }
+  section.networks_per_point = slices.front().networks_per_point;
+  section.pairs_per_network = slices.front().pairs_per_network;
+  section.base_seed = slices.front().base_seed;
   const std::vector<std::string> scheme_labels = slices.front().scheme_labels;
-  const int networks_per_point = slices.front().networks_per_point;
-  const int pairs_per_network = slices.front().pairs_per_network;
-  const std::uint64_t base_seed = slices.front().base_seed;
 
-  std::vector<SweepPoint> points;
   std::string error;
-  if (!merge_slices(std::move(slices), points, &error)) {
+  if (!merge_slices(std::move(slices), section.points, &error)) {
     std::fprintf(stderr, "merge failed: %s\n", error.c_str());
     return 1;
   }
 
-  std::printf("merged %zu slice file(s): %s model, %d networks x %d pairs "
-              "per point, seed %llu\n",
-              flags.positional().size(), model_tag.c_str(),
-              networks_per_point, pairs_per_network,
-              static_cast<unsigned long long>(base_seed));
+  report.textf("merged %zu slice file(s): %s model, %d networks x %d pairs "
+               "per point, seed %llu\n",
+               flags.positional().size(), model_tag.c_str(),
+               section.networks_per_point, section.pairs_per_network,
+               static_cast<unsigned long long>(section.base_seed));
   Table table({"nodes", "scheme", "avg hops", "max hops", "delivery"});
-  for (const auto& point : points) {
+  for (const auto& point : section.points) {
     for (const auto& label : scheme_labels) {
       const auto& agg = point.by_scheme.at(label);
       table.add_row({std::to_string(point.node_count), label,
@@ -425,30 +434,12 @@ int cmd_merge(int argc, const char* const* argv) {
                      Table::fmt(agg.delivery_ratio())});
     }
   }
-  std::fputs(table.render().c_str(), stdout);
+  report.add_table(std::move(table));
 
-  if (!json_path.empty()) {
-    SweepSection section;
-    if (!deploy_model_from_tag(model_tag, section.model)) {
-      section.model = DeployModel::kIdeal;
-    }
-    section.networks_per_point = networks_per_point;
-    section.pairs_per_network = pairs_per_network;
-    section.base_seed = base_seed;
-    section.points = points;
-    JsonWriter w;
-    w.begin_object();
-    w.key("scenario").value("merge");
-    w.key("shards").value(
-        static_cast<std::uint64_t>(flags.positional().size()));
-    w.key("models").begin_array();
-    sweep_section_to_json(w, section);
-    w.end_array();
-    w.end_object();
-    if (!w.write_file(json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
+  ConsoleSink().emit(report);
+  if (!json_path.empty() && !JsonSink(json_path).emit(report)) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    return 1;
   }
   return 0;
 }
