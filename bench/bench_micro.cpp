@@ -68,7 +68,7 @@ void BM_GabrielOverlay(benchmark::State& state) {
                                    DeployModel::kIdeal);
   UnitDiskGraph g(dep.positions, dep.radio_range, dep.field);
   for (auto _ : state) {
-    PlanarOverlay overlay(g, PlanarOverlay::Kind::kGabriel);
+    PlanarOverlay overlay(g);
     benchmark::DoNotOptimize(overlay.edge_count());
   }
 }

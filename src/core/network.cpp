@@ -125,8 +125,7 @@ const SafetyInfo& Network::safety() const {
 
 const PlanarOverlay& Network::overlay() const {
   std::call_once(lazy_->overlay_once, [this] {
-    lazy_->overlay =
-        std::make_unique<PlanarOverlay>(*graph_, PlanarOverlay::Kind::kGabriel);
+    lazy_->overlay = std::make_unique<PlanarOverlay>(*graph_);
     lazy_->overlay_built.store(true, std::memory_order_release);
   });
   return *lazy_->overlay;

@@ -24,31 +24,13 @@ bool gabriel_keeps_edge(const UnitDiskGraph& g, NodeId u, NodeId v) {
   return true;
 }
 
-bool rng_keeps_edge(const UnitDiskGraph& g, NodeId u, NodeId v) {
-  Vec2 pu = g.position(u), pv = g.position(v);
-  double d_uv = distance(pu, pv);
-  for (NodeId w : g.neighbors(u)) {
-    if (w == v) continue;
-    Vec2 pw = g.position(w);
-    if (std::max(distance(pu, pw), distance(pv, pw)) < d_uv - 1e-12) return false;
-  }
-  for (NodeId w : g.neighbors(v)) {
-    if (w == u) continue;
-    Vec2 pw = g.position(w);
-    if (std::max(distance(pu, pw), distance(pv, pw)) < d_uv - 1e-12) return false;
-  }
-  return true;
-}
-
-PlanarOverlay::PlanarOverlay(const UnitDiskGraph& g, Kind kind) : kind_(kind) {
+PlanarOverlay::PlanarOverlay(const UnitDiskGraph& g) {
   const std::size_t n = g.size();
   std::vector<std::vector<NodeId>> kept(n);
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v : g.neighbors(u)) {
       if (v < u) continue;  // test each undirected edge once
-      bool keep = kind == Kind::kGabriel ? gabriel_keeps_edge(g, u, v)
-                                         : rng_keeps_edge(g, u, v);
-      if (keep) {
+      if (gabriel_keeps_edge(g, u, v)) {
         kept[u].push_back(v);
         kept[v].push_back(u);
       }

@@ -3,16 +3,11 @@
 /// \file planar.h
 /// Local planarization of the unit-disk graph. The perimeter phases of
 /// GF/GPSR-style recovery traverse faces of a planar subgraph that keeps the
-/// connectivity of the original network; we provide the two standard
-/// distributed constructions:
-///
-///  * Gabriel graph (GG): keep uv iff no witness w lies inside the closed
-///    disc with diameter uv. Preserves connectivity of the UDG.
-///  * Relative neighborhood graph (RNG): keep uv iff no witness w with
-///    max(|uw|, |vw|) < |uv|. A subgraph of GG, also connectivity-preserving.
-///
-/// Both are computable from 1-hop neighbor information only, matching the
-/// paper's fully-distributed setting.
+/// connectivity of the original network; we build the Gabriel graph (GG):
+/// keep uv iff no witness w lies inside the closed disc with diameter uv.
+/// It preserves connectivity of the UDG and is computable from 1-hop
+/// neighbor information only, matching the paper's fully-distributed
+/// setting.
 
 #include <vector>
 
@@ -20,15 +15,12 @@
 
 namespace spr {
 
-/// Planar overlay: per-node sorted neighbor lists restricted to kept edges.
+/// Planar overlay: per-node sorted neighbor lists restricted to the edges
+/// the Gabriel test keeps.
 class PlanarOverlay {
  public:
-  enum class Kind { kGabriel, kRng };
-
   /// Builds the overlay from local tests on `g`.
-  PlanarOverlay(const UnitDiskGraph& g, Kind kind);
-
-  Kind kind() const noexcept { return kind_; }
+  explicit PlanarOverlay(const UnitDiskGraph& g);
 
   std::span<const NodeId> neighbors(NodeId u) const noexcept {
     return {adjacency_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
@@ -38,7 +30,6 @@ class PlanarOverlay {
   std::size_t edge_count() const noexcept { return adjacency_.size() / 2; }
 
  private:
-  Kind kind_;
   std::vector<std::size_t> offsets_;
   std::vector<NodeId> adjacency_;
 };
@@ -46,9 +37,6 @@ class PlanarOverlay {
 /// True when edge uv survives the Gabriel test in `g` (u, v must be
 /// neighbors). Exposed for tests and for the per-hop local variant.
 bool gabriel_keeps_edge(const UnitDiskGraph& g, NodeId u, NodeId v);
-
-/// True when edge uv survives the RNG test in `g`.
-bool rng_keeps_edge(const UnitDiskGraph& g, NodeId u, NodeId v);
 
 /// Exhaustively checks that no two overlay edges cross properly. O(E^2);
 /// intended for tests.

@@ -48,7 +48,7 @@ ShardedNetwork::ShardedNetwork(const UnitDiskGraph& global, double edge_band,
                                Config config, TaskPool* pool)
     : pool_(pool) {
   band_ = edge_band < 0.0 ? global.range() : edge_band;
-  slack_ = config.halo_slack < 0.0 ? global.range() : config.halo_slack;
+  slack_ = global.range();
   global_ = std::make_unique<UnitDiskGraph>(global);
   area_ = std::make_unique<InterestArea>(*global_, band_);
   tiling_ = Tiling(global_->bounds(), config.tile_rows, config.tile_cols,

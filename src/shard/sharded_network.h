@@ -73,15 +73,15 @@ struct ShardStats {
 /// serialization address global ids) plus one shard per tile.
 class ShardedNetwork {
  public:
+  /// The tile grid. Every tile's halo is two radio ranges wide: one range
+  /// so an owned node's neighborhood is present locally, plus one range of
+  /// slack. Mobility epochs whose cumulative drift since the last partition
+  /// build stays within half the slack keep the tiling (tiles patch their
+  /// local graphs incrementally); larger drift re-partitions from current
+  /// positions.
   struct Config {
     int tile_rows = 2;
     int tile_cols = 2;
-    /// Extra halo width beyond the radio range (meters); negative = one
-    /// radio range. Mobility epochs whose cumulative drift since the last
-    /// partition build stays within half the slack keep the tiling (tiles
-    /// patch their local graphs incrementally); larger drift re-partitions
-    /// from current positions.
-    double halo_slack = -1.0;
   };
 
   /// Partitions an existing global graph. The graph is copied (cheap CSR

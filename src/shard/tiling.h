@@ -11,9 +11,9 @@
 /// nodes within `halo` of its rect: with `halo >= radio range`, every owned
 /// node's full unit-disk neighborhood is present locally, so a shard can
 /// evaluate Definition 1 for its owned nodes without remote reads. The halo
-/// carries extra slack beyond the range (see `Config::halo_slack`) so that
-/// bounded node drift between re-partitions cannot pull a neighbor outside
-/// the replica set — the fast-path condition mobility epochs check.
+/// carries extra slack beyond the range (see `ShardedNetwork::Config`) so
+/// that bounded node drift between re-partitions cannot pull a neighbor
+/// outside the replica set — the fast-path condition mobility epochs check.
 ///
 /// `tiles_containing` uses the *closed* expanded-rect condition
 /// (distance(p, tile rect) <= halo), and the same predicate decides ghost

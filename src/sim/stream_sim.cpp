@@ -239,15 +239,14 @@ StreamStats StreamSim::run() {
     rec.steppers[f].release();  // header + buffers, back to an empty slot
   };
   // Arms scheme k's copy of packet p at `from` with hop budget `budget`
-  // (0 = the options' TTL). A degenerate walk (already at the destination,
-  // spent budget) finishes on the spot; returns whether the copy is in the
-  // air.
+  // (0 = the default RouteOptions TTL). A degenerate walk (already at the
+  // destination, spent budget) finishes on the spot; returns whether the
+  // copy is in the air.
   auto arm = [&](std::size_t p, std::size_t k, NodeId from,
                  std::size_t budget, double when) {
     const std::size_t f = p * n_schemes + k;
     RouteStepper& slot = rec.steppers[f];
-    routers_[k]->restart_stepper(slot, from, rec.dst[p], config_.route_options,
-                                 budget);
+    routers_[k]->restart_stepper(slot, from, rec.dst[p], {}, budget);
     slot.set_record_path(false);
     if (slot.in_flight()) return true;
     RouteStatus status = slot.result().status;

@@ -223,7 +223,6 @@ struct StreamConfig {
   /// time finite; StreamSim's constructor SPR_CHECKs it.
   double packet_interval = 1.0;
   double hop_delay = 0.25;
-  RouteOptions route_options{};
   /// Failure waves, in any order (scheduled by their `time`).
   std::vector<StreamWave> waves;
   /// When > 0, a waypoint re-pin fires every `mobility_interval` virtual

@@ -21,49 +21,18 @@ TEST(Planar, GabrielKeepsUnwitnessedEdge) {
   EXPECT_TRUE(gabriel_keeps_edge(g, 0, 1));
 }
 
-TEST(Planar, RngSubsetOfGabriel) {
-  for (std::uint64_t seed : test::property_seeds()) {
-    Network net = test::random_network(250, seed);
-    const auto& g = net.graph();
-    for (NodeId u = 0; u < g.size(); ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        if (v < u) continue;
-        if (rng_keeps_edge(g, u, v)) {
-          EXPECT_TRUE(gabriel_keeps_edge(g, u, v))
-              << "RNG kept an edge Gabriel dropped: " << u << "-" << v;
-        }
-      }
-    }
-  }
-}
-
 TEST(Planar, GabrielOverlayIsPlanar) {
   for (std::uint64_t seed : {11ull, 23ull, 37ull}) {
     Network net = test::random_network(220, seed);
-    PlanarOverlay overlay(net.graph(), PlanarOverlay::Kind::kGabriel);
+    PlanarOverlay overlay(net.graph());
     EXPECT_TRUE(overlay_is_planar(net.graph(), overlay)) << "seed " << seed;
   }
-}
-
-TEST(Planar, RngOverlayIsPlanar) {
-  Network net = test::random_network(220, 59);
-  PlanarOverlay overlay(net.graph(), PlanarOverlay::Kind::kRng);
-  EXPECT_TRUE(overlay_is_planar(net.graph(), overlay));
 }
 
 TEST(Planar, GabrielPreservesConnectivity) {
   for (std::uint64_t seed : test::property_seeds()) {
     Network net = test::random_network(300, seed);
-    PlanarOverlay overlay(net.graph(), PlanarOverlay::Kind::kGabriel);
-    EXPECT_TRUE(overlay_preserves_connectivity(net.graph(), overlay))
-        << "seed " << seed;
-  }
-}
-
-TEST(Planar, RngPreservesConnectivity) {
-  for (std::uint64_t seed : {71ull, 97ull}) {
-    Network net = test::random_network(300, seed);
-    PlanarOverlay overlay(net.graph(), PlanarOverlay::Kind::kRng);
+    PlanarOverlay overlay(net.graph());
     EXPECT_TRUE(overlay_preserves_connectivity(net.graph(), overlay))
         << "seed " << seed;
   }
@@ -72,7 +41,7 @@ TEST(Planar, RngPreservesConnectivity) {
 TEST(Planar, OverlayNeighborsAreGraphNeighbors) {
   Network net = test::random_network(250, 31);
   const auto& g = net.graph();
-  PlanarOverlay overlay(g, PlanarOverlay::Kind::kGabriel);
+  PlanarOverlay overlay(g);
   for (NodeId u = 0; u < g.size(); ++u) {
     for (NodeId v : overlay.neighbors(u)) {
       EXPECT_TRUE(g.are_neighbors(u, v));
@@ -84,10 +53,8 @@ TEST(Planar, OverlayNeighborsAreGraphNeighbors) {
 
 TEST(Planar, FewerEdgesThanUdgOnDenseNetworks) {
   Network net = test::random_network(500, 101);
-  PlanarOverlay gabriel(net.graph(), PlanarOverlay::Kind::kGabriel);
-  PlanarOverlay rng(net.graph(), PlanarOverlay::Kind::kRng);
+  PlanarOverlay gabriel(net.graph());
   EXPECT_LT(gabriel.edge_count(), net.graph().edge_count());
-  EXPECT_LE(rng.edge_count(), gabriel.edge_count());
 }
 
 }  // namespace

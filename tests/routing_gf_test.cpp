@@ -11,7 +11,7 @@ namespace {
 struct GfFixture {
   explicit GfFixture(Deployment dep)
       : g(dep.positions, dep.radio_range, dep.field),
-        overlay(g, PlanarOverlay::Kind::kGabriel),
+        overlay(g),
         boundhole(g) {}
 
   GfRouter face_router() {
@@ -29,7 +29,7 @@ struct GfFixture {
 TEST(Gf, GreedyDeliversOnLine) {
   auto g = test::make_graph(
       {{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}, {30.0, 0.0}}, 12.0);
-  PlanarOverlay overlay(g, PlanarOverlay::Kind::kGabriel);
+  PlanarOverlay overlay(g);
   GfRouter router(g, overlay, nullptr, GfRouter::Recovery::kFace);
   PathResult r = router.route(0, 3);
   EXPECT_TRUE(r.delivered());

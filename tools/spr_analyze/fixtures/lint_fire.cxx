@@ -40,6 +40,23 @@ int hash_order_sum() {
   return sum;
 }
 
+// An unordered type behind a same-file alias, iterated through a member.
+using Cache = std::unordered_map<int, double>;
+
+struct Node {
+  Cache cache;
+};
+
+double cached_sum(const Node& node, const Node* p, const Cache& c) {
+  double sum = 0.0;
+  for (const auto& kv : node.cache) {  // EXPECT[unordered-iter]
+    sum += kv.second;
+  }
+  for (const auto& kv : p->cache) sum += kv.second;  // EXPECT[unordered-iter]
+  for (const auto& kv : c) sum += kv.second;  // EXPECT[unordered-iter]
+  return sum;
+}
+
 void pointer_stamp(int* p) {
   std::printf("%p\n", static_cast<void*>(p));  // EXPECT[wallclock]
 }

@@ -1,17 +1,15 @@
-"""Micro-AST over C++ sources: the analyzer's fallback front-end.
+"""Micro-AST over C++ sources: the analyzer's front end.
 
 The analyzer's rules (rules.py) run over a deliberately small intermediate
 model — classes with typed fields, functions with ordered statements —
-that two front-ends can produce: clang_backend.py lowers libclang cursors
-into it when the bindings are importable, and this module lexes and
-scope-scans the raw source when they are not (the common case on build
-boxes without libclang wheels).
+that this module builds by lexing and scope-scanning the comment/string
+stripped source, with nothing beyond the Python standard library.
 
-The fallback is not a C++ parser. It is a brace/paren-matched token
-scanner tuned to this repo's idiom (one class per header, root-relative
-includes, clang-format layout). Where real C++ would defeat it (macros
-beyond simple constants, template metaprogramming), the repo's style gate
-keeps such code out of src/; fixtures pin the constructs the rules need.
+It is not a C++ parser but a brace/paren-matched token scanner tuned to
+this repo's idiom (one class per header, root-relative includes,
+clang-format layout). Where real C++ would defeat it (macros beyond
+simple constants, template metaprogramming), the repo's style gate keeps
+such code out of src/; fixtures pin the constructs the rules need.
 
 Model:
   Token(kind, text, line)           kind: id | num | punct
@@ -153,9 +151,6 @@ class FileModel:
     classes: list[ClassInfo] = field(default_factory=list)
     functions: list[FunctionInfo] = field(default_factory=list)
     globals: list[Field] = field(default_factory=list)
-    # Lines of range-fors over unordered containers, found by type on the
-    # clang front-end (the fallback leaves it empty).
-    unordered_loop_lines: list[int] = field(default_factory=list)
 
 
 class Registry:

@@ -59,9 +59,10 @@ Each is a named rule with a pragma escape hatch
                      (hash order is implementation- and run-dependent),
                      and no unordered containers at all in the ordered-only
                      layer (src/report/, src/stats/, serialize* files).
-                     Keyed lookups elsewhere are fine. The clang engine
-                     adds the loops it finds by the range expression's
-                     type.
+                     Keyed lookups elsewhere are fine. A loop is found by
+                     the range's name (a member chain's last name): one
+                     declared in the file with a spelled-out or `using`-
+                     aliased unordered type, or an unordered parameter.
 
   raw-new            No raw `new` / `delete`: allocation goes through
                      containers, smart pointers or util/arena.h.
@@ -916,7 +917,13 @@ _UNORDERED_DECL_RE = re.compile(
 )
 _UNORDERED_ANY_RE = re.compile(
     r"\bstd::unordered_(map|set|multimap|multiset)\b")
-_RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;()]*?:\s*\(?\s*([A-Za-z_]\w*)")
+_UNORDERED_ALIAS_RE = re.compile(
+    r"\busing\s+(\w+)\s*=\s*std::unordered_(map|set|multimap|multiset)\b")
+# The range expression of a range-for, as a name or a member chain
+# (`node.cache`, `p->cache`); group 1 is the chain's last name.
+_RANGE_FOR_RE = re.compile(
+    r"\bfor\s*\([^;()]*?:\s*\(?\s*(?:[A-Za-z_]\w*\s*(?:\.|->)\s*)*"
+    r"([A-Za-z_]\w*)")
 
 # `.hxx` is the fixture corpus's header extension (the tree walk skips it).
 _HEADER_EXTS = (".h", ".hxx")
@@ -959,20 +966,29 @@ def check_raw_new(code: list[str], emit) -> None:
                  "smart pointers/containers")
 
 
-def _unordered_loops_by_token(fm: FileModel,
-                              code: list[str]) -> list[tuple[int, str]]:
+def _unordered_loops(fm: FileModel,
+                     code: list[str]) -> list[tuple[int, str]]:
     """(line, container) of range-fors over unordered containers: by-value
     declarations anywhere in the file, and reference/pointer parameters
-    within their own function."""
+    within their own function. A type counts when it is spelled
+    `std::unordered_*` or is a same-file `using` alias of one, and a member
+    chain counts by its last name."""
+    aliases = {m.group(1) for line in code
+               for m in _UNORDERED_ALIAS_RE.finditer(line)}
     names = {m.group(2) for line in code
              for m in _UNORDERED_DECL_RE.finditer(line)}
+    if aliases:
+        alias_decl = re.compile(r"\b(?:" + "|".join(aliases) + r")\s+(\w+)")
+        names |= {m.group(1) for line in code
+                  for m in alias_decl.finditer(line)}
     loops = set()
     for idx, line in enumerate(code, start=1):
         m = _RANGE_FOR_RE.search(line)
         if m and m.group(1) in names:
             loops.add((idx, m.group(1)))
     for fn in fm.functions:
-        params = {p.name for p in fn.params if "unordered_" in p.type_text}
+        params = {p.name for p in fn.params if "unordered_" in p.type_text
+                  or aliases & set(re.findall(r"\w+", p.type_text))}
         if not params or not fn.body_tokens:
             continue
         for idx in range(fn.body_tokens[0].line, fn.body_tokens[-1].line + 1):
@@ -992,14 +1008,9 @@ def check_unordered_iter(fm: FileModel, code: list[str], emit) -> None:
                      "report/serialize layer — hash order would leak into "
                      "artifacts; use std::map/std::vector")
         return
-    # The token pass names the container; the clang front-end's type-based
-    # loops add the ones no name reveals (aliases, members of other files).
-    loops = dict.fromkeys(fm.unordered_loop_lines, "")
-    loops.update(_unordered_loops_by_token(fm, code))
-    for line, name in sorted(loops.items()):
-        what = f" '{name}'" if name else ""
-        emit(line, "unordered-iter", f"range-for over unordered container"
-             f"{what} — iteration order is hash-order; copy into a sorted "
+    for line, name in _unordered_loops(fm, code):
+        emit(line, "unordered-iter", f"range-for over unordered container "
+             f"'{name}' — iteration order is hash-order; copy into a sorted "
              "container first")
 
 

@@ -12,9 +12,8 @@ hash-order iteration; raw new/delete; and header hygiene. See rules.py
 for the rule catalog and tools/spr_analyze/README.md for the contract
 each rule defends.
 
-Front-ends: libclang (python bindings) when importable, and a
-self-contained token/micro-AST engine otherwise — both lower into the
-same model (model.py) so the rules and fixtures behave identically.
+The front end is a self-contained token/micro-AST pass (model.py) that
+needs nothing beyond the Python standard library.
 
 Inputs: files/directories, `src tools` by default. Findings print as
 `path:line: [rule] message`; `--sarif out.sarif` additionally writes
@@ -52,16 +51,7 @@ from spr_source import (Finding, bind_comment_pragmas, collect_files,
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
-try:
-    import clang_backend
-
-    HAVE_LIBCLANG = clang_backend.available()
-except Exception:  # pragma: no cover - environment dependent
-    HAVE_LIBCLANG = False
-
-
-def analyze_files(files: list[str], root: str,
-                  engine: str) -> list[Finding]:
+def analyze_files(files: list[str], root: str) -> list[Finding]:
     """Parses every file, builds the cross-file registry, runs the rules."""
     registry = model.Registry()
     per_file: list[tuple[str, model.FileModel, list[str], list[str],
@@ -81,10 +71,7 @@ def analyze_files(files: list[str], root: str,
         # The `%p` ban is the one check that reads inside string literals.
         with_strings = (strip_comments_and_strings(text, keep_strings=True)
                         if "%p" in text else stripped)
-        if engine == "clang" and HAVE_LIBCLANG:
-            fm = clang_backend.parse_file(path, rel, stripped)
-        else:
-            fm = model.parse_file(rel, stripped)
+        fm = model.parse_file(rel, stripped)
         registry.add(fm)
         per_file.append((rel, fm, raw_lines, stripped, with_strings))
 
@@ -183,10 +170,6 @@ def main(argv: list[str]) -> int:
                         help="repo root findings are reported relative to")
     parser.add_argument("--sarif", default="",
                         help="also write SARIF 2.1.0 to this path")
-    parser.add_argument("--engine", choices=("auto", "clang", "fallback"),
-                        default="auto",
-                        help="front-end: libclang when importable (auto), "
-                        "forced libclang, or the token micro-AST engine")
     parser.add_argument("--list-rules", action="store_true")
     args = parser.parse_args(argv)
 
@@ -195,26 +178,18 @@ def main(argv: list[str]) -> int:
             print(f"{name:18} {doc}")
         return 0
 
-    engine = args.engine
-    if engine == "auto":
-        engine = "clang" if HAVE_LIBCLANG else "fallback"
-    if engine == "clang" and not HAVE_LIBCLANG:
-        print("spr_analyze: --engine=clang but libclang bindings are not "
-              "importable", file=sys.stderr)
-        return 2
-
     files = collect_files(args.paths or ["src", "tools"], args.root)
     if not files:
         print("spr_analyze: no input files", file=sys.stderr)
         return 2
 
-    findings = analyze_files(files, args.root, engine)
+    findings = analyze_files(files, args.root)
     for finding in findings:
         print(finding)
     if args.sarif:
         write_sarif(findings, args.sarif)
-    print(f"spr_analyze: {len(files)} files, {len(findings)} finding(s) "
-          f"({engine} engine)", file=sys.stderr)
+    print(f"spr_analyze: {len(files)} files, {len(findings)} finding(s)",
+          file=sys.stderr)
     return 1 if findings else 0
 
 

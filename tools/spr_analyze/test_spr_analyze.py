@@ -40,8 +40,8 @@ def expected_findings(path: str) -> set[tuple[int, str]]:
     return out
 
 
-def analyze(path: str, engine: str = "fallback") -> set[tuple[int, str]]:
-    findings = spr_analyze.analyze_files([path], _FIXTURES, engine)
+def analyze(path: str) -> set[tuple[int, str]]:
+    findings = spr_analyze.analyze_files([path], _FIXTURES)
     return {(f.line, f.rule) for f in findings}
 
 
@@ -132,14 +132,14 @@ class Baseline(unittest.TestCase):
     def test_src_and_tools_are_clean(self):
         """The tree-wide zero-findings baseline the CI job gates."""
         files = spr_analyze.collect_files(["src", "tools"], _ROOT)
-        findings = spr_analyze.analyze_files(files, _ROOT, "fallback")
+        findings = spr_analyze.analyze_files(files, _ROOT)
         self.assertEqual([str(f) for f in findings], [])
 
 
 class Sarif(unittest.TestCase):
     def test_sarif_shape(self):
         path = os.path.join(_FIXTURES, "arena_escape_fire.cxx")
-        findings = spr_analyze.analyze_files([path], _FIXTURES, "fallback")
+        findings = spr_analyze.analyze_files([path], _FIXTURES)
         self.assertTrue(findings)
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out.sarif")
@@ -154,17 +154,6 @@ class Sarif(unittest.TestCase):
             self.assertIn(result["ruleId"], rule_ids)
             loc = result["locations"][0]["physicalLocation"]
             self.assertGreaterEqual(loc["region"]["startLine"], 1)
-
-
-class EngineAgreement(unittest.TestCase):
-    @unittest.skipUnless(spr_analyze.HAVE_LIBCLANG,
-                         "libclang bindings not importable")
-    def test_fixtures_agree_across_engines(self):
-        for name in sorted(os.listdir(_FIXTURES)):
-            path = os.path.join(_FIXTURES, name)
-            self.assertEqual(analyze(path, "clang"),
-                             analyze(path, "fallback"),
-                             f"{name}: engines disagree")
 
 
 if __name__ == "__main__":
