@@ -351,10 +351,8 @@ void BM_CellResultJsonRoundTrip(benchmark::State& state) {
   config.schemes = SweepConfig::paper_schemes();
   CellResult cell = run_sweep_cell(config, 600, 0);
   for (auto _ : state) {
-    JsonWriter w;
-    to_json(w, cell);
     JsonValue parsed;
-    bool ok = JsonValue::parse(w.str(), parsed);
+    bool ok = JsonValue::parse(to_json(cell).dump(), parsed);
     CellResult decoded;
     ok = ok && from_json(parsed, decoded);
     if (!ok) {

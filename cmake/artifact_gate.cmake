@@ -64,8 +64,8 @@ expect_artifacts(RUN mobility-rate --networks 1 --pairs 4 --format json,csv
                  ARTIFACTS artifact-gate-mobility.json
                            artifact-gate-mobility.csv)
 
-# Hostile-input probes: a negative count, a node count past `int`, a
-# non-finite or non-positive range, more tiles than nodes, a malformed node
+# Hostile-input probes: a negative count, a node count past `int` or past
+# tile-scaling's 10^6-node cap, a non-finite or non-positive range, more tiles than nodes, a malformed node
 # id, a flag the command does not take and a removed verb or alias must
 # each be rejected, never fall back to a default workload. A rejection is
 # exit status 1 (bad usage) or 2 (bad value); any other result, a signal
@@ -102,3 +102,5 @@ expect_rejected(sweep --range=nan --networks 1 --pairs 1)
 expect_rejected(route abc 5)
 expect_rejected(route 99999999999999999999 5)
 expect_rejected(run tile-scaling --networks 3000000)
+expect_rejected(run tile-scaling --networks 1001)
+expect_rejected(run tile-scaling --networks 2147483)

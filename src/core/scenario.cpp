@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstring>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <optional>
 
@@ -1135,15 +1134,20 @@ int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
 /// layer's invariance contract (every grid bit-identical to the 1x1 run,
 /// and the 1x1 run to the monolithic compute_safety) and reporting the
 /// tiles x threads timing curve. `--networks K` scales the field to
-/// K*1000 nodes (default 10, i.e. 10^4; the million-node datapoint is
-/// `--networks 1000`; a count past `int` is rejected with exit 2).
+/// K*1000 nodes (default 10, i.e. 10^4). The million-node datapoint,
+/// `--networks 1000`, is the largest field: memory grows by a few KB per
+/// node, so a larger count is rejected with exit 2 before anything is
+/// deployed.
 int run_tile_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
+  constexpr std::int64_t kMaxNodes = 1000000;
   const std::int64_t requested =
       std::int64_t{opts.networks > 0 ? opts.networks : 10} * 1000;
-  if (requested > std::numeric_limits<int>::max()) {
-    report.textf("tile-scaling: %lld nodes is more than a field holds (%d)\n",
+  if (requested > kMaxNodes) {
+    report.textf("tile-scaling: %lld nodes is more than a field holds (at "
+                 "most %lld, --networks %lld)\n",
                  static_cast<long long>(requested),
-                 std::numeric_limits<int>::max());
+                 static_cast<long long>(kMaxNodes),
+                 static_cast<long long>(kMaxNodes / 1000));
     report.aborted = true;
     return 2;
   }
@@ -1394,8 +1398,8 @@ int run_sweep_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
   report.param("parallel_seconds", JsonValue::of(parallel_seconds));
   report.param("speedup", JsonValue::of(speedup));
   report.param("bit_identical", JsonValue::of(identical));
-  report.add_timings("serial_timings", serial_timings);
-  report.add_timings("parallel_timings", parallel_timings);
+  report.param("serial_timings", to_json(serial_timings));
+  report.param("parallel_timings", to_json(parallel_timings));
   report.add_sweep(config, std::move(parallel), parallel_seconds);
   return identical ? 0 : 1;
 }

@@ -34,9 +34,6 @@ double ccw_delta(double start_bearing, double target_bearing) noexcept;
 /// Clockwise sweep from `start_bearing` to `target_bearing`, in [0, 2*pi).
 double cw_delta(double start_bearing, double target_bearing) noexcept;
 
-/// Angle of the corner a-b-c at vertex b, in [0, pi].
-double interior_angle(Vec2 a, Vec2 b, Vec2 c) noexcept;
-
 /// Comparator object: orders points around `pivot` by counter-clockwise
 /// sweep starting at `start_bearing` (ties broken by distance to pivot,
 /// nearer first). Points coincident with the pivot sort last.
@@ -48,20 +45,6 @@ class CcwScan {
   /// Sweep needed to reach p from the start ray, in [0, 2*pi).
   double sweep_to(Vec2 p) const noexcept;
 
-  bool operator()(Vec2 a, Vec2 b) const noexcept;
-
- private:
-  Vec2 pivot_;
-  double start_;
-};
-
-/// Clockwise counterpart of CcwScan.
-class CwScan {
- public:
-  CwScan(Vec2 pivot, double start_bearing) noexcept
-      : pivot_(pivot), start_(start_bearing) {}
-
-  double sweep_to(Vec2 p) const noexcept;
   bool operator()(Vec2 a, Vec2 b) const noexcept;
 
  private:

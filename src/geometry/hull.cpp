@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
 #include "geometry/segment.h"
 
@@ -30,22 +29,6 @@ std::vector<Vec2> convex_hull(std::vector<Vec2> points) {
   }
   hull.resize(k - 1);  // last point equals the first
   return hull;
-}
-
-std::vector<std::size_t> convex_hull_indices(const std::vector<Vec2>& points) {
-  auto hull = convex_hull(points);
-  std::map<std::pair<double, double>, std::size_t> first_index;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    first_index.emplace(std::make_pair(points[i].x, points[i].y), i);
-  }
-  std::vector<std::size_t> idx;
-  idx.reserve(hull.size());
-  for (Vec2 v : hull) idx.push_back(first_index.at({v.x, v.y}));
-  return idx;
-}
-
-Polygon convex_hull_polygon(const std::vector<Vec2>& points) {
-  return Polygon(convex_hull(points));
 }
 
 double distance_to_hull_boundary(const std::vector<Vec2>& hull, Vec2 p) {

@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "geometry/polygon.h"
 #include "geometry/vec2.h"
 
 namespace spr {
@@ -16,13 +15,6 @@ namespace spr {
 /// the hull boundary are dropped. Degenerate inputs (<3 distinct points)
 /// return the distinct points.
 std::vector<Vec2> convex_hull(std::vector<Vec2> points);
-
-/// Indices into `points` of the hull vertices, CCW. Stable w.r.t. the input:
-/// each hull vertex reports the first index carrying that coordinate.
-std::vector<std::size_t> convex_hull_indices(const std::vector<Vec2>& points);
-
-/// The hull as a polygon.
-Polygon convex_hull_polygon(const std::vector<Vec2>& points);
 
 /// Distance from `p` to the hull boundary (0 if `p` is a hull vertex;
 /// positive otherwise, whether inside or outside).

@@ -70,21 +70,4 @@ Rect Polygon::bounding_box() const noexcept {
   return box;
 }
 
-Vec2 Polygon::centroid() const noexcept {
-  const std::size_t n = vertices_.size();
-  if (n == 0) return {};
-  double a = signed_area();
-  if (std::abs(a) < 1e-12) {
-    Vec2 sum{};
-    for (Vec2 v : vertices_) sum += v;
-    return sum / static_cast<double>(n);
-  }
-  Vec2 c{};
-  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
-    double w = vertices_[j].cross(vertices_[i]);
-    c += (vertices_[j] + vertices_[i]) * w;
-  }
-  return c / (6.0 * a);
-}
-
 }  // namespace spr

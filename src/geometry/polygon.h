@@ -37,9 +37,6 @@ class Polygon {
 
   Rect bounding_box() const noexcept;
 
-  /// Centroid of the polygon (area-weighted); (0,0) for empty.
-  Vec2 centroid() const noexcept;
-
  private:
   std::vector<Vec2> vertices_;
 };

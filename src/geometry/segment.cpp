@@ -54,15 +54,6 @@ bool segments_cross_properly(const Segment& s1, const Segment& s2) noexcept {
          ((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0));
 }
 
-std::optional<Vec2> line_intersection(const Segment& s1, const Segment& s2) noexcept {
-  Vec2 r = s1.b - s1.a;
-  Vec2 s = s2.b - s2.a;
-  double denom = r.cross(s);
-  if (std::abs(denom) < 1e-12) return std::nullopt;
-  double t = (s2.a - s1.a).cross(s) / denom;
-  return s1.a + r * t;
-}
-
 std::optional<Vec2> segment_intersection(const Segment& s1, const Segment& s2) noexcept {
   if (!segments_intersect(s1, s2)) return std::nullopt;
   Vec2 r = s1.b - s1.a;
@@ -98,19 +89,6 @@ bool segment_intersects_rect(const Segment& s, const Rect& r) noexcept {
     if (segments_intersect(s, e)) return true;
   }
   return false;
-}
-
-std::optional<Vec2> circumcenter(Vec2 u, Vec2 v1, Vec2 v2) noexcept {
-  // Solve |c - u|^2 = |c - v1|^2 = |c - v2|^2 as a 2x2 linear system.
-  double ax = v1.x - u.x, ay = v1.y - u.y;
-  double bx = v2.x - u.x, by = v2.y - u.y;
-  double det = 2.0 * (ax * by - ay * bx);
-  if (std::abs(det) < 1e-12) return std::nullopt;
-  double a2 = ax * ax + ay * ay;
-  double b2 = bx * bx + by * by;
-  double cx = (by * a2 - ay * b2) / det;
-  double cy = (ax * b2 - bx * a2) / det;
-  return Vec2{u.x + cx, u.y + cy};
 }
 
 }  // namespace spr

@@ -33,20 +33,12 @@ bool segments_intersect(const Segment& s1, const Segment& s2) noexcept;
 /// planarity checker, where adjacent edges legitimately share endpoints.
 bool segments_cross_properly(const Segment& s1, const Segment& s2) noexcept;
 
-/// Intersection point of the supporting lines, if not parallel.
-std::optional<Vec2> line_intersection(const Segment& s1, const Segment& s2) noexcept;
-
 /// Intersection point of the closed segments, if any (for collinear overlap
 /// an arbitrary shared point is returned).
 std::optional<Vec2> segment_intersection(const Segment& s1, const Segment& s2) noexcept;
 
 /// Distance from point p to the closed segment s.
 double point_segment_distance(Vec2 p, const Segment& s) noexcept;
-
-/// Perpendicular-bisector intersection of segments (u,v1) and (u,v2) sharing
-/// endpoint u — i.e. the circumcenter of triangle (u, v1, v2). Empty when the
-/// three points are collinear. Used by the TENT rule (BOUNDHOLE).
-std::optional<Vec2> circumcenter(Vec2 u, Vec2 v1, Vec2 v2) noexcept;
 
 // Forward declaration (rect.h defines Rect; included by most users).
 class Rect;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "deploy/rng.h"
 #include "graph/graph_algos.h"
 
 namespace spr {
@@ -67,25 +66,6 @@ std::size_t hop_diameter_estimate(const UnitDiskGraph& g) {
   auto [far_node, first] = farthest(g, component.front());
   auto [_, second] = farthest(g, far_node);
   return std::max(first, second);
-}
-
-double average_hop_distance(const UnitDiskGraph& g, std::size_t samples,
-                            std::uint64_t seed) {
-  auto component = largest_component(g);
-  if (component.size() < 2) return 0.0;
-  Rng rng(seed);
-  double sum = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t i = 0; i < samples; ++i) {
-    NodeId s = component[rng.next_below(component.size())];
-    NodeId d = component[rng.next_below(component.size())];
-    if (s == d) continue;
-    auto dist = bfs_hops(g, s);
-    if (dist[d] == std::numeric_limits<std::size_t>::max()) continue;
-    sum += static_cast<double>(dist[d]);
-    ++counted;
-  }
-  return counted == 0 ? 0.0 : sum / static_cast<double>(counted);
 }
 
 }  // namespace spr

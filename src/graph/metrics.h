@@ -33,8 +33,4 @@ std::size_t hop_diameter(const UnitDiskGraph& g);
 /// tight); O(n + E).
 std::size_t hop_diameter_estimate(const UnitDiskGraph& g);
 
-/// Average hop count between random connected pairs, sampled.
-double average_hop_distance(const UnitDiskGraph& g, std::size_t samples,
-                            std::uint64_t seed);
-
 }  // namespace spr

@@ -35,10 +35,6 @@ void ScenarioReport::param(std::string key, JsonValue value) {
   params.emplace_back(std::move(key), std::move(value));
 }
 
-void ScenarioReport::add_timings(std::string key, const SweepTimings& t) {
-  timings.emplace_back(std::move(key), t);
-}
-
 void ScenarioReport::add_sweep(const SweepConfig& config,
                                std::vector<SweepPoint> points,
                                double wall_seconds) {

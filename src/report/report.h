@@ -4,9 +4,9 @@
 /// ScenarioReport: the structured result a scenario builds instead of
 /// printing. The report separates computation from presentation — a
 /// scenario records console blocks (text + tables, in print order),
-/// machine-readable params, sweep sections, timings, plot curves and
-/// notes; pluggable ReportSink backends (sink.h) then render the same
-/// report as console text, JSON, CSV or SVG.
+/// machine-readable params, sweep sections, plot curves and notes;
+/// pluggable ReportSink backends (sink.h) then render the same report as
+/// console text, JSON, CSV or SVG.
 ///
 ///   ScenarioReport report;
 ///   report.scenario = "fig6-avg-hops";
@@ -75,7 +75,6 @@ struct ScenarioReport {
   std::vector<Block> blocks;           ///< console stream, in print order
   std::vector<ReportTable> tables;     ///< every table, in insertion order
   std::vector<JsonValue::Member> params;  ///< ordered JSON payload
-  std::vector<std::pair<std::string, SweepTimings>> timings;  ///< named
   std::vector<SweepSection> sweeps;    ///< JSON "models" array
   std::vector<ReportCurve> curves;     ///< plot-sink input
   std::vector<std::string> notes;      ///< trailing informational lines
@@ -93,8 +92,6 @@ struct ScenarioReport {
   void add_table(Table table, std::string title = {});
   /// Appends an ordered machine-readable param.
   void param(std::string key, JsonValue value);
-  /// Appends a named timings breakdown.
-  void add_timings(std::string key, const SweepTimings& t);
   /// Appends a sweep section from a finished run_sweep call.
   void add_sweep(const SweepConfig& config, std::vector<SweepPoint> points,
                  double wall_seconds);

@@ -1,6 +1,7 @@
 #include "report/serialize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -24,61 +25,54 @@ JsonValue summary_stats(const Summary& s) {
 
 namespace {
 
+JsonValue uint_of(std::size_t n) {
+  return JsonValue::of(static_cast<std::uint64_t>(n));
+}
+
 /// The per-aggregate report shape (delivery ratio + stats summaries).
-void aggregate_stats_to_json(JsonWriter& w, const RouteAggregate& agg) {
-  w.begin_object();
-  w.key("requested").value(agg.requested);
-  w.key("attempted").value(agg.attempted);
-  w.key("pair_shortfall").value(agg.pair_shortfall());
-  w.key("delivered").value(agg.delivered);
-  w.key("delivery_ratio").value(agg.delivery_ratio());
-  w.key("hops");
-  summary_stats(agg.hops).write(w);
-  w.key("length");
-  summary_stats(agg.length).write(w);
-  w.key("stretch_hops");
-  summary_stats(agg.stretch_hops).write(w);
-  w.key("stretch_length");
-  summary_stats(agg.stretch_length).write(w);
-  w.key("perimeter_hops");
-  summary_stats(agg.perimeter_hops).write(w);
-  w.key("backup_hops");
-  summary_stats(agg.backup_hops).write(w);
-  w.key("local_minima");
-  summary_stats(agg.local_minima).write(w);
-  w.end_object();
+JsonValue aggregate_stats_to_json(const RouteAggregate& agg) {
+  JsonValue v = JsonValue::object();
+  v.set("requested", uint_of(agg.requested));
+  v.set("attempted", uint_of(agg.attempted));
+  v.set("pair_shortfall", uint_of(agg.pair_shortfall()));
+  v.set("delivered", uint_of(agg.delivered));
+  v.set("delivery_ratio", JsonValue::of(agg.delivery_ratio()));
+  v.set("hops", summary_stats(agg.hops));
+  v.set("length", summary_stats(agg.length));
+  v.set("stretch_hops", summary_stats(agg.stretch_hops));
+  v.set("stretch_length", summary_stats(agg.stretch_length));
+  v.set("perimeter_hops", summary_stats(agg.perimeter_hops));
+  v.set("backup_hops", summary_stats(agg.backup_hops));
+  v.set("local_minima", summary_stats(agg.local_minima));
+  return v;
 }
 
 }  // namespace
 
-void sweep_section_to_json(JsonWriter& w, const SweepSection& section) {
-  w.begin_object();
-  w.key("model").value(deploy_model_tag(section.model));
-  w.key("networks_per_point").value(section.networks_per_point);
-  w.key("pairs_per_network").value(section.pairs_per_network);
-  w.key("base_seed").value(section.base_seed);
-  w.key("threads").value(section.threads);
-  w.key("wall_seconds").value(section.wall_seconds);
-  w.key("points").begin_array();
+JsonValue sweep_section_to_json(const SweepSection& section) {
+  JsonValue points = JsonValue::array();
   for (const auto& point : section.points) {
-    w.begin_object();
-    w.key("nodes").value(point.node_count);
-    w.key("schemes").begin_object();
+    JsonValue schemes = JsonValue::object();
     for (const auto& [label, agg] : point.by_scheme) {
-      w.key(label);
-      aggregate_stats_to_json(w, agg);
+      schemes.set(label, aggregate_stats_to_json(agg));
     }
-    w.end_object();
-    w.end_object();
+    JsonValue entry = JsonValue::object();
+    entry.set("nodes", JsonValue::of(point.node_count));
+    entry.set("schemes", std::move(schemes));
+    points.push(std::move(entry));
   }
-  w.end_array();
-  w.end_object();
+  JsonValue v = JsonValue::object();
+  v.set("model", JsonValue::of(deploy_model_tag(section.model)));
+  v.set("networks_per_point", JsonValue::of(section.networks_per_point));
+  v.set("pairs_per_network", JsonValue::of(section.pairs_per_network));
+  v.set("base_seed", JsonValue::of(section.base_seed));
+  v.set("threads", JsonValue::of(section.threads));
+  v.set("wall_seconds", JsonValue::of(section.wall_seconds));
+  v.set("points", std::move(points));
+  return v;
 }
 
 JsonValue stream_stats_json(const StreamStats& stats) {
-  auto uint_of = [](std::size_t n) {
-    return JsonValue::of(static_cast<std::uint64_t>(n));
-  };
   JsonValue root = JsonValue::object();
   root.set("virtual_time", JsonValue::of(stats.virtual_time));
   root.set("events", uint_of(stats.events));
@@ -161,44 +155,41 @@ constexpr bool kIsLabelMap = false;
 template <typename T>
 constexpr bool kIsLabelMap<std::map<std::string, T>> = true;
 
-/// The one writer. A Summary is {"values": [...]}, a vector an array, a
+/// The one builder. A Summary is {"values": [...]}, a vector an array, a
 /// label-keyed map an object, a record an object in field-list order.
 template <typename T>
-void write_value(JsonWriter& w, const T& value) {
+JsonValue to_value(const T& value) {
   if constexpr (std::is_same_v<T, Summary>) {
-    w.begin_object();
-    w.key("values");
-    write_value(w, value.values());
-    w.end_object();
+    JsonValue v = JsonValue::object();
+    v.set("values", to_value(value.values()));
+    return v;
   } else if constexpr (kIsVector<T>) {
-    w.begin_array();
-    for (const auto& item : value) write_value(w, item);
-    w.end_array();
+    JsonValue items = JsonValue::array(value.size());
+    for (const auto& item : value) items.push(to_value(item));
+    return items;
   } else if constexpr (kIsLabelMap<T>) {
-    w.begin_object();
-    for (const auto& [label, item] : value) {
-      w.key(label);
-      write_value(w, item);
-    }
-    w.end_object();
+    JsonValue items = JsonValue::object();
+    for (const auto& [label, item] : value) items.set(label, to_value(item));
+    return items;
   } else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, int> ||
                        std::is_same_v<T, double> ||
                        std::is_same_v<T, std::string>) {
-    w.value(value);
+    return JsonValue::of(value);
   } else if constexpr (std::is_unsigned_v<T>) {
-    w.value(static_cast<std::uint64_t>(value));
+    return JsonValue::of(static_cast<std::uint64_t>(value));
   } else {
-    w.begin_object();
-    std::apply([&](const auto&... field) { (field.write(w, value), ...); },
+    JsonValue record = JsonValue::object();
+    std::apply([&](const auto&... field) { (field.write(record, value), ...); },
                Record<T>::fields);
-    w.end_object();
+    return record;
   }
 }
 
-/// The one reader, the writer's inverse. Integers must be integral tokens
-/// that fit the member (no sign for counts), samples must be numbers (null
-/// is a non-finite sample), labels must be unique and every required member
-/// present; unknown members are ignored. Writes `out` only on success.
+/// The one reader, the builder's inverse. Integers must be integral tokens
+/// that fit the member (no sign for counts), doubles finite numbers (the
+/// builder writes a non-finite one as null), labels must be unique and
+/// every required member present; unknown members are ignored. Writes
+/// `out` only on success.
 template <typename T>
 bool read_value(const JsonValue& v, T& out) {
   if constexpr (std::is_same_v<T, Summary>) {
@@ -240,7 +231,7 @@ bool read_value(const JsonValue& v, T& out) {
     }
     out = static_cast<T>(v.as_uint64());
   } else if constexpr (std::is_same_v<T, double>) {
-    if (!v.is_number()) return false;
+    if (!v.is_number() || !std::isfinite(v.as_double())) return false;
     out = v.as_double();
   } else if constexpr (std::is_same_v<T, std::string>) {
     if (!v.is_string()) return false;
@@ -270,9 +261,8 @@ struct Field {
   M T::*member;
   bool required;
 
-  void write(JsonWriter& w, const T& record) const {
-    w.key(key);
-    write_value(w, record.*member);
+  void write(JsonValue& out, const T& record) const {
+    out.set(key, to_value(record.*member));
   }
   bool read(const JsonValue& v, T& record) const {
     const JsonValue* m = v.find(key);
@@ -297,8 +287,8 @@ struct Constant {
   int value;
 
   template <typename T>
-  void write(JsonWriter& w, const T& /*record*/) const {
-    w.key(key).value(value);
+  void write(JsonValue& out, const T& /*record*/) const {
+    out.set(key, JsonValue::of(value));
   }
   template <typename T>
   bool read(const JsonValue& v, T& /*record*/) const {
@@ -455,45 +445,39 @@ struct Record<SweepSlice> {
 
 }  // namespace
 
-void to_json(JsonWriter& w, const Summary& s) { write_value(w, s); }
+JsonValue to_json(const Summary& value) { return to_value(value); }
 bool from_json(const JsonValue& v, Summary& out) { return read_value(v, out); }
-void to_json(JsonWriter& w, const RouteAggregate& agg) { write_value(w, agg); }
+JsonValue to_json(const RouteAggregate& value) { return to_value(value); }
 bool from_json(const JsonValue& v, RouteAggregate& out) {
   return read_value(v, out);
 }
-void to_json(JsonWriter& w, const SweepPoint& point) { write_value(w, point); }
+JsonValue to_json(const SweepPoint& value) { return to_value(value); }
 bool from_json(const JsonValue& v, SweepPoint& out) { return read_value(v, out); }
-void to_json(JsonWriter& w, const CellResult& cell) { write_value(w, cell); }
+JsonValue to_json(const CellResult& value) { return to_value(value); }
 bool from_json(const JsonValue& v, CellResult& out) { return read_value(v, out); }
-void to_json(JsonWriter& w, const SweepTimings& t) { write_value(w, t); }
+JsonValue to_json(const SweepTimings& value) { return to_value(value); }
 bool from_json(const JsonValue& v, SweepTimings& out) {
   return read_value(v, out);
 }
-void to_json(JsonWriter& w, const IncrementalStats& stats) {
-  write_value(w, stats);
-}
+JsonValue to_json(const IncrementalStats& value) { return to_value(value); }
 bool from_json(const JsonValue& v, IncrementalStats& out) {
   return read_value(v, out);
 }
-void to_json(JsonWriter& w, const WaveRecord& record) { write_value(w, record); }
+JsonValue to_json(const WaveRecord& value) { return to_value(value); }
 bool from_json(const JsonValue& v, WaveRecord& out) { return read_value(v, out); }
-void to_json(JsonWriter& w, const RepinRecord& record) {
-  write_value(w, record);
-}
+JsonValue to_json(const RepinRecord& value) { return to_value(value); }
 bool from_json(const JsonValue& v, RepinRecord& out) {
   return read_value(v, out);
 }
-void to_json(JsonWriter& w, const StreamSchemeStats& stats) {
-  write_value(w, stats);
-}
+JsonValue to_json(const StreamSchemeStats& value) { return to_value(value); }
 bool from_json(const JsonValue& v, StreamSchemeStats& out) {
   return read_value(v, out);
 }
-void to_json(JsonWriter& w, const StreamStats& stats) { write_value(w, stats); }
+JsonValue to_json(const StreamStats& value) { return to_value(value); }
 bool from_json(const JsonValue& v, StreamStats& out) {
   return read_value(v, out);
 }
-void to_json(JsonWriter& w, const SweepSlice& slice) { write_value(w, slice); }
+JsonValue to_json(const SweepSlice& value) { return to_value(value); }
 bool from_json(const JsonValue& v, SweepSlice& out) { return read_value(v, out); }
 
 // ------------------------------------------------------------ slice files

@@ -16,20 +16,24 @@
 ///
 /// Each record has one field list in serialize.cpp — wire key plus member
 /// pointer, in wire order — that drives both directions through one
-/// generic writer and one generic reader; a new persisted member is one
-/// line there. The wire format is unchanged by the lists and frozen: the
-/// tests pin every record's text (keys, order, number formatting), so
-/// slice files written by older builds still merge.
+/// generic builder and its inverse reader: `to_json(x)` returns the
+/// JsonValue that `from_json` reads back, and `to_json(x).dump()` (or
+/// `.write_file(path)`) is the text. A new persisted member is one line
+/// there. The wire format is frozen: the tests pin every record's text
+/// (keys, order, number formatting), so slice files written by older
+/// builds still merge.
 ///
 /// The reader is strict. It rejects a missing member, a fractional or
 /// out-of-range number in an integer member, a negative count, a
-/// non-number or null sample, a duplicate scheme label, and in slice files
-/// a wrong `spr_shard` version, an unknown model, a negative node count or
-/// a slice index outside [0, shard_count). Unknown members are ignored,
-/// and `arena_high_water` may be absent (older artifacts lack it).
+/// non-number, null or non-finite double, a duplicate scheme label, and in
+/// slice files a wrong `spr_shard` version, an unknown model, a negative
+/// node count or a slice index outside [0, shard_count). Unknown members
+/// are ignored, and `arena_high_water` may be absent (older artifacts lack
+/// it).
 ///
 /// Doubles are emitted with %.17g and parsed with from_chars, so every
-/// finite double survives the trip bit-exactly.
+/// finite double survives the trip bit-exactly; a non-finite one is
+/// written as null, which no reader accepts back.
 
 #include <string>
 #include <vector>
@@ -46,25 +50,25 @@ namespace spr {
 /// {count, mean, min, max, stddev} — the report shape.
 JsonValue summary_stats(const Summary& s);
 /// One sweep section in the report shape (the "models" array element).
-void sweep_section_to_json(JsonWriter& w, const SweepSection& section);
+JsonValue sweep_section_to_json(const SweepSection& section);
 
 // ------------------------------------------------------------- full form
 /// {"values": [...]} — everything needed to rebuild the accumulator.
-void to_json(JsonWriter& w, const Summary& s);
+JsonValue to_json(const Summary& s);
 bool from_json(const JsonValue& v, Summary& out);
 
-void to_json(JsonWriter& w, const RouteAggregate& agg);
+JsonValue to_json(const RouteAggregate& agg);
 bool from_json(const JsonValue& v, RouteAggregate& out);
 
 /// {"nodes": n, "schemes": {label: aggregate...}}
-void to_json(JsonWriter& w, const SweepPoint& point);
+JsonValue to_json(const SweepPoint& point);
 bool from_json(const JsonValue& v, SweepPoint& out);
 
 /// {label: aggregate...}
-void to_json(JsonWriter& w, const CellResult& cell);
+JsonValue to_json(const CellResult& cell);
 bool from_json(const JsonValue& v, CellResult& out);
 
-void to_json(JsonWriter& w, const SweepTimings& t);
+JsonValue to_json(const SweepTimings& t);
 bool from_json(const JsonValue& v, SweepTimings& out);
 
 // --------------------------------------------------------- stream results
@@ -76,19 +80,19 @@ JsonValue stream_stats_json(const StreamStats& stats);
 
 /// Full (sample-retaining) forms: a deserialized StreamStats reconstructs
 /// every Summary accumulator bit-identically, like the sweep cell forms.
-void to_json(JsonWriter& w, const IncrementalStats& stats);
+JsonValue to_json(const IncrementalStats& stats);
 bool from_json(const JsonValue& v, IncrementalStats& out);
 
-void to_json(JsonWriter& w, const WaveRecord& record);
+JsonValue to_json(const WaveRecord& record);
 bool from_json(const JsonValue& v, WaveRecord& out);
 
-void to_json(JsonWriter& w, const RepinRecord& record);
+JsonValue to_json(const RepinRecord& record);
 bool from_json(const JsonValue& v, RepinRecord& out);
 
-void to_json(JsonWriter& w, const StreamSchemeStats& stats);
+JsonValue to_json(const StreamSchemeStats& stats);
 bool from_json(const JsonValue& v, StreamSchemeStats& out);
 
-void to_json(JsonWriter& w, const StreamStats& stats);
+JsonValue to_json(const StreamStats& stats);
 bool from_json(const JsonValue& v, StreamStats& out);
 
 // ------------------------------------------------------------ slice files
@@ -116,7 +120,7 @@ struct SweepSlice {
 SweepSlice make_slice(const SweepConfig& config, int slice_index,
                       int slice_count, std::vector<SliceCell> cells);
 
-void to_json(JsonWriter& w, const SweepSlice& slice);
+JsonValue to_json(const SweepSlice& slice);
 bool from_json(const JsonValue& v, SweepSlice& out);
 
 /// Merges slice files into sweep points. Validates that every slice

@@ -29,42 +29,33 @@ bool ConsoleSink::emit(const ScenarioReport& report) {
 
 namespace {
 
-JsonWriter build_json_document(const ScenarioReport& report) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("scenario").value(report.scenario);
-  for (const auto& [key, value] : report.params) {
-    w.key(key);
-    value.write(w);
-  }
-  for (const auto& [key, t] : report.timings) {
-    w.key(key);
-    to_json(w, t);
-  }
+JsonValue json_document(const ScenarioReport& report) {
+  JsonValue doc = JsonValue::object();
+  doc.set("scenario", JsonValue::of(report.scenario));
+  for (const auto& [key, value] : report.params) doc.set(key, value);
   if (!report.sweeps.empty()) {
-    w.key("models").begin_array();
+    JsonValue models = JsonValue::array();
     for (const auto& section : report.sweeps) {
-      sweep_section_to_json(w, section);
+      models.push(sweep_section_to_json(section));
     }
-    w.end_array();
+    doc.set("models", std::move(models));
   }
   if (!report.notes.empty()) {
-    w.key("notes").begin_array();
-    for (const auto& note : report.notes) w.value(note);
-    w.end_array();
+    JsonValue notes = JsonValue::array();
+    for (const auto& note : report.notes) notes.push(JsonValue::of(note));
+    doc.set("notes", std::move(notes));
   }
-  w.end_object();
-  return w;
+  return doc;
 }
 
 }  // namespace
 
 std::string JsonSink::render(const ScenarioReport& report) {
-  return build_json_document(report).str();
+  return json_document(report).dump();
 }
 
 bool JsonSink::emit(const ScenarioReport& report) {
-  return build_json_document(report).write_file(path_);
+  return json_document(report).write_file(path_);
 }
 
 // -------------------------------------------------------------------- csv

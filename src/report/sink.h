@@ -52,8 +52,8 @@ class ConsoleSink final : public ReportSink {
   std::FILE* out_;
 };
 
-/// Writes the machine-readable JSON report (scenario, params, timings,
-/// sweep sections under "models", notes).
+/// Writes the machine-readable JSON report as one document: scenario,
+/// params, sweep sections under "models", notes.
 class JsonSink final : public ReportSink {
  public:
   explicit JsonSink(std::string path) : path_(std::move(path)) {}

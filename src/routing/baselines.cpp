@@ -102,13 +102,4 @@ Router::Decision FloodingRouter::select_successor(NodeId, NodeId,
   return {h.path[h.next++], HopPhase::kGreedy, false};
 }
 
-std::size_t FloodingRouter::broadcast_cost(NodeId s) const {
-  auto dist = bfs_hops(graph(), s);
-  std::size_t reached = 0;
-  for (std::size_t v = 0; v < dist.size(); ++v) {
-    if (dist[v] != std::numeric_limits<std::size_t>::max()) ++reached;
-  }
-  return reached;
-}
-
 }  // namespace spr

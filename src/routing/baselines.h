@@ -50,15 +50,12 @@ class CompassRouter final : public Router {
 
 /// Flooding "router": conceptually every node rebroadcasts once. The walk
 /// reports the BFS-optimal path as the delivered path (the header holds it,
-/// computed when the packet is armed; an unreachable d is a dead end at s)
-/// and the broadcast cost (n transmissions) is accounted separately.
+/// computed when the packet is armed; an unreachable d is a dead end at s);
+/// the broadcast's own transmissions are not part of the walk.
 class FloodingRouter final : public Router {
  public:
   explicit FloodingRouter(const UnitDiskGraph& g) : Router(g) {}
   std::string_view name() const noexcept override { return "Flooding"; }
-
-  /// Transmissions a real flood would cost (every reachable node once).
-  std::size_t broadcast_cost(NodeId s) const;
 
  protected:
   Decision select_successor(NodeId u, NodeId d,

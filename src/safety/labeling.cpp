@@ -1,9 +1,8 @@
 #include "safety/labeling.h"
 
-#include <algorithm>
 #include <array>
-#include <cstring>
 #include <deque>
+#include <utility>
 
 #include "safety/zone_scan.h"
 #include "util/arena.h"
@@ -200,37 +199,6 @@ SafetyInfo compute_safety_scalar(const UnitDiskGraph& g,
   compute_anchors(g, tuples);
   if (stats != nullptr) *stats = local;
   return SafetyInfo(std::move(tuples));
-}
-
-std::vector<NodeId> unsafe_area_members(const UnitDiskGraph& g,
-                                        const SafetyInfo& info, NodeId u,
-                                        ZoneType t) {
-  std::vector<NodeId> out;
-  if (info.is_safe(u, t)) return out;
-  // BFS scratch (seen bits + frontier) lives in the kernel's per-thread
-  // arena; only the returned component itself touches the heap.
-  Arena& arena = FlatLabeler::scratch();
-  arena.reset();
-  const std::size_t words = (g.size() + 63) / 64;
-  auto* seen = static_cast<std::uint64_t*>(
-      arena.allocate(words * sizeof(std::uint64_t), alignof(std::uint64_t)));
-  std::memset(seen, 0, words * sizeof(std::uint64_t));
-  ArenaVector<NodeId> frontier{ArenaAllocator<NodeId>(arena)};
-  frontier.reserve(g.size());
-  seen[u >> 6] |= 1ull << (u & 63);
-  frontier.push_back(u);
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    NodeId w = frontier[head];
-    out.push_back(w);
-    for (NodeId v : g.neighbors(w)) {
-      if (((seen[v >> 6] >> (v & 63)) & 1u) == 0 && !info.is_safe(v, t)) {
-        seen[v >> 6] |= 1ull << (v & 63);
-        frontier.push_back(v);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace spr

@@ -31,113 +31,21 @@ void append_escaped(std::string& out, std::string_view text) {
   out.push_back('"');
 }
 
-}  // namespace
-
-void JsonWriter::comma() {
-  if (after_key_) {
-    after_key_ = false;
-    return;
-  }
-  if (!first_in_scope_.back()) out_.push_back(',');
-  first_in_scope_.back() = false;
-}
-
-JsonWriter& JsonWriter::begin_object() {
-  comma();
-  out_.push_back('{');
-  first_in_scope_.push_back(true);
-  return *this;
-}
-
-JsonWriter& JsonWriter::end_object() {
-  out_.push_back('}');
-  first_in_scope_.pop_back();
-  return *this;
-}
-
-JsonWriter& JsonWriter::begin_array() {
-  comma();
-  out_.push_back('[');
-  first_in_scope_.push_back(true);
-  return *this;
-}
-
-JsonWriter& JsonWriter::end_array() {
-  out_.push_back(']');
-  first_in_scope_.pop_back();
-  return *this;
-}
-
-JsonWriter& JsonWriter::key(std::string_view name) {
-  comma();
-  append_escaped(out_, name);
-  out_.push_back(':');
-  after_key_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(std::string_view text) {
-  comma();
-  append_escaped(out_, text);
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(double number) {
-  comma();
-  if (!std::isfinite(number)) {
-    out_ += "null";  // JSON has no Inf/NaN
-    return *this;
-  }
+/// Appends what std::to_chars prints for `number` (and `format`, if any).
+template <typename Number, typename... Format>
+void append_chars(std::string& out, Number number, Format... format) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", number);
-  out_ += buf;
-  return *this;
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, number, format...).ptr);
 }
 
-JsonWriter& JsonWriter::value(std::int64_t number) {
-  comma();
-  out_ += std::to_string(number);
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(std::uint64_t number) {
-  comma();
-  out_ += std::to_string(number);
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(bool flag) {
-  comma();
-  out_ += flag ? "true" : "false";
-  return *this;
-}
-
-JsonWriter& JsonWriter::null() {
-  comma();
-  out_ += "null";
-  return *this;
-}
-
-bool JsonWriter::write_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  bool ok = std::fwrite(out_.data(), 1, out_.size(), f) == out_.size();
-  ok = std::fputc('\n', f) != EOF && ok;
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
-}
-
-// ==================================================================
-// JsonValue
-// ==================================================================
-
-namespace {
 const JsonValue kNullValue{};
+
 }  // namespace
 
-JsonValue JsonValue::array() {
+JsonValue JsonValue::array(std::size_t capacity) {
   JsonValue v;
   v.kind_ = Kind::kArray;
+  v.items_.reserve(capacity);
   return v;
 }
 
@@ -165,7 +73,6 @@ JsonValue JsonValue::of(double number) {
 JsonValue JsonValue::of(std::int64_t number) {
   JsonValue v;
   v.kind_ = Kind::kNumber;
-  v.number_ = static_cast<double>(number);
   v.int_ = number;
   v.repr_ = NumRepr::kInt64;
   return v;
@@ -174,7 +81,6 @@ JsonValue JsonValue::of(std::int64_t number) {
 JsonValue JsonValue::of(std::uint64_t number) {
   JsonValue v;
   v.kind_ = Kind::kNumber;
-  v.number_ = static_cast<double>(number);
   v.uint_ = number;
   v.repr_ = NumRepr::kUint64;
   return v;
@@ -280,38 +186,59 @@ const JsonValue& JsonValue::get(std::string_view key) const noexcept {
   return v != nullptr ? *v : kNullValue;
 }
 
-void JsonValue::write(JsonWriter& w) const {
+void JsonValue::dump_to(std::string& out) const {
   switch (kind_) {
-    case Kind::kNull: w.null(); break;
-    case Kind::kBool: w.value(bool_); break;
+    case Kind::kNull: out += "null"; break;
+    case Kind::kBool: out += bool_ ? "true" : "false"; break;
     case Kind::kNumber:
       switch (repr_) {
-        case NumRepr::kInt64: w.value(int_); break;
-        case NumRepr::kUint64: w.value(uint_); break;
-        default: w.value(number_);
+        case NumRepr::kInt64: append_chars(out, int_); break;
+        case NumRepr::kUint64: append_chars(out, uint_); break;
+        default:
+          if (std::isfinite(number_)) {
+            // With a precision, to_chars prints what printf's %.17g prints.
+            append_chars(out, number_, std::chars_format::general, 17);
+          } else {
+            out += "null";  // JSON has no Inf/NaN
+          }
       }
       break;
-    case Kind::kString: w.value(string_); break;
+    case Kind::kString: append_escaped(out, string_); break;
     case Kind::kArray:
-      w.begin_array();
-      for (const auto& item : items_) item.write(w);
-      w.end_array();
+      out.push_back('[');
+      for (std::size_t i = 0; i < items_.size(); ++i) {
+        if (i > 0) out.push_back(',');
+        items_[i].dump_to(out);
+      }
+      out.push_back(']');
       break;
     case Kind::kObject:
-      w.begin_object();
-      for (const auto& [k, v] : members_) {
-        w.key(k);
-        v.write(w);
+      out.push_back('{');
+      for (std::size_t i = 0; i < members_.size(); ++i) {
+        if (i > 0) out.push_back(',');
+        append_escaped(out, members_[i].first);
+        out.push_back(':');
+        members_[i].second.dump_to(out);
       }
-      w.end_object();
+      out.push_back('}');
       break;
   }
 }
 
 std::string JsonValue::dump() const {
-  JsonWriter w;
-  write(w);
-  return w.str();
+  std::string out;
+  dump_to(out);
+  return out;
+}
+
+bool JsonValue::write_file(const std::string& path) const {
+  const std::string text = dump();
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  ok = std::fputc('\n', f) != EOF && ok;
+  ok = std::fclose(f) == 0 && ok;
+  return ok;
 }
 
 // ------------------------------------------------------------------ parser

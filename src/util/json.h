@@ -1,27 +1,23 @@
 #pragma once
 
 /// \file json.h
-/// Minimal JSON layer for machine-readable bench/scenario output and for
-/// reading it back (shard merge, artifact validation).
+/// Minimal JSON layer for machine-readable scenario output and for reading
+/// it back (slice merge, artifact validation).
 ///
-/// JsonWriter is a streaming emitter — no DOM, automatic comma placement
-/// and string escaping:
+/// JsonValue is the one JSON type: a strict recursive-descent parser
+/// (depth-capped, bounds-checked), a small builder API, and the one
+/// emitter behind dump() and write_file():
 ///
-///   JsonWriter w;
-///   w.begin_object();
-///   w.key("nodes").value(600);
-///   w.key("schemes").begin_array();
-///   w.value("GF").value("SLGF2");
-///   w.end_array();
-///   w.end_object();
-///   std::string text = w.str();
+///   JsonValue doc = JsonValue::object();
+///   doc.set("nodes", JsonValue::of(600));
+///   doc.set("schemes", JsonValue::array().push(JsonValue::of("GF")));
+///   std::string text = doc.dump();  // {"nodes":600,"schemes":["GF"]}
 ///
-/// JsonValue is the matching reader-side DOM: a strict recursive-descent
-/// parser (depth-capped, bounds-checked) plus just enough construction API
-/// to build report payloads programmatically. Numbers keep an exact
-/// int64/uint64 representation when the token is integral, so 64-bit seeds
-/// and counters round-trip exactly; doubles are emitted with %.17g and
-/// parsed with from_chars, so finite doubles round-trip bit-exactly too.
+/// Output is compact, and object members keep insertion (or document)
+/// order. Numbers keep an exact int64/uint64 representation when the token
+/// is integral, so 64-bit seeds and counters round-trip exactly; doubles
+/// are emitted with %.17g (a non-finite double as null) and parsed with
+/// from_chars, so finite doubles round-trip bit-exactly too.
 
 #include <cstdint>
 #include <string>
@@ -30,39 +26,6 @@
 #include <vector>
 
 namespace spr {
-
-class JsonWriter {
- public:
-  JsonWriter& begin_object();
-  JsonWriter& end_object();
-  JsonWriter& begin_array();
-  JsonWriter& end_array();
-
-  /// Object member key; must be followed by a value or container.
-  JsonWriter& key(std::string_view name);
-
-  JsonWriter& value(std::string_view text);
-  JsonWriter& value(const char* text) { return value(std::string_view(text)); }
-  JsonWriter& value(double number);
-  JsonWriter& value(std::int64_t number);
-  JsonWriter& value(std::uint64_t number);
-  JsonWriter& value(int number) { return value(static_cast<std::int64_t>(number)); }
-  JsonWriter& value(bool flag);
-  JsonWriter& null();
-
-  /// The document so far. Well-formed once every container is closed.
-  const std::string& str() const noexcept { return out_; }
-
-  /// Writes str() to `path`; returns false on I/O error.
-  bool write_file(const std::string& path) const;
-
- private:
-  void comma();
-
-  std::string out_;
-  std::vector<bool> first_in_scope_{true};  // per open container
-  bool after_key_ = false;
-};
 
 /// A parsed (or programmatically built) JSON document node.
 class JsonValue {
@@ -74,7 +37,8 @@ class JsonValue {
   JsonValue() = default;  ///< null
 
   // ------------------------------------------------------------ builders
-  static JsonValue array();
+  /// An empty array with room for `capacity` items.
+  static JsonValue array(std::size_t capacity = 0);
   static JsonValue object();
   static JsonValue of(bool flag);
   static JsonValue of(double number);
@@ -127,11 +91,10 @@ class JsonValue {
   const std::vector<Member>& members() const noexcept { return members_; }
 
   // ------------------------------------------------------------ round-trip
-  /// Emits this value at the writer's current position. Integral numbers
-  /// are written exactly; doubles via the writer's %.17g path.
-  void write(JsonWriter& w) const;
   /// The value as a standalone compact document.
   std::string dump() const;
+  /// Writes dump() and a newline to `path`; returns false on I/O error.
+  bool write_file(const std::string& path) const;
 
   /// Strict parse of a complete document (one value plus whitespace).
   /// Returns false on malformed input; `error`, when non-null, receives a
@@ -144,14 +107,19 @@ class JsonValue {
                          std::string* error = nullptr);
 
  private:
-  enum class NumRepr { kDouble, kInt64, kUint64 };
+  enum class NumRepr : std::uint8_t { kDouble, kInt64, kUint64 };
+
+  /// Appends this value's compact text to `out`.
+  void dump_to(std::string& out) const;
 
   Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::int64_t int_ = 0;
-  std::uint64_t uint_ = 0;
   NumRepr repr_ = NumRepr::kDouble;
+  bool bool_ = false;
+  union {  // the one `repr_` names
+    double number_ = 0.0;
+    std::int64_t int_;
+    std::uint64_t uint_;
+  };
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<Member> members_;

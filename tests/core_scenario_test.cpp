@@ -4,41 +4,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace spr {
 namespace {
-
-TEST(JsonWriter, NestedContainersAndEscaping) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("name").value("line\nbreak \"quoted\"");
-  w.key("count").value(3);
-  w.key("ratio").value(0.5);
-  w.key("ok").value(true);
-  w.key("missing").null();
-  w.key("list").begin_array();
-  w.value(1).value(2);
-  w.begin_object().key("x").value(7).end_object();
-  w.end_array();
-  w.end_object();
-  EXPECT_EQ(w.str(),
-            "{\"name\":\"line\\nbreak \\\"quoted\\\"\",\"count\":3,"
-            "\"ratio\":0.5,\"ok\":true,\"missing\":null,"
-            "\"list\":[1,2,{\"x\":7}]}");
-}
-
-TEST(JsonWriter, NonFiniteNumbersBecomeNull) {
-  JsonWriter w;
-  w.begin_array();
-  w.value(std::numeric_limits<double>::infinity());
-  w.value(std::numeric_limits<double>::quiet_NaN());
-  w.end_array();
-  EXPECT_EQ(w.str(), "[null,null]");
-}
 
 TEST(ScenarioSuite, BuiltinRegistersTheNamedScenarios) {
   const auto& suite = ScenarioSuite::builtin();

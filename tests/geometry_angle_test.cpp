@@ -46,12 +46,6 @@ TEST(Angle, CcwPlusCwIsFullTurn) {
   }
 }
 
-TEST(Angle, InteriorAngle) {
-  EXPECT_NEAR(interior_angle({1.0, 0.0}, {0.0, 0.0}, {0.0, 1.0}), kPi / 2, 1e-12);
-  EXPECT_NEAR(interior_angle({1.0, 0.0}, {0.0, 0.0}, {-1.0, 0.0}), kPi, 1e-12);
-  EXPECT_NEAR(interior_angle({1.0, 0.0}, {0.0, 0.0}, {2.0, 0.0}), 0.0, 1e-12);
-}
-
 TEST(CcwScan, OrdersBySweep) {
   CcwScan scan({0.0, 0.0}, 0.0);  // start at +x
   std::vector<Vec2> pts = {{0.0, 1.0}, {1.0, 0.1}, {-1.0, 0.5}, {0.5, -1.0}};
@@ -72,15 +66,6 @@ TEST(CcwScan, TieBrokenByDistance) {
 TEST(CcwScan, SweepToExactStartIsZero) {
   CcwScan scan({0.0, 0.0}, kPi / 2);
   EXPECT_NEAR(scan.sweep_to({0.0, 5.0}), 0.0, 1e-12);
-}
-
-TEST(CwScan, MirrorsCcw) {
-  CwScan scan({0.0, 0.0}, kPi / 2);  // start at +y, rotate clockwise
-  std::vector<Vec2> pts = {{1.0, 0.0}, {0.5, 1.0}, {-1.0, 0.0}};
-  std::sort(pts.begin(), pts.end(), scan);
-  EXPECT_EQ(pts[0], Vec2(0.5, 1.0));   // just CW of +y
-  EXPECT_EQ(pts[1], Vec2(1.0, 0.0));   // quarter turn CW
-  EXPECT_EQ(pts[2], Vec2(-1.0, 0.0));  // three quarters CW
 }
 
 }  // namespace

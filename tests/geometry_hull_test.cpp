@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "deploy/rng.h"
+#include "geometry/polygon.h"
 #include "geometry/vec2.h"
 
 namespace spr {
@@ -47,19 +48,8 @@ TEST(Hull, AllPointsInsideHullPolygon) {
   for (int i = 0; i < 200; ++i) {
     pts.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
   }
-  Polygon hull = convex_hull_polygon(pts);
+  Polygon hull(convex_hull(pts));
   for (Vec2 p : pts) EXPECT_TRUE(hull.contains(p));
-}
-
-TEST(Hull, IndicesReferenceInput) {
-  std::vector<Vec2> pts = {{1.0, 1.0}, {0.0, 0.0}, {2.0, 0.0}, {2.0, 2.0},
-                           {0.0, 2.0}};
-  auto idx = convex_hull_indices(pts);
-  EXPECT_EQ(idx.size(), 4u);
-  for (std::size_t i : idx) {
-    EXPECT_LT(i, pts.size());
-    EXPECT_NE(pts[i], Vec2(1.0, 1.0));
-  }
 }
 
 TEST(Hull, DistanceToBoundary) {

@@ -63,19 +63,6 @@ TEST(Segment, CollinearDisjoint) {
   EXPECT_FALSE(segments_intersect(a, b));
 }
 
-TEST(Segment, LineIntersectionPoint) {
-  auto p = line_intersection({{0.0, 0.0}, {2.0, 2.0}}, {{0.0, 2.0}, {2.0, 0.0}});
-  ASSERT_TRUE(p.has_value());
-  EXPECT_NEAR(p->x, 1.0, 1e-12);
-  EXPECT_NEAR(p->y, 1.0, 1e-12);
-}
-
-TEST(Segment, ParallelLinesNoIntersection) {
-  EXPECT_FALSE(line_intersection({{0.0, 0.0}, {1.0, 0.0}},
-                                 {{0.0, 1.0}, {1.0, 1.0}})
-                   .has_value());
-}
-
 TEST(Segment, SegmentIntersectionPoint) {
   auto p = segment_intersection({{0.0, 0.0}, {2.0, 0.0}}, {{1.0, -1.0}, {1.0, 1.0}});
   ASSERT_TRUE(p.has_value());
@@ -99,20 +86,6 @@ TEST(Segment, PointSegmentDistance) {
 TEST(Segment, DegenerateSegmentDistance) {
   Segment s{{1.0, 1.0}, {1.0, 1.0}};
   EXPECT_DOUBLE_EQ(point_segment_distance({4.0, 5.0}, s), 5.0);
-}
-
-TEST(Segment, CircumcenterEquidistant) {
-  Vec2 u{0.0, 0.0}, v1{2.0, 0.0}, v2{0.0, 2.0};
-  auto c = circumcenter(u, v1, v2);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_NEAR(distance(*c, u), distance(*c, v1), 1e-9);
-  EXPECT_NEAR(distance(*c, u), distance(*c, v2), 1e-9);
-  EXPECT_NEAR(c->x, 1.0, 1e-9);
-  EXPECT_NEAR(c->y, 1.0, 1e-9);
-}
-
-TEST(Segment, CircumcenterCollinearEmpty) {
-  EXPECT_FALSE(circumcenter({0.0, 0.0}, {1.0, 1.0}, {2.0, 2.0}).has_value());
 }
 
 }  // namespace

@@ -50,13 +50,6 @@ TEST(GraphMetrics, EstimateNeverExceedsExact) {
   }
 }
 
-TEST(GraphMetrics, AverageHopDistancePositive) {
-  Network net = test::random_network(300, 41);
-  double avg = average_hop_distance(net.graph(), 50, 7);
-  EXPECT_GT(avg, 1.0);
-  EXPECT_LT(avg, static_cast<double>(hop_diameter_estimate(net.graph())) + 1);
-}
-
 TEST(GraphMetrics, DensityIncreasesDegreeDecreasesDiameter) {
   Network sparse = test::random_network(400, 5);
   Network dense = test::random_network(800, 5);

@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string_view>
 #include <utility>
+
+#include "deploy/rng.h"
 
 namespace spr {
 namespace {
@@ -18,13 +22,12 @@ namespace {
 /// Serializes with to_json, parses the text, deserializes with from_json.
 template <typename T>
 T round_trip(const T& value) {
-  JsonWriter w;
-  to_json(w, value);
+  const std::string text = to_json(value).dump();
   JsonValue parsed;
   std::string error;
-  EXPECT_TRUE(JsonValue::parse(w.str(), parsed, &error)) << error;
+  EXPECT_TRUE(JsonValue::parse(text, parsed, &error)) << error;
   T out;
-  EXPECT_TRUE(from_json(parsed, out)) << w.str();
+  EXPECT_TRUE(from_json(parsed, out)) << text;
   return out;
 }
 
@@ -65,6 +68,25 @@ TEST(Serialize, SummaryRejectsMalformed) {
   EXPECT_FALSE(from_json(v, out));
   ASSERT_TRUE(JsonValue::parse(R"({"values":[null]})", v));
   EXPECT_FALSE(from_json(v, out));
+}
+
+TEST(Serialize, DoublesRejectNonFiniteValues) {
+  // 1e999 parses as inf, which to_json writes back as null: accepting it
+  // would read a file that no writer can produce again.
+  Summary out;
+  JsonValue v;
+  ASSERT_TRUE(JsonValue::parse(R"({"values":[1e999,2]})", v));
+  EXPECT_FALSE(from_json(v, out));
+  ASSERT_TRUE(JsonValue::parse(R"({"values":[-1e999]})", v));
+  EXPECT_FALSE(from_json(v, out));
+  // The built value is read as strictly as its text.
+  Summary inf_sample;
+  inf_sample.add(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(to_json(inf_sample).dump(), R"({"values":[null]})");
+  EXPECT_FALSE(from_json(to_json(inf_sample), out));
+  SweepTimings t;
+  t.oracle_seconds = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(from_json(to_json(t), t));
 }
 
 RouteAggregate sample_aggregate(std::uint64_t seed) {
@@ -133,17 +155,13 @@ TEST(Serialize, SweepTimingsRoundTrip) {
 /// to exactly `wire`.
 template <typename T>
 void expect_wire(const T& value, const std::string& wire) {
-  JsonWriter w;
-  to_json(w, value);
-  EXPECT_EQ(w.str(), wire);
+  EXPECT_EQ(to_json(value).dump(), wire);
   JsonValue parsed;
   std::string error;
   ASSERT_TRUE(JsonValue::parse(wire, parsed, &error)) << error;
   T decoded;
   ASSERT_TRUE(from_json(parsed, decoded)) << wire;
-  JsonWriter again;
-  to_json(again, decoded);
-  EXPECT_EQ(again.str(), wire);
+  EXPECT_EQ(to_json(decoded).dump(), wire);
 }
 
 Summary summary_of(std::initializer_list<double> values) {
@@ -386,11 +404,10 @@ TEST(Shards, SingleCellShardsMergeBitIdenticallyToRunSweep) {
     auto cells = run_sweep_slice(config, i, total_cells);
     ASSERT_EQ(cells.size(), 1u) << i;
     SweepSlice shard = make_slice(config, i, total_cells, std::move(cells));
-    JsonWriter w;
-    to_json(w, shard);
     JsonValue parsed;
     std::string error;
-    ASSERT_TRUE(JsonValue::parse(w.str(), parsed, &error)) << error;
+    ASSERT_TRUE(JsonValue::parse(to_json(shard).dump(), parsed, &error))
+        << error;
     SweepSlice decoded;
     ASSERT_TRUE(from_json(parsed, decoded));
     EXPECT_EQ(decoded, shard);
@@ -513,10 +530,7 @@ TEST(Shards, ShardFileRejectsForeignJson) {
 
   // A well-formed slice whose header is out of range: the slice index must
   // lie in [0, shard_count), and the seed and counts carry no sign.
-  JsonWriter w;
-  to_json(w, make_slice(small_sweep_config(), 1, 2, {}));
-  JsonValue valid;
-  ASSERT_TRUE(JsonValue::parse(w.str(), valid));
+  const JsonValue valid = to_json(make_slice(small_sweep_config(), 1, 2, {}));
   ASSERT_TRUE(from_json(valid, shard));
   const std::pair<const char*, std::int64_t> corruptions[] = {
       {"shard_count", 0},  {"shard_index", -3}, {"shard_index", 2},
@@ -534,6 +548,51 @@ TEST(Shards, ShardFileRejectsForeignJson) {
   v = valid;
   v.set("node_counts", JsonValue::array().push(JsonValue::of(-400)));
   EXPECT_FALSE(from_json(v, shard));
+}
+
+/// Seeded single-byte mutations of a real slice file: delete a byte,
+/// duplicate it, or overwrite it with a structural or numeric one. Parsing,
+/// reading and merging a mutant may fail but never abort (the suite runs
+/// under ASan/UBSan in CI), and a slice the reader accepts writes back to
+/// text that reads as the same slice.
+TEST(Shards, MutatedSliceFilesNeverAbort) {
+  SweepConfig config = small_sweep_config();
+  config.node_counts = {400};
+  config.networks_per_point = 2;
+  const std::string text =
+      to_json(make_slice(config, 0, 2, run_sweep_slice(config, 0, 2))).dump();
+  const SweepSlice sibling =
+      make_slice(config, 1, 2, run_sweep_slice(config, 1, 2));
+  constexpr std::string_view kBytes = "{}[]\":,-.e09";
+  Rng rng(0x5eed);
+  int accepted = 0;
+  int merged = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string mutant = text;
+    const std::size_t at = rng.next_below(mutant.size());
+    switch (rng.next_below(3)) {
+      case 0: mutant.erase(at, 1); break;
+      case 1: mutant.insert(at, 1, mutant[at]); break;
+      default: mutant[at] = kBytes[rng.next_below(kBytes.size())];
+    }
+    JsonValue parsed;
+    SweepSlice slice;
+    if (!JsonValue::parse(mutant, parsed) || !from_json(parsed, slice)) {
+      continue;
+    }
+    ++accepted;
+    JsonValue again;
+    SweepSlice reread;
+    ASSERT_TRUE(JsonValue::parse(to_json(slice).dump(), again))
+        << "mutant " << i << " at byte " << at;
+    ASSERT_TRUE(from_json(again, reread)) << "mutant " << i << " at " << at;
+    EXPECT_EQ(reread, slice) << "mutant " << i << " at byte " << at;
+    std::vector<SweepPoint> points;
+    if (merge_slices({slice, sibling}, points)) ++merged;
+  }
+  // Mutants inside sample digits still read and merge.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(merged, 0);
 }
 
 TEST(Shards, RunSweepSlicePartitionsTheCells) {

@@ -104,14 +104,6 @@ TEST(Flooding, FailsAcrossDisconnection) {
   EXPECT_EQ(r.length, 0.0);
 }
 
-TEST(Flooding, BroadcastCostCountsComponent) {
-  auto g = test::make_graph(
-      {{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}, {200.0, 0.0}}, 12.0);
-  FloodingRouter router(g);
-  EXPECT_EQ(router.broadcast_cost(0), 3u);  // the far node is unreachable
-  EXPECT_EQ(router.broadcast_cost(3), 1u);
-}
-
 TEST(Baselines, GreedyOnlySchemesFailMoreThanSlgf2) {
   int mfr_fail = 0, compass_fail = 0, slgf2_fail = 0, total = 0;
   for (std::uint64_t seed : test::property_seeds()) {

@@ -74,14 +74,6 @@ TEST(GreedyUtil, FilterExcludesCandidates) {
   EXPECT_EQ(v, 2u);
 }
 
-TEST(GreedyUtil, ClosestSuccessorIgnoresProgress) {
-  // closest_successor may pick a node farther than u (used by recovery).
-  auto g = test::make_graph(
-      {{0.0, 0.0}, {-10.0, 0.0}, {-15.0, 0.0}, {100.0, 0.0}}, 20.0);
-  NodeId v = closest_successor(g, 0, g.position(3), [](NodeId) { return true; });
-  EXPECT_EQ(v, 1u);
-}
-
 TEST(GreedyUtil, DeliversToDestinationWhenNeighbor) {
   auto g = test::make_graph({{0.0, 0.0}, {10.0, 0.0}}, 20.0);
   EXPECT_EQ(greedy_successor(g, 0, g.position(1)), 1u);

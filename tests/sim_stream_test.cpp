@@ -34,9 +34,7 @@ std::pair<NodeId, NodeId> far_pair(const Network& net, std::uint64_t seed) {
 }
 
 std::string stream_json(const StreamStats& stats) {
-  JsonWriter w;
-  to_json(w, stats);
-  return w.str();
+  return to_json(stats).dump();
 }
 
 /// With no world events, the stream is the atomic route repeated: per

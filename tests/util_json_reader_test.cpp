@@ -1,8 +1,9 @@
 /// \file util_json_reader_test.cpp
-/// The JsonValue parser: strict acceptance of what JsonWriter emits (and
-/// ordinary JSON beyond it), exact number round-trips, and rejection of
-/// truncated / malformed input without crashes (the suite runs under
-/// ASan/UBSan in CI).
+/// JsonValue: the emitter's exact bytes (escaping, non-finite doubles,
+/// exact integers), strict acceptance of what dump() emits (and ordinary
+/// JSON beyond it), exact number round-trips, and rejection of truncated /
+/// malformed input without crashes (the suite runs under ASan/UBSan in
+/// CI).
 
 #include "util/json.h"
 
@@ -10,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -67,19 +69,70 @@ TEST(JsonReader, StringEscapes) {
   EXPECT_EQ(parse_ok(R"("\ud83d\ude00")").as_string(), "\xf0\x9f\x98\x80");
 }
 
-TEST(JsonReader, ParsesWhatTheWriterEmits) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("name").value("line\nbreak \"quoted\"");
-  w.key("count").value(3);
-  w.key("big").value(std::uint64_t{18446744073709551615ULL});
-  w.key("neg").value(std::int64_t{-9223372036854775807LL});
-  w.key("ratio").value(0.1);
-  w.key("bad").value(std::numeric_limits<double>::quiet_NaN());
-  w.key("list").begin_array().value(1).value(true).null().end_array();
-  w.end_object();
+TEST(JsonDump, NestedContainersAndEscaping) {
+  JsonValue list = JsonValue::array();
+  list.push(JsonValue::of(1)).push(JsonValue::of(2));
+  list.push(JsonValue::object().set("x", JsonValue::of(7)));
+  JsonValue doc = JsonValue::object();
+  doc.set("name", JsonValue::of("line\nbreak \"quoted\""));
+  doc.set("count", JsonValue::of(3));
+  doc.set("ratio", JsonValue::of(0.5));
+  doc.set("ok", JsonValue::of(true));
+  doc.set("missing", JsonValue());
+  doc.set("list", std::move(list));
+  EXPECT_EQ(doc.dump(),
+            "{\"name\":\"line\\nbreak \\\"quoted\\\"\",\"count\":3,"
+            "\"ratio\":0.5,\"ok\":true,\"missing\":null,"
+            "\"list\":[1,2,{\"x\":7}]}");
+}
 
-  JsonValue v = parse_ok(w.str());
+TEST(JsonDump, NonFiniteNumbersBecomeNull) {
+  JsonValue list = JsonValue::array();
+  list.push(JsonValue::of(std::numeric_limits<double>::infinity()));
+  list.push(JsonValue::of(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(list.dump(), "[null,null]");
+}
+
+TEST(JsonDump, ControlCharactersAndExactIntegers) {
+  JsonValue doc = JsonValue::object();
+  doc.set("tab\tkey", JsonValue::of("\x01\r\\"));
+  doc.set("max", JsonValue::of(std::uint64_t{18446744073709551615ULL}));
+  doc.set("min", JsonValue::of(std::int64_t{INT64_MIN}));
+  doc.set("third", JsonValue::of(1.0 / 3.0));
+  EXPECT_EQ(doc.dump(),
+            R"({"tab\tkey":"\u0001\r\\","max":18446744073709551615,)"
+            R"("min":-9223372036854775808,"third":0.33333333333333331})");
+}
+
+TEST(JsonDump, WriteFileAppendsNewline) {
+  const std::string path = ::testing::TempDir() + "spr_json_dump.json";
+  JsonValue doc = JsonValue::object().set("a", JsonValue::of(1));
+  ASSERT_TRUE(doc.write_file(path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[32] = {};
+  const std::size_t got = std::fread(buf, 1, sizeof(buf), f);
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_EQ(std::string(buf, got), "{\"a\":1}\n");
+  EXPECT_FALSE(doc.write_file("/nonexistent-dir/x.json"));
+}
+
+TEST(JsonReader, ParsesWhatDumpEmits) {
+  JsonValue doc = JsonValue::object();
+  doc.set("name", JsonValue::of("line\nbreak \"quoted\""));
+  doc.set("count", JsonValue::of(3));
+  doc.set("big", JsonValue::of(std::uint64_t{18446744073709551615ULL}));
+  doc.set("neg", JsonValue::of(std::int64_t{-9223372036854775807LL}));
+  doc.set("ratio", JsonValue::of(0.1));
+  doc.set("bad", JsonValue::of(std::numeric_limits<double>::quiet_NaN()));
+  doc.set("list", JsonValue::array()
+                      .push(JsonValue::of(1))
+                      .push(JsonValue::of(true))
+                      .push(JsonValue()));
+  const std::string text = doc.dump();
+
+  JsonValue v = parse_ok(text);
   EXPECT_EQ(v.get("name").as_string(), "line\nbreak \"quoted\"");
   EXPECT_EQ(v.get("count").as_int64(), 3);
   EXPECT_EQ(v.get("big").as_uint64(), 18446744073709551615ULL);
@@ -88,7 +141,7 @@ TEST(JsonReader, ParsesWhatTheWriterEmits) {
   EXPECT_TRUE(v.get("bad").is_null());  // NaN was emitted as null
   EXPECT_EQ(v.get("list").size(), 3u);
   // Re-emitting the parsed DOM reproduces the document byte-for-byte.
-  EXPECT_EQ(v.dump(), w.str());
+  EXPECT_EQ(v.dump(), text);
 }
 
 TEST(JsonReader, DoublesRoundTripBitExactly) {
@@ -101,13 +154,12 @@ TEST(JsonReader, DoublesRoundTripBitExactly) {
                           std::numeric_limits<double>::max(),
                           std::numeric_limits<double>::denorm_min()};
   for (double expected : cases) {
-    JsonWriter w;
-    w.value(expected);
-    JsonValue v = parse_ok(w.str());
+    const std::string text = JsonValue::of(expected).dump();
+    JsonValue v = parse_ok(text);
     double actual = v.as_double();
     // Bit-exact, not just approximately equal.
     EXPECT_EQ(std::memcmp(&expected, &actual, sizeof expected), 0)
-        << expected << " -> " << w.str() << " -> " << actual;
+        << expected << " -> " << text << " -> " << actual;
   }
 }
 
@@ -163,15 +215,13 @@ TEST(JsonReader, RejectsMalformedInput) {
   }
 }
 
-TEST(JsonReader, RejectsTruncatedWriterOutput) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("list").begin_array();
-  for (int i = 0; i < 20; ++i) w.value(i);
-  w.end_array();
-  w.key("tail").value("x");
-  w.end_object();
-  const std::string& full = w.str();
+TEST(JsonReader, RejectsTruncatedDumpOutput) {
+  JsonValue list = JsonValue::array();
+  for (int i = 0; i < 20; ++i) list.push(JsonValue::of(i));
+  JsonValue doc = JsonValue::object();
+  doc.set("list", std::move(list));
+  doc.set("tail", JsonValue::of("x"));
+  const std::string full = doc.dump();
   // Every strict prefix must be rejected (no crash, no acceptance).
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     JsonValue v;

@@ -57,6 +57,22 @@ double cached_sum(const Node& node, const Node* p, const Cache& c) {
   return sum;
 }
 
+// A range-for header wrapped after its colon, as clang-format wraps a long
+// one, over a local and over a parameter.
+int wrapped_sum(const std::unordered_map<int, int>& weights_by_node_id) {
+  std::unordered_map<int, int> counts_by_node_id;
+  int sum = 0;
+  for (const auto& [node_id, count_for_node] :  // EXPECT[unordered-iter]
+       counts_by_node_id) {
+    sum += node_id + count_for_node;
+  }
+  for (const auto& [node_id, weight_for_node] :  // EXPECT[unordered-iter]
+       weights_by_node_id) {
+    sum += node_id + weight_for_node;
+  }
+  return sum;
+}
+
 void pointer_stamp(int* p) {
   std::printf("%p\n", static_cast<void*>(p));  // EXPECT[wallclock]
 }

@@ -32,6 +32,16 @@ int ordered_sum(const std::map<int, int>& counts) {
   return sum;
 }
 
+// ...also when the header wraps after its colon.
+int wrapped_ordered_sum(const std::map<int, int>& counts_by_node_id) {
+  int sum = 0;
+  for (const auto& [node_id, count_for_node] :
+       counts_by_node_id) {
+    sum += node_id + count_for_node;
+  }
+  return sum;
+}
+
 // Integer formats are fine; only %p prints an address.
 void print_size(std::size_t n) { std::printf("%zu\n", n); }
 

@@ -517,8 +517,8 @@ def _source_in(text: str) -> str | None:
 
 
 def _sink_names(registry: Registry) -> set[str]:
-    names = {"param", "note", "textf", "add_table", "add_timings",
-             "add_sweep", "to_json"}
+    names = {"param", "note", "textf", "add_table", "add_sweep",
+             "to_json"}
     for fn in registry.functions:
         if _SINK_FILE_RE.search(fn.file):
             names.add(fn.name)
@@ -924,6 +924,9 @@ _UNORDERED_ALIAS_RE = re.compile(
 _RANGE_FOR_RE = re.compile(
     r"\bfor\s*\([^;()]*?:\s*\(?\s*(?:[A-Za-z_]\w*\s*(?:\.|->)\s*)*"
     r"([A-Za-z_]\w*)")
+# A range-for header that wraps after its colon, as clang-format wraps a
+# long one; its range expression starts the next line.
+_RANGE_FOR_WRAP_RE = re.compile(r"\bfor\s*\([^;()]*:\s*$")
 
 # `.hxx` is the fixture corpus's header extension (the tree walk skips it).
 _HEADER_EXTS = (".h", ".hxx")
@@ -966,6 +969,16 @@ def check_raw_new(code: list[str], emit) -> None:
                  "smart pointers/containers")
 
 
+def _range_for_name(code: list[str], idx: int) -> str | None:
+    """The range name of a range-for whose header starts on line `idx`,
+    read across a wrap after the colon."""
+    line = code[idx - 1]
+    if _RANGE_FOR_WRAP_RE.search(line) and idx < len(code):
+        line += " " + code[idx]
+    m = _RANGE_FOR_RE.search(line)
+    return m.group(1) if m else None
+
+
 def _unordered_loops(fm: FileModel,
                      code: list[str]) -> list[tuple[int, str]]:
     """(line, container) of range-fors over unordered containers: by-value
@@ -982,19 +995,19 @@ def _unordered_loops(fm: FileModel,
         names |= {m.group(1) for line in code
                   for m in alias_decl.finditer(line)}
     loops = set()
-    for idx, line in enumerate(code, start=1):
-        m = _RANGE_FOR_RE.search(line)
-        if m and m.group(1) in names:
-            loops.add((idx, m.group(1)))
+    for idx in range(1, len(code) + 1):
+        name = _range_for_name(code, idx)
+        if name in names:
+            loops.add((idx, name))
     for fn in fm.functions:
         params = {p.name for p in fn.params if "unordered_" in p.type_text
                   or aliases & set(re.findall(r"\w+", p.type_text))}
         if not params or not fn.body_tokens:
             continue
         for idx in range(fn.body_tokens[0].line, fn.body_tokens[-1].line + 1):
-            m = _RANGE_FOR_RE.search(code[idx - 1])
-            if m and m.group(1) in params:
-                loops.add((idx, m.group(1)))
+            name = _range_for_name(code, idx)
+            if name in params:
+                loops.add((idx, name))
     return sorted(loops)
 
 

@@ -350,9 +350,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   SweepSlice slice = make_slice(config, slice_index, slice_count,
                                 std::move(cells));
   if (!json_path.empty()) {
-    JsonWriter w;
-    to_json(w, slice);
-    if (!w.write_file(json_path)) {
+    if (!to_json(slice).write_file(json_path)) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
