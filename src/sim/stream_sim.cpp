@@ -35,10 +35,11 @@ constexpr std::size_t kNoOracle = static_cast<std::size_t>(-1);
 
 /// Per-flight state in parallel arrays. Flight f = p * n_schemes + k is
 /// scheme k's copy of packet p, so one event id addresses one copy and the
-/// final reduction walks the arrays packet-major. Stepper slots are pooled:
-/// armed in place via Router::restart_stepper at injection and at re-plans,
-/// released when the flight terminates — after the ramp-up the steady
-/// state allocates nothing.
+/// final reduction walks the arrays packet-major. Stepper slots are armed
+/// via Router::restart_stepper at injection (a fresh header from the
+/// scheme's make_header) and re-armed in place at re-plans; a slot is
+/// released, header and buffers, the moment its walk ends, so only copies
+/// in the air hold memory.
 struct Records {
   // Per packet.
   std::vector<double> inject_time;
@@ -122,6 +123,25 @@ StreamSim::StreamSim(Network initial, StreamConfig config)
   // No endpoints means no traffic: clamp the packet count so the mobility
   // re-pin loop (which keeps firing while injections remain) terminates.
   if (config_.pairs.empty()) config_.packets = 0;
+  // Re-pins fire while traffic remains, and the last copy ends by the
+  // stream's longest span, (packets - 1) * packet_interval + TTL *
+  // hop_delay, so a tiny finite interval would re-pin past any budget.
+  // Each term is divided by the interval first, so a huge interval next to
+  // an equally huge span stays finite here and meets run()'s clock check.
+  if (config_.mobility_interval > 0.0 && config_.packets > 0) {
+    const double interval = config_.mobility_interval;
+    const double ttl = static_cast<double>(
+        RouteOptions{}.ttl_factor *
+        std::max<std::size_t>(net_.graph().size(), 1));
+    const double injections =
+        config_.packets > 1 ? static_cast<double>(config_.packets - 1) *
+                                  (config_.packet_interval / interval)
+                            : 0.0;
+    const double most = injections + ttl * (config_.hop_delay / interval) + 1;
+    SPR_CHECK(most <= kMaxRepins, "mobility_interval ", interval,
+              " allows up to ", most, " re-pins, over the cap of ",
+              kMaxRepins);
+  }
   // Force every structure the scheme set needs now, so the first failure
   // wave continues an already-built safety fixpoint incrementally instead
   // of triggering a from-scratch build mid-stream.
@@ -215,10 +235,10 @@ StreamStats StreamSim::run() {
   // Stepping is read-only on the shared router/network structures: every
   // scheme's eager needs are forced in the constructor, and GF's lazy
   // recovery caches resolve atomically through Network's call_once
-  // accessors, so each tick's batch can fan out across a pool without any
-  // up-front priming; the merge below is serial and batch-ordered, so the
-  // run is bit-identical across thread counts. The per-hop reference mode
-  // runs without a pool.
+  // accessors, so each epoch's batch can fan out across a pool without any
+  // up-front priming; arming and the merge stay serial and pop-ordered, so
+  // the run is bit-identical across thread counts. The per-hop reference
+  // mode runs without a pool.
   std::optional<TaskPool> pool;
   if (!per_hop && config_.threads > 1) pool.emplace(config_.threads);
 
@@ -256,10 +276,11 @@ StreamStats StreamSim::run() {
   };
 
   // The tick ring: flights due at the same exact instant share one bucket
-  // and one kTick heap event, pushed when the bucket is created — i.e. at
-  // the same pop instant the per-hop mode pushes that time's first hop
-  // event, so tick-vs-control tie order inherits the per-hop (time, seq)
-  // semantics.
+  // and one kTick heap event, pushed when the bucket is created. The epoch
+  // batch creates it after the pop where the per-hop mode pushes that
+  // time's first hop event, but before the barrier's handler pushes the
+  // next control event, so tick-vs-control tie order inherits the per-hop
+  // (time, seq) semantics.
   TickBuckets ticks(256);
   auto schedule_flight = [&ticks, &queue](std::size_t f, double when) {
     TickBuckets::Scheduled scheduled =
@@ -332,14 +353,15 @@ StreamStats StreamSim::run() {
   // Epoch barriers: the only events that can change what a flight observes
   // are the substrate mutations (waves and re-pins) — injections spawn new
   // flights but never touch active ones. Between one barrier and the next,
-  // every flight's walk is a pure function of its own state, so a tick
-  // batch may fast-forward each flight through ALL its hop instants
-  // strictly before the barrier instead of one hop per tick. The instant
-  // sequence accumulates iteratively (t = t + hop_delay), exactly as the
-  // per-hop mode pushes hop events, so finish times stay bit-identical;
-  // a hop instant that lands exactly on the barrier is not taken — the
-  // survivor parks there and the barrier event (earlier seq, pushed at
-  // setup / the previous re-pin) fires first, as in the per-hop heap order.
+  // every flight's walk is a pure function of its own state, so the
+  // flight-record mode steps each flight through ALL its hop instants
+  // strictly before the barrier at once instead of one hop per event. The
+  // instant sequence accumulates iteratively (t = t + hop_delay), exactly
+  // as the per-hop mode pushes hop events, so finish times stay
+  // bit-identical; a hop instant that lands exactly on the barrier is not
+  // taken — the survivor parks there and the barrier event (earlier seq,
+  // pushed at setup / the previous re-pin) fires first, as in the per-hop
+  // heap order.
   constexpr double kNoBarrier = std::numeric_limits<double>::infinity();
   std::vector<double> wave_times;
   wave_times.reserve(wave_order.size());
@@ -369,13 +391,15 @@ StreamStats StreamSim::run() {
   // steps for real and parks, keeping its own header state). Cleared at
   // every substrate change alongside rebuild_routers().
   struct WalkMemo {
-    RouteStatus status = RouteStatus::kDeadEnd;
+    StreamOutcome outcome = StreamOutcome::kDeadEnd;
     std::uint32_t hops = 0;
     std::uint32_t local_minima = 0;
     /// step() calls of the walk: hops, plus one for the terminal
     /// no-move call of a dead end — the count of hop instants occupied.
+    /// 0 while no walk of this key has ended.
     std::uint32_t step_calls = 0;
     double length = 0.0;
+    std::uint64_t claimed = 0;  ///< last batch that armed this key's walk
   };
   FlatMap64<WalkMemo> walk_memo;
   const std::size_t n_nodes = net_.graph().size();
@@ -383,8 +407,11 @@ StreamStats StreamSim::run() {
   // n_schemes * n_nodes^2 to fit; beyond that the memo just switches off.
   const bool memo_ok =
       n_nodes > 0 && n_schemes <= (~std::uint64_t{0} - 1) / n_nodes / n_nodes;
-  auto memo_key = [n_nodes](std::size_t k, NodeId s, NodeId d) {
-    return (static_cast<std::uint64_t>(k) * n_nodes + s) * n_nodes + d;
+  auto memo_key = [&rec, n_nodes, n_schemes](std::size_t f) {
+    const std::size_t p = f / n_schemes;
+    return (static_cast<std::uint64_t>(f % n_schemes) * n_nodes + rec.src[p]) *
+               n_nodes +
+           rec.dst[p];
   };
 
   // A wave or a re-pin adopts its successor substrate: the optional
@@ -405,15 +432,169 @@ StreamStats StreamSim::run() {
   };
 
   std::size_t injected_count = 0;
-  std::vector<std::uint32_t> active;  // this tick's surviving batch
-  std::vector<double> finish_at;      // per-active final-step instant
-  // The latest fast-forwarded terminal instant. The per-hop mode's clock
-  // ends on its last heap event — the slowest flight's terminal hop — but
-  // fast-forwarded hops never become heap events, so that instant is
-  // tracked here and folded into virtual_time after the drain.
+  // The latest batched terminal instant. The per-hop mode's clock ends on
+  // its last heap event — the slowest flight's terminal hop — but batched
+  // hops never become heap events, so that instant is tracked here and
+  // folded into virtual_time after the drain.
   double final_instant = 0.0;
 
-  while (!queue.empty()) {
+  // The epoch batch. In flight-record mode kInject and kTick only append
+  // their flights, in pop order; `flush` steps the whole list at once when
+  // a barrier pops (before its handler touches anything), when the heap
+  // drains, and whenever the list reaches kBatchCap entries, which bounds
+  // the fresh slots armed at once. Stepping late and together changes only
+  // host time: flights are independent until the barrier and every park
+  // lands at or past it, so the merge's kTick pushes, made in pop order,
+  // all precede what the barrier's handler pushes.
+  struct Pending {
+    std::uint32_t flight = 0;
+    bool tick = false;     ///< a tick survivor; else a fresh injection
+    bool stepped = false;  ///< stepped by this flush, so the merge settles it
+    double at = 0.0;       ///< pop instant; once stepped, park/end instant
+  };
+  constexpr std::size_t kBatchCap = 4096;
+  std::vector<Pending> pending;
+  std::vector<std::size_t> stepping;  // indices into pending
+  std::vector<std::size_t> repeats;   // injections whose key is armed
+  std::uint64_t batches = 0;
+
+  auto flush = [&]() {
+    if (pending.empty()) return;
+    ++batches;
+    const double barrier = next_barrier();
+    const double hop_delay = config_.hop_delay;
+    // The one advance routine: a tick takes its first step at its pop
+    // instant, an injection one hop_delay later and only before the
+    // barrier. A walk that ends is harvested and its slot released on the
+    // spot; a survivor keeps its park instant, the first hop instant at or
+    // past the barrier.
+    auto advance = [&](Pending& e) {
+      RouteStepper& slot = rec.steppers[e.flight];
+      double t = e.tick ? e.at : e.at + hop_delay;
+      bool parked = !e.tick && !(t < barrier);
+      while (!parked && slot.step()) {
+        t += hop_delay;
+        parked = !(t < barrier);
+      }
+      e.stepped = true;
+      e.at = t;
+      if (parked) return;
+      const RouteStatus status = slot.result().status;
+      harvest_record(e.flight);
+      finalize_record(e.flight, outcome_of(status), t);
+    };
+    // Disjoint per-flight state over a read-only substrate. The grain
+    // scales with the batch (a few blocks per worker), and work stealing
+    // absorbs the uneven walk lengths.
+    auto step_all = [&]() {
+      constexpr std::size_t kMinGrain = 32;
+      const std::size_t grain =
+          pool ? std::max(kMinGrain,
+                          stepping.size() / (pool->thread_count() * 4))
+               : stepping.size();
+      parallel_for_blocked(pool ? &*pool : nullptr, stepping.size(), grain,
+                           [&](std::size_t begin, std::size_t end) {
+                             for (std::size_t i = begin; i < end; ++i) {
+                               advance(pending[stepping[i]]);
+                             }
+                           });
+      stepping.clear();
+    };
+    // Arms a fresh copy at its source; a degenerate walk ends at its pop.
+    auto arm_fresh = [&](std::size_t i) {
+      const std::size_t f = pending[i].flight;
+      const std::size_t p = f / n_schemes;
+      if (arm(p, f % n_schemes, rec.src[p], 0, pending[i].at)) {
+        stepping.push_back(i);
+      }
+    };
+
+    // 1. Arm, in pop order, the first injection of each key the memo has
+    //    no walk for; the key's later injections wait for that walk.
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (pending[i].tick) {
+        stepping.push_back(i);
+        continue;
+      }
+      if (memo_ok) {
+        WalkMemo& m =
+            walk_memo.find_or_insert(memo_key(pending[i].flight), WalkMemo{});
+        if (m.step_calls > 0 || m.claimed == batches) {
+          repeats.push_back(i);
+          continue;
+        }
+        m.claimed = batches;
+      }
+      arm_fresh(i);
+    }
+    // 2. Step those and every tick survivor, to their end or their park.
+    step_all();
+    // 3. Memoize the first walks that ended (only they have stepped among
+    //    the injections), replay the repeats whose walk fits before the
+    //    barrier, and arm the rest: they cross it, or their key's first
+    //    walk parked, so they step for real and park.
+    if (memo_ok) {
+      for (const Pending& e : pending) {
+        if (e.tick || !e.stepped ||
+            rec.outcome[e.flight] == StreamOutcome::kInFlight) {
+          continue;
+        }
+        WalkMemo& m = walk_memo.find_or_insert(memo_key(e.flight), WalkMemo{});
+        m.outcome = rec.outcome[e.flight];
+        m.hops = rec.hops[e.flight];
+        m.local_minima = rec.local_minima[e.flight];
+        // A dead end's terminal step() call moves nothing but occupies one
+        // hop instant; delivery / TTL expiry happen on a counted hop.
+        m.step_calls =
+            m.hops + (m.outcome == StreamOutcome::kDeadEnd ? 1u : 0u);
+        m.length = rec.length[e.flight];
+      }
+    }
+    for (std::size_t i : repeats) {
+      const std::size_t f = pending[i].flight;
+      const WalkMemo& m = walk_memo.find_or_insert(memo_key(f), WalkMemo{});
+      if (m.step_calls > 0) {
+        double t = pending[i].at + hop_delay;
+        bool fits = t < barrier;
+        for (std::uint32_t c = 1; fits && c < m.step_calls; ++c) {
+          t += hop_delay;
+          fits = t < barrier;
+        }
+        if (fits) {  // the whole walk lands inside this epoch
+          rec.hops[f] += m.hops;
+          rec.length[f] += m.length;
+          rec.local_minima[f] += m.local_minima;
+          finalize_record(f, m.outcome, t);
+          final_instant = std::max(final_instant, t);
+          continue;
+        }
+      }
+      arm_fresh(i);
+    }
+    repeats.clear();
+    // 4. Step those.
+    step_all();
+    // 5. Merge serially in pop order: survivors join the tick ring at
+    //    their park instants, ended walks settle the clock.
+    for (const Pending& e : pending) {
+      if (!e.stepped) continue;  // ended at its pop, or replayed
+      if (rec.outcome[e.flight] == StreamOutcome::kInFlight) {
+        schedule_flight(e.flight, e.at);
+        if (!e.tick) ++live;
+      } else {
+        final_instant = std::max(final_instant, e.at);
+        if (e.tick) --live;
+      }
+    }
+    pending.clear();
+  };
+
+  for (;;) {
+    if (queue.empty()) {
+      if (pending.empty()) break;
+      flush();  // the drain; a batch that parks a flight refills the heap
+      continue;
+    }
     auto timed = queue.pop();
     clock.advance_to(timed.time);
     const double now = clock.now();
@@ -451,69 +632,7 @@ StreamStats StreamSim::run() {
             }
             continue;
           }
-          const double barrier = next_barrier();
-          const std::uint64_t key =
-              memo_ok ? memo_key(k, rec.src[p], rec.dst[p]) : 0;
-          if (memo_ok) {
-            // A stored walk is always non-degenerate (it armed in flight),
-            // and degeneracy depends only on (s, d, graph size), which the
-            // memo's epoch holds fixed — so a hit can skip arming entirely.
-            if (const WalkMemo* m = walk_memo.find(key)) {
-              double t = now + config_.hop_delay;
-              bool fits = t < barrier;
-              for (std::uint32_t c = 1; fits && c < m->step_calls; ++c) {
-                t += config_.hop_delay;
-                fits = t < barrier;
-              }
-              if (fits) {  // the whole walk lands inside this epoch
-                rec.hops[f] += m->hops;
-                rec.length[f] += m->length;
-                rec.local_minima[f] += m->local_minima;
-                finalize_record(f, outcome_of(m->status), t);
-                final_instant = std::max(final_instant, t);
-                continue;
-              }
-              // Crosses the barrier: the flight must park with real header
-              // state mid-walk, so it steps for real below.
-            }
-          }
-          if (!arm(p, k, rec.src[p], 0, now)) continue;
-          RouteStepper& slot = rec.steppers[f];
-          // Fast-forward the fresh flight through its epoch right here,
-          // while its slot and header are cache-hot: injections are not
-          // barriers, so every hop instant strictly before the next
-          // barrier may execute now (the same instant walk as the kTick
-          // loop below, starting at now + hop_delay). A flight that never
-          // meets a barrier never enters the tick ring at all.
-          double t = now + config_.hop_delay;
-          for (;;) {
-            if (!(t < barrier)) {  // parked; the tick ring takes over
-              schedule_flight(f, t);
-              ++live;
-              break;
-            }
-            if (!slot.step()) {  // terminal step executed at instant t
-              RouteStatus status = slot.result().status;
-              if (memo_ok) {
-                WalkMemo& m = walk_memo.find_or_insert(key, WalkMemo{});
-                m.status = status;
-                m.hops = static_cast<std::uint32_t>(slot.hops_taken());
-                m.local_minima =
-                    static_cast<std::uint32_t>(slot.result().local_minima);
-                // A dead end's terminal step() call moves nothing but
-                // occupies one hop instant; delivery / TTL expiry happen on
-                // a counted hop.
-                m.step_calls =
-                    m.hops + (status == RouteStatus::kDeadEnd ? 1u : 0u);
-                m.length = slot.result().length;
-              }
-              harvest_record(f);
-              finalize_record(f, outcome_of(status), t);
-              final_instant = std::max(final_instant, t);
-              break;
-            }
-            t += config_.hop_delay;
-          }
+          pending.push_back({static_cast<std::uint32_t>(f), false, false, now});
         }
         break;
       }
@@ -534,81 +653,18 @@ StreamStats StreamSim::run() {
         break;
       }
       case Ev::Kind::kTick: {
-        // One epoch round: every copy due at this instant advances through
-        // every hop instant strictly before the next barrier (see above).
         // Stale ids (finalized by a wave/re-pin since they were scheduled)
         // evaporate, like the per-hop mode's stale hop events.
-        const std::vector<std::uint32_t>& batch =
-            ticks.take(static_cast<std::uint32_t>(timed.event.index));
-        active.clear();
-        for (std::uint32_t f : batch) {
-          if (rec.outcome[f] == StreamOutcome::kInFlight) active.push_back(f);
-        }
-        const double barrier = next_barrier();
-        const double hop_delay = config_.hop_delay;
-        finish_at.assign(active.size(), 0.0);
-        // Every flight walks the same instant sequence t0 = now,
-        // t_{j+1} = t_j + hop_delay, so each one that outlives the epoch
-        // parks at the same first instant >= barrier and the whole batch
-        // re-buckets together.
-        auto advance_flight = [&rec, &finish_at, &active, now, barrier,
-                               hop_delay](std::size_t i) {
-          RouteStepper& slot = rec.steppers[active[i]];
-          double t = now;
-          while (slot.step()) {
-            const double tn = t + hop_delay;
-            if (!(tn < barrier)) return;  // parked; merge re-buckets it
-            t = tn;
-          }
-          finish_at[i] = t;  // instant of the final (terminal) step
-        };
-        // Step phase: flights are independent between barriers — disjoint
-        // per-flight state, read-only shared substrate. The grain scales
-        // with the batch (a few blocks per worker) so a 10^5-flight tick
-        // submits tens of tasks, not thousands; work stealing absorbs the
-        // per-flight epoch-length imbalance.
-        constexpr std::size_t kMinGrain = 32;
-        if (pool.has_value() && active.size() >= 2 * kMinGrain) {
-          const std::size_t grain =
-              std::max(kMinGrain, active.size() / (pool->thread_count() * 4));
-          parallel_for_blocked(&*pool, active.size(), grain,
-                               [&advance_flight](std::size_t begin,
-                                                 std::size_t end) {
-                                 for (std::size_t i = begin; i < end; ++i) {
-                                   advance_flight(i);
-                                 }
-                               });
-        } else {
-          for (std::size_t i = 0; i < active.size(); ++i) advance_flight(i);
-        }
-        // The shared park instant: first hop instant >= barrier, by the
-        // same iterative accumulation as advance_flight. Only needed when a
-        // survivor exists, which requires a finite barrier and a growing
-        // instant sequence (hop_delay 0 steps flights to terminal at one
-        // instant, as the per-hop mode's same-time event chain does).
-        double park = now + hop_delay;
-        if (hop_delay > 0.0 && barrier != kNoBarrier) {
-          while (park < barrier) park += hop_delay;
-        }
-        // Merge phase, serial in batch (= per-hop pop) order: survivors
-        // reschedule at the park instant, finished flights finalize at
-        // their recorded terminal instants.
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          const std::uint32_t f = active[i];
-          RouteStepper& slot = rec.steppers[f];
-          if (slot.in_flight()) {
-            schedule_flight(f, park);
-          } else {
-            RouteStatus status = slot.result().status;
-            harvest_record(f);
-            finalize_record(f, outcome_of(status), finish_at[i]);
-            final_instant = std::max(final_instant, finish_at[i]);
-            --live;
+        for (std::uint32_t f :
+             ticks.take(static_cast<std::uint32_t>(timed.event.index))) {
+          if (rec.outcome[f] == StreamOutcome::kInFlight) {
+            pending.push_back({f, true, false, now});
           }
         }
         break;
       }
       case Ev::Kind::kWave: {
+        flush();
         ++wave_cursor;  // this barrier has fired, whether or not it bites
         const StreamWave& wave = config_.waves[timed.event.index];
         std::vector<NodeId> casualties;
@@ -636,6 +692,7 @@ StreamStats StreamSim::run() {
         break;
       }
       case Ev::Kind::kRepin: {
+        flush();
         // Positions changed: the snapshot *continues incrementally*
         // (Network::with_moves) — the spatial grid relocates, the
         // adjacency is patched from the edge delta, and the safety
@@ -671,6 +728,7 @@ StreamStats StreamSim::run() {
         break;
       }
     }
+    if (pending.size() >= kBatchCap) flush();
   }
 
   stats_.virtual_time = std::max(clock.now(), final_instant);

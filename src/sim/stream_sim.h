@@ -53,34 +53,39 @@
 /// (tests enforce this).
 ///
 /// One engine runs every stream. Per-flight state lives in SoA flight
-/// records whose stepper slots are pooled (re-armed in place on re-plan,
-/// path recording off; zero steady-state allocation), and one event loop
-/// owns the up-front timeline, the injection prologue with its per-epoch
-/// stretch oracle, the wave and re-pin handlers, the re-plan and the
-/// packet-major reduction. StreamConfig::engine selects only how a copy in
-/// the air advances between those events:
+/// records whose stepper slots are armed at injection (a fresh header from
+/// the scheme's make_header), re-armed in place on re-plan with path
+/// recording off, and released the moment their walk ends, so only copies
+/// in the air hold a header. One event loop owns the up-front timeline,
+/// the injection prologue with its per-epoch stretch oracle, the wave and
+/// re-pin handlers, the re-plan and the packet-major reduction.
+/// StreamConfig::engine selects only how a copy in the air advances
+/// between those events:
 ///
 ///  * kFlightRecord (default) — every hop costs the same `hop_delay`, so
-///    all copies due at one instant advance in one *tick* batch
-///    (sim/tick_scheduler.h), each through every hop instant strictly
-///    before the next barrier (failure wave or re-pin): a fresh copy
-///    fast-forwards inside its injection, a survivor parks at the first
-///    instant at or past the barrier, and a copy whose (scheme, src, dst)
-///    walk already finished in the current epoch replays it from a walk
-///    memo. The heap carries one event per distinct tick time plus the
-///    sparse control events, not one per flight-hop. With
-///    StreamConfig::threads > 1 each tick's batch steps in parallel on a
-///    TaskPool and merges in flight-id order, and each topology epoch's
-///    stretch oracle fans its pairs out over the same pool; results are
-///    bit-identical across thread counts.
+///    all copies due at one instant share one *tick* event
+///    (sim/tick_scheduler.h), and nothing a copy observes changes before
+///    the next barrier (failure wave or re-pin). So injections and ticks
+///    only record their copies, and the epoch's whole list steps as one
+///    *batch* when the barrier pops (and at the drain, and every few
+///    thousand entries): each copy advances through every hop instant
+///    strictly before the barrier, a survivor parks at the first instant
+///    at or past it, and a copy whose (scheme, src, dst) walk already
+///    finished in the current epoch replays it from a walk memo. The heap
+///    carries one event per distinct tick time plus the sparse control
+///    events, not one per flight-hop. With StreamConfig::threads > 1 the
+///    batch steps on a TaskPool, while arming, the memo and the merge stay
+///    on the calling thread in pop order, and each topology epoch's
+///    stretch oracle fans its pairs out over the same pool; results,
+///    `events` included, are bit-identical across thread counts.
 ///  * kPerHopEvents — the reference: one heap event steps one copy one
-///    hop, with no ticks, fast-forward, walk memo or pool. It checks
-///    exactly what kFlightRecord does differently — tick batching,
-///    injection fast-forward, barrier parking, the walk memo and the
-///    parallel step — against the plain one-event-per-hop schedule. It
-///    does not re-check the shared handlers: verify_relabeling
-///    cross-checks the relabeling, and the stepper tests pin pooled
-///    (re-armed, pathless) slots to Router::route.
+///    hop, with no ticks, batch, walk memo or pool. It checks exactly what
+///    kFlightRecord does differently — tick batching, the epoch batch,
+///    barrier parking, the walk memo and the pooled step — against the
+///    plain one-event-per-hop schedule. It does not re-check the shared
+///    handlers: verify_relabeling cross-checks the relabeling, and the
+///    stepper tests pin pooled (re-armed, pathless) slots to
+///    Router::route.
 ///
 /// Everything in StreamStats except `events` is byte-identical between the
 /// two modes (tests enforce this across seeds, waves, mobility and thread
@@ -206,7 +211,7 @@ struct StreamStats {
 /// How the engine advances copies in the air (see the file comment). Both
 /// modes produce byte-identical StreamStats except `events`.
 enum class StreamEngine : unsigned char {
-  kFlightRecord,  ///< tick batches, fast-forward, walk memo, pool (default)
+  kFlightRecord,  ///< ticks, the epoch batch, walk memo, pool (default)
   kPerHopEvents,  ///< the reference: one heap event per flight per hop
 };
 
@@ -229,7 +234,11 @@ struct StreamConfig {
   /// seconds (while traffic remains): every node moves `mobility_dt`
   /// seconds under `waypoint`, and the snapshot continues incrementally
   /// through Network::with_moves (relocated grid, patched adjacency,
-  /// bidirectional safety update — see the file comment).
+  /// bidirectional safety update — see the file comment). The most
+  /// re-pins the stream can fire — its longest span, (packets - 1) *
+  /// packet_interval + TTL * hop_delay with the default TTL of
+  /// RouteOptions::ttl_factor * n hops, over this interval, plus one —
+  /// must not exceed StreamSim::kMaxRepins (the constructor SPR_CHECKs it).
   double mobility_interval = 0.0;
   double mobility_dt = 20.0;
   WaypointConfig waypoint{};
@@ -239,9 +248,9 @@ struct StreamConfig {
   /// (WaveRecord::verified / RepinRecord::verified).
   bool verify_relabeling = false;
   StreamEngine engine = StreamEngine::kFlightRecord;
-  /// kFlightRecord only: worker threads stepping each tick's batch and
-  /// each epoch's oracle (<= 1 = serial on the calling thread).
-  /// Bit-identical results across thread counts.
+  /// kFlightRecord only: worker threads stepping each epoch's batch of
+  /// injections and ticks, and each epoch's oracle (<= 1 = serial on the
+  /// calling thread). Bit-identical results across thread counts.
   int threads = 1;
 };
 
@@ -249,6 +258,11 @@ struct StreamConfig {
 /// re-pins land); the flight records live for one run().
 class StreamSim {
  public:
+  /// The cap on the re-pins a stream's timing allows (see
+  /// StreamConfig::mobility_interval): each re-pin relabels the whole
+  /// moved field, so an interval that could need more is rejected up front.
+  static constexpr double kMaxRepins = 1e6;
+
   /// `initial` is consumed; structures any scheme needs are forced up
   /// front so wave relabeling continues from a built fixpoint. Hostile
   /// timing in `config` (see StreamConfig) fails an SPR_CHECK.

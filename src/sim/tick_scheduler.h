@@ -21,10 +21,11 @@
 /// iff their per-hop accumulation chains produced bit-equal doubles, which
 /// is precisely when the reference heap would pop them at an equal `time`.
 /// Heap tie order relative to control events is preserved by construction:
-/// the tick event for a bucket is pushed when the bucket is *created*,
-/// i.e. at the same pop instant the first per-hop event for that time
-/// would have been pushed, so it carries an equivalent FIFO sequence
-/// number in the shared EventQueue.
+/// the tick event for a bucket is pushed when the bucket is *created*, and
+/// the owner creates it no later than the next control-event push after
+/// the pop at which the first per-hop event for that time would have been
+/// pushed, so it carries an equivalent FIFO sequence number in the shared
+/// EventQueue.
 ///
 /// Buckets and their id vectors are recycled through a free list: after the
 /// initial ramp-up the scheduler performs zero steady-state allocation.

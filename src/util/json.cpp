@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
+#include <unordered_map>
 
 namespace spr {
 
@@ -359,15 +361,40 @@ class JsonParser {
       skip_ws();
       JsonValue value;
       if (!parse_value(value, depth + 1)) return false;
-      // Duplicate keys: last one wins (set replaces), like most readers.
-      out.set(std::move(key), std::move(value));
+      out.members_.emplace_back(std::move(key), std::move(value));
       skip_ws();
       if (eof()) return fail("unterminated object");
       char c = peek();
       ++pos_;
-      if (c == '}') return true;
+      if (c == '}') {
+        drop_duplicate_keys(out.members_);
+        return true;
+      }
       if (c != ',') return fail("expected ',' or '}' in object");
     }
+  }
+
+  /// Duplicate keys, like most readers and like `set` member by member:
+  /// the last value wins, at the first key's position. One hashed pass, so
+  /// a wide object parses in linear time.
+  static void drop_duplicate_keys(std::vector<JsonValue::Member>& members) {
+    if (members.size() < 2) return;
+    std::unordered_map<std::string_view, std::size_t> first;
+    first.reserve(members.size());
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      auto seen = first.find(members[i].first);
+      if (seen != first.end()) {
+        members[seen->second].second = std::move(members[i].second);
+        continue;
+      }
+      if (kept != i) members[kept] = std::move(members[i]);
+      // The view is taken after the move: it names the kept key's bytes.
+      first.emplace(members[kept].first, kept);
+      ++kept;
+    }
+    members.erase(members.begin() + static_cast<std::ptrdiff_t>(kept),
+                  members.end());
   }
 
   void append_utf8(std::string& out, std::uint32_t cp) {

@@ -295,6 +295,24 @@ TEST(StreamSim, HostileTimingFailsAtConstruction) {
     EXPECT_THROW(StreamSim(test::random_network(200, 5), config), CheckError)
         << "wave time " << bad;
   }
+  // A tiny finite re-pin interval would re-pin without bound. A 3 s
+  // injection span plus a 1600-hop TTL at 0.25 s per hop lets 0.01 fire
+  // about 4 x 10^4 re-pins, under the cap, and 1e-10 about 4 x 10^12.
+  for (StreamEngine engine :
+       {StreamEngine::kFlightRecord, StreamEngine::kPerHopEvents}) {
+    StreamConfig config = base;
+    config.packet_interval = 1.0;
+    config.hop_delay = 0.25;
+    config.engine = engine;
+    config.mobility_interval = 0.01;
+    EXPECT_NO_THROW(StreamSim(test::random_network(200, 5), config));
+    for (double tiny : {1e-10, 1e-300}) {
+      config.mobility_interval = tiny;
+      EXPECT_THROW(StreamSim(test::random_network(200, 5), config),
+                   CheckError)
+          << "mobility_interval = " << tiny;
+    }
+  }
 }
 
 /// A re-pin pushed where its interval cannot move the clock would re-fire
@@ -466,32 +484,107 @@ TEST(StreamSim, StreamStatsJsonRoundTrip) {
 /// StreamStats except `events` is byte-identical to the per-hop reference
 /// mode — across seeds, failure waves, mobility re-pins, their
 /// combination, and thread counts — and tick batching pops strictly fewer
-/// heap events than one-event-per-hop.
+/// heap events than one-event-per-hop. The flight-record `events` count is
+/// pinned per case and equal at 1, 2 and 4 threads: the perfbench digest
+/// hashes it.
 TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
   struct Case {
-    std::uint64_t seed;
-    bool waves;
-    bool mobility;
+    const char* shape = "";
+    std::uint64_t seed = 23;
+    bool waves = false;
+    double mobility_interval = 0.0;  ///< 0 = no re-pins
+    std::size_t pairs = 1;
     int packets = 10;
     double packet_interval = 1.0;
     double hop_delay = 0.5;
     double wave_time = 3.0;
+    std::size_t events = 0;  ///< flight-record heap pops
   };
   const Case cases[] = {
-      {23, false, false}, {23, true, false}, {23, false, true},
-      {23, true, true},   {61, true, true},  {83, false, true},
-      // Every packet in the air at once: the tick after the wave holds
-      // 160 active flights, over the 64 (2 * kMinGrain) the threads = 4
-      // arm needs to take the parallel step.
-      {23, true, false, 40, 0.0, 0.25, 1.0},
+      {.shape = "plain", .events = 10},
+      {.shape = "waves", .waves = true, .events = 13},
+      {.shape = "mobility", .mobility_interval = 2.5, .events = 22},
+      {.shape = "waves+mobility",
+       .waves = true,
+       .mobility_interval = 2.5,
+       .events = 25},
+      {.shape = "waves+mobility",
+       .seed = 61,
+       .waves = true,
+       .mobility_interval = 2.5,
+       .events = 25},
+      {.shape = "mobility",
+       .seed = 83,
+       .mobility_interval = 2.5,
+       .events = 20},
+      // Every packet in the air at once: the batch after the wave holds
+      // 160 tick survivors, over the 64 the pooled step needs.
+      {.shape = "all at once",
+       .waves = true,
+       .packets = 40,
+       .packet_interval = 0.0,
+       .hop_delay = 0.25,
+       .wave_time = 1.0,
+       .events = 42},
+      // Three pairs: each epoch holds memo repeats of several keys.
+      {.shape = "three pairs",
+       .waves = true,
+       .mobility_interval = 2.5,
+       .pairs = 3,
+       .packets = 30,
+       .packet_interval = 0.25,
+       .events = 63},
+      // Re-pins closer than a hop: a flight parked for one re-pin lands
+      // on the next re-pin's instant, and its tick pops before that re-pin.
+      {.shape = "re-pins inside a hop",
+       .mobility_interval = 0.25,
+       .packets = 6,
+       .events = 102},
+      // Every other injection shares a re-pin's instant and pops first.
+      {.shape = "injections at re-pins",
+       .waves = true,
+       .mobility_interval = 1.0,
+       .packet_interval = 0.5,
+       .events = 34},
+      // Zero hop delay: a walk runs at one instant, and the injection at
+      // the wave's instant parks there until the wave has fired.
+      {.shape = "zero hop delay",
+       .waves = true,
+       .hop_delay = 0.0,
+       .events = 12},
+      // Sixteen pairs: an epoch arms 64 first walks at once, so the fresh
+      // injections take the pooled step at 2 and 4 threads.
+      {.shape = "sixteen pairs",
+       .waves = true,
+       .mobility_interval = 2.5,
+       .pairs = 16,
+       .packets = 64,
+       .packet_interval = 0.125,
+       .events = 97},
+      // 4400 copies at once: the batch flushes at its 4096-entry cap
+      // before the wave, and 4092 repeats that cross the wave step on the
+      // pool.
+      {.shape = "past the batch cap",
+       .waves = true,
+       .packets = 1100,
+       .packet_interval = 0.0,
+       .hop_delay = 0.25,
+       .wave_time = 1.0,
+       .events = 1102},
   };
   for (const Case& c : cases) {
     auto run = [&c](StreamEngine engine, int threads, std::size_t* events) {
       Network net =
           test::random_network(500, c.seed, DeployModel::kForbiddenAreas);
-      auto [s, d] = far_pair(net, c.seed);
       StreamConfig config;
-      if (s != kInvalidNode) config.pairs.emplace_back(s, d);
+      auto first = far_pair(net, c.seed);
+      if (first.first != kInvalidNode) config.pairs.push_back(first);
+      Rng rng(c.seed ^ 0x9a1);
+      for (std::size_t trial = 0;
+           trial < 64 * c.pairs && config.pairs.size() < c.pairs; ++trial) {
+        auto pair = net.random_connected_interior_pair(rng);
+        if (pair.first != kInvalidNode) config.pairs.push_back(pair);
+      }
       config.packets = c.packets;
       config.packet_interval = c.packet_interval;
       config.hop_delay = c.hop_delay;
@@ -499,14 +592,14 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
         StreamWave wave;
         wave.time = c.wave_time;
         for (NodeId u = 0; u < net.graph().size(); u += 17) {
-          if (u != s && u != d) wave.casualties.push_back(u);
+          bool endpoint = false;
+          for (const auto& [s, d] : config.pairs) endpoint |= u == s || u == d;
+          if (!endpoint) wave.casualties.push_back(u);
         }
         config.waves.push_back(std::move(wave));
       }
-      if (c.mobility) {
-        config.mobility_interval = 2.5;
-        config.mobility_dt = 10.0;
-      }
+      config.mobility_interval = c.mobility_interval;
+      config.mobility_dt = 10.0;
       config.engine = engine;
       config.threads = threads;
       StreamSim sim(std::move(net), config);
@@ -515,31 +608,30 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
       stats.events = 0;  // the one field the engines legitimately differ on
       return stats;
     };
+    const std::string where = "seed " + std::to_string(c.seed) + " " + c.shape;
     std::size_t ref_events = 0;
     std::size_t tick_events = 0;
-    std::size_t threaded_events = 0;
     StreamStats ref = run(StreamEngine::kPerHopEvents, 1, &ref_events);
     StreamStats tick = run(StreamEngine::kFlightRecord, 1, &tick_events);
-    StreamStats threaded =
-        run(StreamEngine::kFlightRecord, 4, &threaded_events);
-    std::string shape = c.waves ? (c.mobility ? "waves+mobility" : "waves")
-                                : (c.mobility ? "mobility" : "plain");
-    if (c.packet_interval == 0.0) shape += ", all at once";
     // Struct equality sees every field; the JSON text also sees the sign
     // of zero.
-    EXPECT_TRUE(tick == ref) << "seed " << c.seed << " " << shape;
-    EXPECT_EQ(stream_json(tick), stream_json(ref))
-        << "seed " << c.seed << " " << shape;
-    EXPECT_TRUE(threaded == tick) << "seed " << c.seed << " " << shape
-                                  << ": thread count changed the stats";
-    EXPECT_EQ(stream_json(threaded), stream_json(tick))
-        << "seed " << c.seed << " " << shape
-        << ": thread count changed the report";
-    EXPECT_EQ(threaded_events, tick_events) << "seed " << c.seed << " "
-                                            << shape;
+    EXPECT_TRUE(tick == ref) << where;
+    EXPECT_EQ(stream_json(tick), stream_json(ref)) << where;
+    EXPECT_EQ(tick_events, c.events) << where;
+    for (int threads : {2, 4}) {
+      std::size_t threaded_events = 0;
+      StreamStats threaded =
+          run(StreamEngine::kFlightRecord, threads, &threaded_events);
+      EXPECT_TRUE(threaded == tick)
+          << where << ": " << threads << " threads changed the stats";
+      EXPECT_EQ(stream_json(threaded), stream_json(tick))
+          << where << ": " << threads << " threads changed the report";
+      EXPECT_EQ(threaded_events, c.events) << where << ", " << threads
+                                           << " threads";
+    }
     // With a shared hop_delay the dyadic tick times collide across flights,
     // so batching must collapse the heap traffic, not just relabel it.
-    EXPECT_LT(tick_events, ref_events) << "seed " << c.seed << " " << shape;
+    EXPECT_LT(tick_events, ref_events) << where;
   }
 }
 

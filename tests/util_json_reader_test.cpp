@@ -202,6 +202,35 @@ TEST(JsonReader, DuplicateKeysLastWins) {
   JsonValue v = parse_ok(R"({"k":1,"k":2})");
   EXPECT_EQ(v.size(), 1u);
   EXPECT_EQ(v.get("k").as_int64(), 2);
+  // The last value wins at the first key's position: the object reads as
+  // setting its members one by one builds it.
+  JsonValue mixed =
+      parse_ok(R"({"a":1,"k":2,"b":3,"k":{"x":[4]},"a":5,"c":6,"k":7})");
+  JsonValue built = JsonValue::object();
+  built.set("a", JsonValue::of(1)).set("k", JsonValue::of(2));
+  built.set("b", JsonValue::of(3)).set("k", parse_ok(R"({"x":[4]})"));
+  built.set("a", JsonValue::of(5)).set("c", JsonValue::of(6));
+  built.set("k", JsonValue::of(7));
+  EXPECT_EQ(mixed.dump(), built.dump());
+  EXPECT_EQ(mixed.dump(), R"({"a":5,"k":7,"b":3,"c":6})");
+}
+
+/// An object's members resolve in one hashed pass, so a 2 x 10^5-key
+/// object parses in linear time (comparing each key with every earlier
+/// one took minutes at this width).
+TEST(JsonReader, WideObjectParses) {
+  constexpr int kKeys = 200000;
+  std::string text = "{";
+  for (int i = 0; i < kKeys; ++i) {
+    if (i > 0) text += ',';
+    text += "\"key" + std::to_string(i) + "\":" + std::to_string(i);
+  }
+  text += ",\"key7\":-7}";  // one duplicate: it keeps key7's position
+  JsonValue v = parse_ok(text);
+  ASSERT_EQ(v.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(v.members()[7].first, "key7");
+  EXPECT_EQ(v.members()[7].second.as_int64(), -7);
+  EXPECT_EQ(v.members()[kKeys - 1].second.as_int64(), kKeys - 1);
 }
 
 TEST(JsonReader, RejectsMalformedInput) {
