@@ -13,6 +13,7 @@
 #include "core/experiment.h"
 #include "core/network.h"
 #include "deploy/deployment.h"
+#include "deploy/interest_area.h"
 #include "graph/graph_algos.h"
 #include "graph/quadrant_csr.h"
 #include "mobility/waypoint.h"
@@ -53,15 +54,37 @@ Deployment make_scaled_deployment(int n, DeployModel model) {
   return deploy(config, rng);
 }
 
-void BM_UnitDiskBuild(benchmark::State& state) {
-  Deployment dep = make_deployment(static_cast<int>(state.range(0)),
-                                   DeployModel::kIdeal);
+/// The positions -> topology layers over constant-degree scaled fields:
+/// the spatial grid plus the unit-disk CSR, serial and on a 4-worker pool
+/// (the field's build pool), and the interest area (hull plus edge flags).
+void unit_disk_build_bench(benchmark::State& state, TaskPool* pool) {
+  Deployment dep = make_scaled_deployment(static_cast<int>(state.range(0)),
+                                          DeployModel::kIdeal);
   for (auto _ : state) {
-    UnitDiskGraph g(dep.positions, dep.radio_range, dep.field);
+    UnitDiskGraph g(dep.positions, dep.radio_range, dep.field, pool);
     benchmark::DoNotOptimize(g.edge_count());
   }
 }
-BENCHMARK(BM_UnitDiskBuild)->Arg(400)->Arg(800);
+void BM_UnitDiskBuild(benchmark::State& state) {
+  unit_disk_build_bench(state, nullptr);
+}
+void BM_UnitDiskBuildParallel(benchmark::State& state) {
+  TaskPool pool(4);
+  unit_disk_build_bench(state, &pool);
+}
+BENCHMARK(BM_UnitDiskBuild)->Arg(400)->Arg(800)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_UnitDiskBuildParallel)->Arg(10000)->Arg(100000);
+
+void BM_InterestArea(benchmark::State& state) {
+  Deployment dep = make_scaled_deployment(static_cast<int>(state.range(0)),
+                                          DeployModel::kForbiddenAreas);
+  UnitDiskGraph g(dep.positions, dep.radio_range, dep.field);
+  for (auto _ : state) {
+    InterestArea area(g, g.range());
+    benchmark::DoNotOptimize(area.edge_count());
+  }
+}
+BENCHMARK(BM_InterestArea)->Arg(10000)->Arg(100000);
 
 void BM_GabrielOverlay(benchmark::State& state) {
   Deployment dep = make_deployment(static_cast<int>(state.range(0)),

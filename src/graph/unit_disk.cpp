@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "graph/spatial_grid.h"
 #include "util/check.h"
@@ -10,6 +11,29 @@
 namespace spr {
 
 namespace {
+/// Rows up to this length sort by rank; longer ones by std::sort.
+constexpr std::size_t kRankSortMax = 64;
+
+/// Sorts one row of distinct ids ascending. A short row, which is every
+/// row of a constant-degree field, places each id at its rank, the count
+/// of smaller ids in the row: a branch-free quadratic count that costs
+/// about a third of std::sort's compare-and-branch at the fields' ~19
+/// entries. The ids are distinct, so the ranks are a permutation and the
+/// result is std::sort's.
+void sort_row(std::span<NodeId> row) {
+  if (row.size() > kRankSortMax) {
+    std::sort(row.begin(), row.end());
+    return;
+  }
+  NodeId ranked[kRankSortMax];
+  for (const NodeId v : row) {
+    std::uint32_t rank = 0;
+    for (const NodeId w : row) rank += static_cast<std::uint32_t>(w < v);
+    ranked[rank] = v;
+  }
+  std::copy(ranked, ranked + row.size(), row.begin());
+}
+
 /// Rejects a NaN or infinite coordinate where positions enter the graph: it
 /// has no grid cell and no distance, so no adjacency could be exact.
 void check_finite(const std::vector<Vec2>& positions, const char* where) {
@@ -19,6 +43,54 @@ void check_finite(const std::vector<Vec2>& positions, const char* where) {
       });
   SPR_CHECK(bad == positions.end(), where, ": node ",
             bad - positions.begin(), " has a non-finite position");
+}
+/// The block fill: the rows of nodes node(0), ..., node(count - 1) as one
+/// CSR (`offsets` gets count + 1 entries). A row lists, ascending, the
+/// alive nodes within `range` of its node on `grid`; a dead node's row is
+/// empty. Each block of UnitDiskGraph::kBuildBlock rows fills one buffer
+/// and writes its rows' lengths, one prefix sum turns the lengths into
+/// offsets, and each buffer is copied to its block's offset. Blocks fan out
+/// over `pool` and land at the same offset whichever thread filled them,
+/// so the CSR is bit-identical to a serial fill.
+template <typename NodeOf>
+void fill_rows(const SpatialGrid& grid, const std::vector<Vec2>& positions,
+               double range, const std::vector<bool>& alive, std::size_t count,
+               NodeOf node, TaskPool* pool, std::vector<std::size_t>& offsets,
+               std::vector<NodeId>& adjacency) {
+  constexpr std::size_t kBlock = UnitDiskGraph::kBuildBlock;
+  const std::size_t blocks = (count + kBlock - 1) / kBlock;
+  offsets.assign(count + 1, 0);
+  std::vector<std::vector<NodeId>> filled(blocks);
+  auto fill = [&](std::size_t first, std::size_t last) {
+    for (std::size_t b = first; b < last; ++b) {
+      std::vector<NodeId>& rows = filled[b];
+      for (std::size_t i = b * kBlock; i < std::min(count, (b + 1) * kBlock);
+           ++i) {
+        const NodeId u = node(i);
+        const std::size_t row = rows.size();
+        if (alive[u]) {
+          grid.query_radius(positions[u], range, u, rows);
+          const auto start = rows.begin() + static_cast<std::ptrdiff_t>(row);
+          rows.erase(std::remove_if(start, rows.end(),
+                                    [&](NodeId v) { return !alive[v]; }),
+                     rows.end());
+          sort_row({rows.data() + row, rows.size() - row});
+        }
+        offsets[i + 1] = rows.size() - row;
+      }
+    }
+  };
+  auto copy = [&](std::size_t first, std::size_t last) {
+    for (std::size_t b = first; b < last; ++b) {
+      std::copy(filled[b].begin(), filled[b].end(),
+                adjacency.begin() +
+                    static_cast<std::ptrdiff_t>(offsets[b * kBlock]));
+    }
+  };
+  parallel_for_blocked(pool, blocks, 1, fill);
+  for (std::size_t i = 0; i < count; ++i) offsets[i + 1] += offsets[i];
+  adjacency.resize(offsets[count]);
+  parallel_for_blocked(pool, blocks, 1, copy);
 }
 }  // namespace
 
@@ -121,44 +193,10 @@ void UnitDiskGraph::build(const std::vector<bool>& alive,
   zones_cache_ = std::make_shared<ZonesCache>();
   alive_ = alive;
   alive_.resize(positions_.size(), true);
-  const std::size_t n = positions_.size();
-  offsets_.assign(n + 1, 0);
-  adjacency_.clear();
   grid_ = std::make_shared<SpatialGrid>(positions_, bounds_, range_);
-  if (n == 0) return;
-
-  // Per-node radius queries are independent; with a pool they fan out in
-  // fixed-size blocks (one scratch buffer per block, not per node). Every
-  // node writes only its own list, so the id-ordered CSR merge below is
-  // bit-identical to the serial build regardless of thread count.
-  std::vector<std::vector<NodeId>> neighbor_lists(n);
-  parallel_for_blocked(
-      build_pool, n, 256, [&](std::size_t range_begin, std::size_t range_end) {
-        std::vector<NodeId> scratch;
-        for (NodeId u = static_cast<NodeId>(range_begin);
-             u < static_cast<NodeId>(range_end); ++u) {
-          if (!alive_[u]) continue;
-          scratch.clear();
-          grid_->query_radius(positions_[u], range_, u, scratch);
-          auto& list = neighbor_lists[u];
-          for (NodeId v : scratch) {
-            if (alive_[v]) list.push_back(v);
-          }
-          std::sort(list.begin(), list.end());
-        }
-      });
-
-  std::size_t total = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    offsets_[u] = total;
-    total += neighbor_lists[u].size();
-  }
-  offsets_[n] = total;
-  adjacency_.reserve(total);
-  for (NodeId u = 0; u < n; ++u) {
-    adjacency_.insert(adjacency_.end(), neighbor_lists[u].begin(),
-                      neighbor_lists[u].end());
-  }
+  fill_rows(*grid_, positions_, range_, alive_, positions_.size(),
+            [](std::size_t u) { return static_cast<NodeId>(u); }, build_pool,
+            offsets_, adjacency_);
 }
 
 bool UnitDiskGraph::are_neighbors(NodeId u, NodeId v) const noexcept {
@@ -247,12 +285,7 @@ UnitDiskGraph UnitDiskGraph::with_moves(const std::vector<Vec2>& new_positions,
 
   // Relocate a private copy of the grid: unmoved points keep their buckets.
   auto grid = std::make_shared<SpatialGrid>(*grid_);
-  {
-    std::vector<Vec2> moved_positions;
-    moved_positions.reserve(moved.size());
-    for (NodeId u : moved) moved_positions.push_back(positions[u]);
-    grid->relocate(moved, moved_positions);
-  }
+  grid->relocate(moved, positions_, positions);
 
   if (moved.empty()) {
     UnitDiskGraph same(PatchedTag{}, std::move(positions), range_, bounds_,
@@ -265,23 +298,15 @@ UnitDiskGraph UnitDiskGraph::with_moves(const std::vector<Vec2>& new_positions,
   // stay edgeless wherever they are).
   std::vector<bool> is_moved(n, false);
   for (NodeId u : moved) is_moved[u] = true;
-  std::vector<std::vector<NodeId>> moved_lists(moved.size());
-  parallel_for_blocked(
-      build_pool, moved.size(), 64,
-      [&](std::size_t range_begin, std::size_t range_end) {
-        std::vector<NodeId> scratch;
-        for (std::size_t i = range_begin; i < range_end; ++i) {
-          NodeId u = moved[i];
-          if (!alive_[u]) continue;
-          scratch.clear();
-          grid->query_radius(positions[u], range_, u, scratch);
-          auto& list = moved_lists[i];
-          for (NodeId v : scratch) {
-            if (alive_[v]) list.push_back(v);
-          }
-          std::sort(list.begin(), list.end());
-        }
-      });
+  std::vector<std::size_t> moved_offsets;
+  std::vector<NodeId> moved_adjacency;
+  fill_rows(*grid, positions, range_, alive_, moved.size(),
+            [&](std::size_t i) { return moved[i]; }, build_pool, moved_offsets,
+            moved_adjacency);
+  auto moved_row = [&](std::size_t i) {
+    return std::span<const NodeId>{moved_adjacency.data() + moved_offsets[i],
+                                   moved_offsets[i + 1] - moved_offsets[i]};
+  };
 
   // The edge delta, from a tandem walk of each moved node's old and new
   // sorted lists. Edges between two moved endpoints show up in both walks;
@@ -304,7 +329,7 @@ UnitDiskGraph UnitDiskGraph::with_moves(const std::vector<Vec2>& new_positions,
   for (std::size_t i = 0; i < moved.size(); ++i) {
     NodeId u = moved[i];
     auto old_list = neighbors(u);
-    const auto& new_list = moved_lists[i];
+    const auto new_list = moved_row(i);
     std::size_t oi = 0, ni = 0;
     while (oi < old_list.size() || ni < new_list.size()) {
       if (ni == new_list.size() ||
@@ -342,7 +367,7 @@ UnitDiskGraph UnitDiskGraph::with_moves(const std::vector<Vec2>& new_positions,
   for (NodeId u = 0; u < n; ++u) {
     offsets[u] = adjacency.size();
     if (is_moved[u]) {
-      const auto& list = moved_lists[moved_cursor++];
+      const auto list = moved_row(moved_cursor++);
       adjacency.insert(adjacency.end(), list.begin(), list.end());
       continue;
     }
@@ -396,7 +421,7 @@ UnitDiskGraph UnitDiskGraph::with_moves(const std::vector<Vec2>& new_positions,
       NodeId u = moved[i];
       stale[u] = true;
       for (NodeId v : neighbors(u)) stale[v] = true;
-      for (NodeId v : moved_lists[i]) stale[v] = true;
+      for (NodeId v : moved_row(i)) stale[v] = true;
     }
     out.adopt_zones(QuadrantZones::patch(out, *this, zones_cache_->zones, stale));
   }

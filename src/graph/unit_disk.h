@@ -45,14 +45,22 @@ bool edge_diff_normalized(const EdgeDiff& diff);
 /// `alive` mask models failed nodes: dead nodes keep their position but have
 /// no incident edges (used by the failure-dynamics scenario and tests).
 ///
-/// Construction can be parallelized by passing a `build_pool`: the per-node
-/// radius queries fan out over the pool and the sorted per-node lists merge
-/// into CSR in node-id order, so the resulting graph is bit-identical to a
-/// serial build. The pool is only used during construction (never stored).
+/// **Block fill.** Construction runs one radius query per alive node,
+/// block by block: each block of `kBuildBlock` consecutive ids fills one
+/// buffer with its rows (each sorted ascending, dead nodes filtered out) and
+/// writes their lengths, one prefix sum over the lengths gives the CSR
+/// offsets, and each block's buffer is copied to its offset. With a
+/// `build_pool` the blocks (and the copies) fan out over the pool; every
+/// block lands at the same offset whichever thread filled it, so the graph
+/// is bit-identical to a serial build. The pool is only used during
+/// construction (never stored).
 /// Callers running *on* a pool worker (e.g. sweep cells) must pass nullptr —
 /// blocking on the same pool from one of its workers deadlocks.
 class UnitDiskGraph {
  public:
+  /// Consecutive node ids per block of the construction's block fill.
+  static constexpr std::size_t kBuildBlock = 512;
+
   /// Builds adjacency with a spatial grid; O(n + |E|) expected. Every
   /// coordinate must be finite (checked).
   UnitDiskGraph(std::vector<Vec2> positions, double range, Rect bounds,
@@ -136,8 +144,8 @@ class UnitDiskGraph {
   /// carries over: dead nodes move but stay edgeless. `new_positions` must
   /// have exactly size() entries, every coordinate finite (both checked).
   /// `diff`, when non-null, receives the added/removed edge sets (alive
-  /// endpoints only). With a `build_pool` the moved nodes' radius queries
-  /// fan out (deterministic id-ordered merge).
+  /// endpoints only). The moved nodes' rows take the construction's block
+  /// fill, on `build_pool` when they span more than one block.
   UnitDiskGraph with_moves(const std::vector<Vec2>& new_positions,
                            EdgeDiff* diff = nullptr,
                            TaskPool* build_pool = nullptr) const;

@@ -410,10 +410,8 @@ void ShardedNetwork::apply_moves(const std::vector<Vec2>& positions,
   stats_ = ShardStats{};
   const std::size_t n = global_->size();
 
-  EdgeDiff scratch_diff;
-  EdgeDiff* d = diff != nullptr ? diff : &scratch_diff;
-  auto next_global =
-      std::make_unique<UnitDiskGraph>(global_->with_moves(positions, d, pool_));
+  auto next_global = std::make_unique<UnitDiskGraph>(
+      global_->with_moves(positions, diff, pool_));
   auto next_area = std::make_unique<InterestArea>(*next_global, band_);
 
   auto old_global = std::move(global_);

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "geometry/hull.h"
 #include "shard/sharded_network.h"
 #include "test_helpers.h"
+#include "util/check.h"
 
 namespace spr {
 namespace {
@@ -114,6 +117,141 @@ TEST(InterestArea, FailureSiblingsCarryTheArea) {
                      tiles.graph().size(), "tiles " + where);
     EXPECT_EQ(tiles.area().hull(), hull) << where;
   }
+}
+
+/// The classification the certificate must reproduce: the per-node scan
+/// of every node against every edge of the area's hull.
+void expect_matches_scan(const std::vector<Vec2>& positions, double band,
+                         const std::string& where) {
+  const UnitDiskGraph g = test::make_graph(positions);
+  const InterestArea area(g, band);
+  std::vector<NodeId> interior;
+  for (NodeId u = 0; u < g.size(); ++u) {
+    const bool edge =
+        distance_to_hull_boundary(area.hull(), g.position(u)) <= band;
+    ASSERT_EQ(area.is_edge_node(u), edge)
+        << where << " node " << u << " at " << g.position(u);
+    if (!edge) interior.push_back(u);
+  }
+  EXPECT_EQ(area.interior_nodes(), interior) << where;
+}
+
+/// A square hull with nodes exactly `band` inside each edge and one ulp to
+/// either side, for bands with and without an exact binary value.
+TEST(InterestArea, CertificateMatchesScanAtTheBand) {
+  for (const double band : {10.0, 0.1, 1.0 / 3.0}) {
+    std::vector<Vec2> pts = {{0.0, 0.0}, {100.0, 0.0}, {100.0, 100.0},
+                             {0.0, 100.0}};
+    for (const double at : {band, 100.0 - band}) {
+      for (const double d : {std::nextafter(at, -1.0), at,
+                             std::nextafter(at, 200.0)}) {
+        pts.push_back({d, 50.0});
+        pts.push_back({50.0, d});
+      }
+    }
+    expect_matches_scan(pts, band, "band " + std::to_string(band));
+  }
+}
+
+/// Lattices at spacing = band put a whole ring of nodes exactly one band
+/// from the hull; collinear boundary points are dropped from the hull but
+/// classified like any node.
+TEST(InterestArea, CertificateMatchesScanOnLatticesAndCollinearHulls) {
+  for (const double spacing : {25.0, 0.7, 1.0 / 3.0}) {
+    std::vector<Vec2> lattice;
+    for (int i = 0; i <= 20; ++i) {
+      for (int j = 0; j <= 20; ++j) {
+        lattice.push_back({i * spacing, j * spacing});
+      }
+    }
+    expect_matches_scan(lattice, spacing,
+                        "lattice " + std::to_string(spacing));
+  }
+  Rng rng(5);
+  std::vector<Vec2> perimeter;
+  for (int k = 0; k <= 10; ++k) {
+    const double t = 10.0 * k;
+    perimeter.insert(perimeter.end(), {{t, 0.0},
+                                       {100.0, t},
+                                       {100.0 - t, 100.0},
+                                       {0.0, 100.0 - t}});
+  }
+  for (int k = 0; k < 200; ++k) {
+    perimeter.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
+  }
+  for (const double band : {0.0, 5.0, 30.0}) {
+    expect_matches_scan(perimeter, band, "perimeter " + std::to_string(band));
+  }
+}
+
+/// Hulls of fewer than three vertices take the scan for every node.
+TEST(InterestArea, CertificateMatchesScanOnDegenerateHulls) {
+  std::vector<Vec2> line;
+  for (int k = 0; k < 50; ++k) line.push_back({0.3 * k, 0.7 * k});
+  for (const double band : {0.0, 5.0}) {
+    expect_matches_scan({{4.0, 4.0}}, band, "one point");
+    expect_matches_scan({{4.0, 4.0}, {9.0, 1.0}}, band, "two points");
+    expect_matches_scan({{4.0, 4.0}, {4.0, 4.0}, {4.0, 4.0}}, band,
+                        "one point thrice");
+    expect_matches_scan(line, band, "collinear");
+  }
+}
+
+/// Far-off coordinates widen the rounding margin with their magnitude, and
+/// bands of 0, 1e-300 and a node's exact boundary distance sit right at
+/// the certificate's threshold.
+TEST(InterestArea, CertificateMatchesScanAtLargeOffsetsAndTinyBands) {
+  const Deployment d = test::dense_grid_deployment(600, 9);
+  for (const Vec2 offset :
+       {Vec2{0.0, 0.0}, Vec2{1e6, 1e6}, Vec2{1e9, -1e9}, Vec2{-1e9, 3e9}}) {
+    std::vector<Vec2> pts;
+    for (const Vec2 p : d.positions) pts.push_back(p + offset);
+    const std::vector<Vec2> hull = convex_hull(pts);
+    std::vector<double> bands = {0.0, 1e-300, d.radio_range};
+    // Exact boundary distances of nodes in a strip near the hull.
+    for (const Vec2 p : pts) {
+      const double dist = distance_to_hull_boundary(hull, p);
+      if (dist > 0.0 && dist < 2.0 * d.radio_range && bands.size() < 40) {
+        bands.push_back(dist);
+      }
+    }
+    for (const double band : bands) {
+      expect_matches_scan(pts, band,
+                          "offset " + std::to_string(offset.x) + " band " +
+                              std::to_string(band));
+    }
+  }
+}
+
+/// The band must be a finite, non-negative distance: NaN used to make every
+/// node interior (hull vertices included) and +inf every node an edge.
+/// Both facades build an area, so both reject such a band; a negative one
+/// still means one radio range there.
+TEST(InterestArea, RejectsABandThatIsNotAFiniteDistance) {
+  ScopedCheckHandler guard(throwing_check_handler);
+  const Deployment d = test::dense_grid_deployment(200);
+  const UnitDiskGraph g(d.positions, d.radio_range, d.field);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double band : {nan, inf, -inf, -1.0}) {
+    EXPECT_THROW(InterestArea(g, band), CheckError) << band;
+  }
+  for (const double band : {nan, inf}) {
+    EXPECT_THROW(Network(d, band), CheckError) << band;
+    NetworkConfig config;
+    config.deployment.node_count = 200;
+    config.edge_band = band;
+    EXPECT_THROW(Network::create(config), CheckError) << band;
+    EXPECT_THROW(ShardedNetwork(g, band, ShardedNetwork::Config{}), CheckError)
+        << band;
+  }
+  const InterestArea one_range(g, d.radio_range);
+  const Network net(d, -5.0);
+  const ShardedNetwork tiles(g, -inf, ShardedNetwork::Config{});
+  EXPECT_EQ(net.edge_band(), d.radio_range);
+  EXPECT_EQ(tiles.edge_band(), d.radio_range);
+  expect_same_area(net.interest_area(), one_range, g.size(), "network");
+  expect_same_area(tiles.area(), one_range, g.size(), "tiles");
 }
 
 }  // namespace

@@ -59,16 +59,14 @@ TEST(SpatialGridRelocate, MatchesFreshBuildOnQueries) {
         jitter_positions(dep.positions, dep.field, 30.0, rng);
     // Move only a subset: every third node keeps its old position.
     std::vector<NodeId> moved_ids;
-    std::vector<Vec2> moved_to;
     for (NodeId u = 0; u < moved_positions.size(); ++u) {
       if (u % 3 == 0) {
         moved_positions[u] = dep.positions[u];
         continue;
       }
       moved_ids.push_back(u);
-      moved_to.push_back(moved_positions[u]);
     }
-    grid.relocate(moved_ids, moved_to);
+    grid.relocate(moved_ids, dep.positions, moved_positions);
     SpatialGrid fresh(moved_positions, dep.field, dep.radio_range);
 
     for (int probe = 0; probe < 64; ++probe) {
@@ -80,8 +78,11 @@ TEST(SpatialGridRelocate, MatchesFreshBuildOnQueries) {
       fresh.query_radius(center, radius, kInvalidNode, want);
       ASSERT_EQ(got, want) << "seed " << seed << " probe " << probe;
     }
+    // Every point is stored at exactly its new coordinate.
     for (NodeId u = 0; u < moved_positions.size(); ++u) {
-      ASSERT_EQ(grid.position(u), moved_positions[u]);
+      std::vector<NodeId> at;
+      grid.query_radius(moved_positions[u], 0.0, kInvalidNode, at);
+      ASSERT_NE(std::find(at.begin(), at.end(), u), at.end()) << "node " << u;
     }
   }
 }

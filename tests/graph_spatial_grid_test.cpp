@@ -122,14 +122,14 @@ TEST(SpatialGrid, FarOutsideCoordinatesClampToBorderCells) {
   Deployment d = random_deployment(100, 4, DeployModel::kIdeal);
   SpatialGrid grid(d.positions, d.field, d.radio_range);
   const std::vector<NodeId> ids = {3, 7};
-  const std::vector<Vec2> far = {{1e300, d.positions[3].y},
-                                 {-1e300, d.positions[7].y}};
-  grid.relocate(ids, far);
-  for (std::size_t k = 0; k < ids.size(); ++k) {
-    EXPECT_EQ(grid.position(ids[k]).x, far[k].x);
+  std::vector<Vec2> moved = d.positions;
+  moved[3].x = 1e300;
+  moved[7].x = -1e300;
+  grid.relocate(ids, d.positions, moved);
+  for (const NodeId id : ids) {
     std::vector<NodeId> out;
-    grid.query_radius(far[k], 1.0, kInvalidNode, out);
-    EXPECT_EQ(out, std::vector<NodeId>{ids[k]}) << "x = " << far[k].x;
+    grid.query_radius(moved[id], 1.0, kInvalidNode, out);
+    EXPECT_EQ(out, std::vector<NodeId>{id}) << "x = " << moved[id].x;
   }
   std::vector<NodeId> all;
   grid.query_rect(Rect::from_bounds({-1e300, d.field.lo().y},

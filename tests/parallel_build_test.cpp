@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "core/network.h"
 #include "safety/labeling.h"
 #include "test_helpers.h"
@@ -35,6 +40,98 @@ TEST(ParallelBuild, AdjacencyIdenticalAcrossPoolSizes) {
     TaskPool pool(threads);
     UnitDiskGraph parallel(d.positions, d.radio_range, d.field, &pool);
     expect_same_graph(serial, parallel);
+  }
+}
+
+/// A uniform field of `n` nodes at the paper's density (600 per 200 m x
+/// 200 m, 20 m range).
+Deployment uniform_field(std::size_t n, std::uint64_t seed) {
+  DeploymentConfig config;
+  config.node_count = static_cast<int>(n);
+  const double side = 200.0 * std::sqrt(static_cast<double>(n) / 600.0);
+  config.field = Rect::from_bounds({0.0, 0.0}, {side, side});
+  Rng rng(seed);
+  return deploy(config, rng);
+}
+
+/// `g` is the unit-disk graph of `positions` with aliveness `alive`,
+/// checked pair by pair: each alive row lists, ascending, every other
+/// alive node within range, and each row starts where the last one ended.
+void expect_brute_force_rows(const UnitDiskGraph& g,
+                             const std::vector<Vec2>& positions,
+                             const std::vector<bool>& alive,
+                             const std::string& where) {
+  ASSERT_EQ(g.size(), positions.size()) << where;
+  const double range_sq = g.range() * g.range();
+  std::size_t offset = 0;
+  for (NodeId u = 0; u < positions.size(); ++u) {
+    std::vector<NodeId> row;
+    for (NodeId v = 0; alive[u] && v < positions.size(); ++v) {
+      if (v != u && alive[v] &&
+          distance_sq(positions[v], positions[u]) <= range_sq) {
+        row.push_back(v);
+      }
+    }
+    const auto got = g.neighbors(u);
+    ASSERT_EQ(g.neighbor_offset(u), offset) << where << " node " << u;
+    ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), row)
+        << where << " node " << u;
+    offset += row.size();
+  }
+  EXPECT_EQ(g.directed_edge_count(), offset) << where;
+}
+
+/// The block fill at the block boundaries (one block short of full, one
+/// full block, one node into a second block) and across several blocks,
+/// with and without dead nodes, serial and on pools of 2 and 4 threads:
+/// every build equals the brute-force graph.
+TEST(ParallelBuild, BlockFillMatchesBruteForce) {
+  const std::size_t block = UnitDiskGraph::kBuildBlock;
+  TaskPool two(2), four(4);
+  for (const std::size_t n : {block - 1, block, block + 1, 4 * block + 3}) {
+    const Deployment d = uniform_field(n, 40 + n);
+    for (const bool with_dead : {false, true}) {
+      std::vector<bool> alive(n, true);
+      for (std::size_t u = 3; with_dead && u < n; u += 7) alive[u] = false;
+      for (TaskPool* pool : {static_cast<TaskPool*>(nullptr), &two, &four}) {
+        const std::string where =
+            "n " + std::to_string(n) + (with_dead ? " with dead" : "") +
+            " threads " +
+            std::to_string(pool == nullptr ? 0 : pool->thread_count());
+        const UnitDiskGraph g(d.positions, d.radio_range, d.field, alive,
+                              pool);
+        expect_brute_force_rows(g, d.positions, alive, where);
+      }
+    }
+  }
+}
+
+/// `with_moves` below its cutover relocates a copy of the grid, so a later
+/// epoch's radius queries read the coordinates `relocate` rewrote. A chain
+/// of subset-motion epochs on a 4-thread pool, with dead nodes, must equal
+/// a fresh build over the same positions at every epoch.
+TEST(ParallelBuild, RelocatedGridMatchesFreshBuild) {
+  const Deployment d = uniform_field(3 * UnitDiskGraph::kBuildBlock, 77);
+  std::vector<bool> alive(d.positions.size(), true);
+  for (std::size_t u = 5; u < alive.size(); u += 11) alive[u] = false;
+  TaskPool pool(4);
+  UnitDiskGraph g(d.positions, d.radio_range, d.field, alive, &pool);
+  std::vector<Vec2> positions = d.positions;
+  Rng rng(78);
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    // A third of the nodes move, some across cells, the rest stay put.
+    for (std::size_t u = static_cast<std::size_t>(epoch) % 3;
+         u < positions.size(); u += 3) {
+      positions[u].x = std::clamp(positions[u].x + rng.uniform(-15.0, 15.0),
+                                  d.field.lo().x, d.field.hi().x);
+      positions[u].y = std::clamp(positions[u].y + rng.uniform(-15.0, 15.0),
+                                  d.field.lo().y, d.field.hi().y);
+    }
+    g = g.with_moves(positions, nullptr, &pool);
+    const UnitDiskGraph fresh(positions, d.radio_range, d.field, alive);
+    expect_same_graph(g, fresh);
+    expect_brute_force_rows(g, positions, alive,
+                            "epoch " + std::to_string(epoch));
   }
 }
 
