@@ -146,9 +146,10 @@ BENCHMARK(BM_SafetyLabelingScalar)->Arg(400)->Arg(800)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_SafetyLabelingParallel)->Arg(10000)->Arg(100000);
 
 
-/// End-to-end spatial-tile sharding (shard/sharded_network.h): partition
-/// build + halo-synced labeling + one fast-path mobility epoch, over a
-/// constant-degree scaled field. Args are {nodes, tiles per side}; the
+/// End-to-end spatial-tile sharding (shard/sharded_network.h): owner-list
+/// build + halo-synced labeling + one +-4 m mobility epoch (nodes near a
+/// tile border change owner), over a constant-degree scaled field. Args
+/// are {nodes, tiles per side}; the
 /// 4-worker pool parallelizes per-tile work. The million-node registration
 /// runs a single iteration — it is the scale demonstration, not a
 /// steady-state timing.
@@ -510,17 +511,22 @@ BENCHMARK(BM_StreamSimCell);
 /// one heap event per flight-hop, the flight-record mode one tick event
 /// per distinct hop instant, advancing each tick's batch (optionally in
 /// parallel). Network construction is excluded from the timed region; the
-/// `events` counter shows the heap-traffic collapse.
+/// `events` counter shows the heap-traffic collapse. The `Pairs` arms take
+/// the pair count as a second argument: with 16 pairs a batch arms at most
+/// 16 first walks, under the pooled stepper's grain, so only the 256-pair
+/// registration steps flights on the pool.
 enum class StreamEngineMode { kPerHop, kFlightRecord, kFlightRecordParallel };
 
-void stream_engine_bench(benchmark::State& state, StreamEngineMode mode) {
+void stream_engine_bench(benchmark::State& state, StreamEngineMode mode,
+                         std::size_t pair_count = 16) {
   const int packets = static_cast<int>(state.range(0));
   Deployment dep = make_scaled_deployment(10000, DeployModel::kForbiddenAreas);
   std::vector<std::pair<NodeId, NodeId>> pairs;
   {
     Network net(dep);
     Rng rng(321);
-    for (int trial = 0; trial < 64 && pairs.size() < 16; ++trial) {
+    for (std::size_t trial = 0;
+         trial < 4 * pair_count && pairs.size() < pair_count; ++trial) {
       auto pair = net.random_connected_interior_pair(rng);
       if (pair.first != kInvalidNode) pairs.push_back(pair);
     }
@@ -577,6 +583,22 @@ void BM_StreamSimFlightRecordParallel(benchmark::State& state) {
 BENCHMARK(BM_StreamSimFlightRecordParallel)
     ->Arg(100000)
     ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_StreamSimFlightRecordPairs(benchmark::State& state) {
+  stream_engine_bench(state, StreamEngineMode::kFlightRecord,
+                      static_cast<std::size_t>(state.range(1)));
+}
+BENCHMARK(BM_StreamSimFlightRecordPairs)
+    ->Args({1000000, 256})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_StreamSimFlightRecordParallelPairs(benchmark::State& state) {
+  stream_engine_bench(state, StreamEngineMode::kFlightRecordParallel,
+                      static_cast<std::size_t>(state.range(1)));
+}
+BENCHMARK(BM_StreamSimFlightRecordParallelPairs)
+    ->Args({1000000, 256})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

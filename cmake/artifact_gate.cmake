@@ -64,10 +64,25 @@ expect_artifacts(RUN mobility-rate --networks 1 --pairs 4 --format json,csv
                  ARTIFACTS artifact-gate-mobility.json
                            artifact-gate-mobility.csv)
 
+# Tiles against the monolithic labeling: `label --tiles` exits 1 when the
+# tiled labeling differs, so a clean exit is the equality check. The FA
+# field has holes (about 500 unsafe nodes, demotions crossing tiles); an
+# IA field this dense has none, and equality there would show nothing.
+execute_process(
+  COMMAND "${SPR_CLI}" label --nodes=3000 --tiles=3x3 --fa
+  RESULT_VARIABLE tiles_result
+  OUTPUT_QUIET)
+if(NOT tiles_result EQUAL 0)
+  message(FATAL_ERROR "spr_cli label --nodes=3000 --tiles=3x3 --fa ended "
+                      "with '${tiles_result}'; expected 0 (tiles equal "
+                      "monolithic)")
+endif()
+
 # Hostile-input probes: a negative count, a node count past `int` or past
-# tile-scaling's 10^6-node cap, a non-finite or non-positive range, more tiles than nodes, a malformed node
-# id, a flag the command does not take and a removed verb or alias must
-# each be rejected, never fall back to a default workload. A rejection is
+# the 10^6-node cap, a non-finite or non-positive range, more tiles than
+# nodes or than the 64-tile cap, a malformed node id, a flag the command
+# does not take and a removed verb or alias must each be rejected, never
+# fall back to a default workload. A rejection is
 # exit status 1 (bad usage) or 2 (bad value); any other result, a signal
 # included (which execute_process reports as a string such as "Child
 # aborted"), is a crash and fails the gate.
@@ -97,6 +112,10 @@ expect_rejected(label --range=nan)
 expect_rejected(label --range=-3)
 expect_rejected(label --range=inf)
 expect_rejected(label --tiles=1000x1000 --nodes=50)
+expect_rejected(label --nodes=10000 --tiles=100x100)
+expect_rejected(label --tiles=9x8)
+expect_rejected(label --nodes=1000001)
+expect_rejected(info --nodes=2000000000)
 expect_rejected(sweep --tiles 2x2)
 expect_rejected(sweep --range=nan --networks 1 --pairs 1)
 expect_rejected(route abc 5)

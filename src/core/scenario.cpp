@@ -1135,19 +1135,17 @@ int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
 /// and the 1x1 run to the monolithic compute_safety) and reporting the
 /// tiles x threads timing curve. `--networks K` scales the field to
 /// K*1000 nodes (default 10, i.e. 10^4). The million-node datapoint,
-/// `--networks 1000`, is the largest field: memory grows by a few KB per
-/// node, so a larger count is rejected with exit 2 before anything is
-/// deployed.
+/// `--networks 1000`, is the largest field (`kMaxDeployNodes`), so a larger
+/// count is rejected with exit 2 before anything is deployed.
 int run_tile_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
-  constexpr std::int64_t kMaxNodes = 1000000;
   const std::int64_t requested =
       std::int64_t{opts.networks > 0 ? opts.networks : 10} * 1000;
-  if (requested > kMaxNodes) {
+  if (requested > kMaxDeployNodes) {
     report.textf("tile-scaling: %lld nodes is more than a field holds (at "
                  "most %lld, --networks %lld)\n",
                  static_cast<long long>(requested),
-                 static_cast<long long>(kMaxNodes),
-                 static_cast<long long>(kMaxNodes / 1000));
+                 static_cast<long long>(kMaxDeployNodes),
+                 static_cast<long long>(kMaxDeployNodes / 1000));
     report.aborted = true;
     return 2;
   }
@@ -1182,9 +1180,9 @@ int run_tile_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
   report.textf("global unit-disk graph: %.2fs (%zu links)\n", graph_seconds,
                global.edge_count());
 
-  // One failure wave (0.5%% of the nodes) and one mobility epoch (every
-  // node jitters within the halo slack's fast-path drift bound), fixed up
-  // front so every grid sees the identical sequence.
+  // One failure wave (0.5% of the nodes) and one mobility epoch (every
+  // node jitters by up to 4 m a side, and those near a tile border change
+  // owner), fixed up front so every grid sees the identical sequence.
   Rng wave_rng(seed ^ 0x7713);
   std::vector<NodeId> casualties;
   const std::size_t wave_size =
@@ -1326,8 +1324,6 @@ int run_tile_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
     entry.set("move_seconds", JsonValue::of(run.move_seconds));
     entry.set("halo_demotions", JsonValue::of(
                   static_cast<std::uint64_t>(run.stats.halo_demotions)));
-    entry.set("halo_raises", JsonValue::of(
-                  static_cast<std::uint64_t>(run.stats.halo_raises)));
     entry.set("exchange_rounds", JsonValue::of(
                   static_cast<std::uint64_t>(run.stats.exchange_rounds)));
     runs_json.push(std::move(entry));

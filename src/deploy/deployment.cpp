@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "geometry/angle.h"
+#include "util/check.h"
 
 namespace spr {
 
@@ -45,6 +46,9 @@ Polygon random_forbidden_polygon(const DeploymentConfig& config, Rng& rng) {
 }  // namespace
 
 Deployment deploy(const DeploymentConfig& config, Rng& rng) {
+  SPR_CHECK(config.node_count >= 0 && config.node_count <= kMaxDeployNodes,
+            "deploy: node count ", config.node_count, " outside [0, ",
+            kMaxDeployNodes, "]");
   Deployment out;
   out.field = config.field;
   out.radio_range = config.radio_range;

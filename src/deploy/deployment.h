@@ -59,8 +59,14 @@ struct Deployment {
   bool in_forbidden_area(Vec2 p) const noexcept;
 };
 
+/// The most nodes `deploy` draws. A labeled field costs a few KB per node
+/// (graph, quadrant view, tuples, tiles), so 10^6 nodes is already a few
+/// GB; every entry point that takes a node count rejects a larger one.
+inline constexpr int kMaxDeployNodes = 1000000;
+
 /// Draws a deployment according to `config` using `rng`. Positions are
 /// i.i.d. uniform over the allowed region (rejection sampling for FA).
+/// `config.node_count` must lie in [0, kMaxDeployNodes] (checked).
 Deployment deploy(const DeploymentConfig& config, Rng& rng);
 
 /// Deterministic perturbed-grid deployment (regular coverage with jitter);

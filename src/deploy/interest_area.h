@@ -57,14 +57,6 @@ class InterestArea {
   /// boundary within which a node counts as an edge node.
   InterestArea(const UnitDiskGraph& g, double edge_band);
 
-  /// Adopts a precomputed classification (`edge_flags.size() == g.size()`),
-  /// deriving the interior set from it. Used by the spatial-tile layer: a
-  /// tile's local view must pin exactly the nodes the *global* hull pins
-  /// (plus its halo ghosts), which a locally-computed hull cannot reproduce.
-  /// `hull`, normally the global hull, is stored verbatim and may be empty.
-  InterestArea(const UnitDiskGraph& g, std::vector<bool> edge_flags,
-               std::vector<Vec2> hull);
-
   /// The classification of `g`, a graph over this area's positions with
   /// some nodes dead (`UnitDiskGraph::with_failures`). The hull and the
   /// edge flags read every position, dead ones included, so they carry over
@@ -84,6 +76,11 @@ class InterestArea {
   std::size_t edge_count() const noexcept;
 
  private:
+  /// Adopts `edge_flags` and `hull` (`after_failures`' carried
+  /// classification), deriving the interior set of `g` from them.
+  InterestArea(const UnitDiskGraph& g, std::vector<bool> edge_flags,
+               std::vector<Vec2> hull);
+
   std::vector<bool> edge_;
   std::vector<NodeId> interior_;
   std::vector<Vec2> hull_;

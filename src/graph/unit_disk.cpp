@@ -129,41 +129,6 @@ UnitDiskGraph::UnitDiskGraph(std::vector<Vec2> positions, double range,
   build(alive, build_pool);
 }
 
-UnitDiskGraph UnitDiskGraph::from_parts(std::vector<Vec2> positions,
-                                        double range, Rect bounds,
-                                        std::vector<bool> alive,
-                                        std::vector<std::size_t> offsets,
-                                        std::vector<NodeId> adjacency) {
-  // The cheap always-on shape checks; the per-row CSR contract (ascending
-  // offsets, sorted rows, in-range ids) is a full scan and stays debug-only.
-  SPR_CHECK(offsets.size() == positions.size() + 1,
-            "from_parts: ", offsets.size(), " offsets for ", positions.size(),
-            " positions");
-  SPR_CHECK(alive.size() == positions.size(), "from_parts: ", alive.size(),
-            " alive flags for ", positions.size(), " positions");
-  SPR_CHECK(offsets.empty() || offsets.back() == adjacency.size(),
-            "from_parts: final offset ", offsets.back(), " != adjacency size ",
-            adjacency.size());
-  if (kDchecksEnabled) {
-    for (std::size_t u = 0; u + 1 < offsets.size(); ++u) {
-      SPR_DCHECK(offsets[u] <= offsets[u + 1],
-                 "from_parts: offsets not ascending at row ", u);
-      for (std::size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
-        SPR_DCHECK(adjacency[i] < positions.size(),
-                   "from_parts: row ", u, " references node ", adjacency[i],
-                   " outside the ", positions.size(), "-node graph");
-        SPR_DCHECK(i == offsets[u] || adjacency[i - 1] < adjacency[i],
-                   "from_parts: row ", u, " not strictly ascending at entry ",
-                   i - offsets[u]);
-      }
-    }
-  }
-  auto grid = std::make_shared<SpatialGrid>(positions, bounds, range);
-  return UnitDiskGraph(PatchedTag{}, std::move(positions), range, bounds,
-                       std::move(grid), std::move(alive), std::move(offsets),
-                       std::move(adjacency));
-}
-
 const QuadrantZones& UnitDiskGraph::zones(TaskPool* build_pool) const {
   ZonesCache& cache = *zones_cache_;
   std::call_once(cache.once, [&] {

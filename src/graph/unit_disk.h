@@ -70,18 +70,6 @@ class UnitDiskGraph {
   UnitDiskGraph(std::vector<Vec2> positions, double range, Rect bounds,
                 const std::vector<bool>& alive, TaskPool* build_pool = nullptr);
 
-  /// Adopts fully-formed CSR arrays instead of running radius queries — the
-  /// spatial-tile layer builds shard-local and glued global graphs this way
-  /// (rows already filtered/remapped from an existing graph). The caller
-  /// guarantees the CSR invariants: `offsets` has `positions.size() + 1`
-  /// ascending entries, every row is sorted ascending, and dead nodes have
-  /// empty rows. A spatial grid over `positions` is built here (it backs
-  /// `grid()` queries and `with_moves` relocation).
-  static UnitDiskGraph from_parts(std::vector<Vec2> positions, double range,
-                                  Rect bounds, std::vector<bool> alive,
-                                  std::vector<std::size_t> offsets,
-                                  std::vector<NodeId> adjacency);
-
   std::size_t size() const noexcept { return positions_.size(); }
   double range() const noexcept { return range_; }
   Rect bounds() const noexcept { return bounds_; }
@@ -155,8 +143,8 @@ class UnitDiskGraph {
   const SpatialGrid& grid() const noexcept { return *grid_; }
 
  private:
-  /// Adopts fully built CSR arrays (from_parts and the with_failures /
-  /// with_moves patch paths).
+  /// Adopts fully built CSR arrays (the with_failures / with_moves patch
+  /// paths).
   struct PatchedTag {};
   UnitDiskGraph(PatchedTag, std::vector<Vec2> positions, double range,
                 Rect bounds, std::shared_ptr<const SpatialGrid> grid,

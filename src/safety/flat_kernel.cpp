@@ -29,6 +29,11 @@ std::uint64_t* alloc_words(Arena& arena, std::size_t words, bool zero) {
   return p;
 }
 
+/// Eligible to flip: alive and not pinned as an edge node.
+bool can_flip(const UnitDiskGraph& g, const InterestArea* area, NodeId u) {
+  return g.alive(u) && (area == nullptr || !area->is_edge_node(u));
+}
+
 }  // namespace
 
 Arena& FlatLabeler::scratch() {
@@ -38,8 +43,8 @@ Arena& FlatLabeler::scratch() {
   return arena;
 }
 
-FlatLabeler::FlatLabeler(const UnitDiskGraph& g, const InterestArea* area,
-                         Arena& arena)
+FlatLabeler::FlatLabeler(const UnitDiskGraph& g, Arena& arena,
+                         std::size_t capacity)
     : g_(g),
       zones_(g.zones()),
       arena_(arena),
@@ -54,22 +59,43 @@ FlatLabeler::FlatLabeler(const UnitDiskGraph& g, const InterestArea* area,
   }
   elig_ = alloc_words(arena, node_words_, true);
   pend_ = alloc_words(arena, key_words_, true);
-  for (NodeId u = 0; u < n_; ++u) {
-    if (g.alive(u) && (area == nullptr || !area->is_edge_node(u))) {
-      elig_[u >> 6] |= 1ull << (u & 63);
-    }
-  }
   // Exact worst-case sizes: nothing here ever regrows, so the arena never
   // strands a stale block mid-epoch.
-  fifo_cap_ = 4 * n_;
+  fifo_cap_ = 4 * capacity;
   fifo_ = static_cast<std::uint32_t*>(
       arena.allocate(fifo_cap_ * sizeof(std::uint32_t), alignof(std::uint32_t)));
-  flips_.reserve(4 * n_);
+  flips_.reserve(fifo_cap_);
+}
+
+FlatLabeler::FlatLabeler(const UnitDiskGraph& g, const InterestArea* area,
+                         Arena& arena)
+    : FlatLabeler(g, arena, g.size()) {
+  for (NodeId u = 0; u < n_; ++u) {
+    if (can_flip(g, area, u)) elig_[u >> 6] |= 1ull << (u & 63);
+  }
+}
+
+FlatLabeler::FlatLabeler(const UnitDiskGraph& g, const InterestArea* area,
+                         Arena& arena, std::span<const NodeId> scope)
+    : FlatLabeler(g, arena, scope.size()) {
+  for (const NodeId u : scope) {
+    SPR_DCHECK(u < n_, "scope node ", u, " outside the ", n_, "-node graph");
+    if (can_flip(g, area, u)) elig_[u >> 6] |= 1ull << (u & 63);
+  }
 }
 
 void FlatLabeler::start_all_safe() {
   for (int ti = 0; ti < 4; ++ti) {
     std::memset(safe_[ti], 0xff, node_words_ * sizeof(std::uint64_t));
+  }
+}
+
+void FlatLabeler::start_from(const FlatLabeler& snapshot) {
+  SPR_DCHECK(snapshot.n_ == n_, "snapshot of ", snapshot.n_,
+             " nodes for a ", n_, "-node labeler");
+  for (int ti = 0; ti < 4; ++ti) {
+    std::memcpy(safe_[ti], snapshot.safe_[ti],
+                node_words_ * sizeof(std::uint64_t));
   }
 }
 
@@ -93,26 +119,19 @@ bool FlatLabeler::must_flip(NodeId u, int ti) const noexcept {
 }
 
 void FlatLabeler::apply_flip(std::uint32_t k) {
-  const NodeId u = key_node(k);
-  const int ti = key_type(k);
   // Demotions are monotone: a pair flips 1 -> 0 exactly once.
-  SPR_DCHECK(safe_bit(u, ti), "double flip of node ", u, " type ", ti);
-  clear_safe_bit(u, ti);
+  SPR_DCHECK(safe_bit(key_node(k), key_type(k)), "double flip of node ",
+             key_node(k), " type ", key_type(k));
   flips_.push_back(k);
-  // u's flip can only affect the w that see u inside Q_t(w). Skip the ones
-  // that can never flip (pinned/dead) or already have (monotone).
-  for (NodeId w : zones_.observers(u, kAllZoneTypes[ti])) {
-    if (!safe_bit(w, ti) || !eligible(w)) continue;
-    enqueue(w, ti);
-  }
+  mirror_demotion(key_node(k), key_type(k));
 }
 
 bool FlatLabeler::mirror_demotion(NodeId u, int ti) {
   if (!safe_bit(u, ti)) return false;
   clear_safe_bit(u, ti);
-  // Same fan-out as apply_flip, minus the flip record: the owning shard
-  // already accounted for the demotion; here only the local observers'
-  // re-evaluations matter.
+  // u's demotion can only affect the w that see u inside Q_t(w). Skip the
+  // ones that can never flip (pinned, dead or out of scope) or already
+  // have (monotone).
   for (NodeId w : zones_.observers(u, kAllZoneTypes[ti])) {
     if (!safe_bit(w, ti) || !eligible(w)) continue;
     enqueue(w, ti);
@@ -141,33 +160,28 @@ bool FlatLabeler::enqueue(NodeId u, int ti) {
 
 void FlatLabeler::initial_round(TaskPool* pool) {
   // The vacuous flips are a pure function of the topology — Q_t(u) holds no
-  // neighbor at all — so evaluation order is irrelevant; the scan fans out
-  // and the flips apply in key order below. The grain keeps each block's
-  // key range word-aligned (grain * 4 divisible by 64), so blocks never
-  // share an output word.
+  // neighbor at all — so evaluation order is irrelevant; the scan walks the
+  // eligibility words (a scoped labeler skips the rest of the graph a word
+  // at a time), fans out, and the flips apply in key order below. Blocks
+  // of 16 node words cover 64 whole key words, so blocks never share an
+  // output word.
   std::uint64_t* init = alloc_words(arena_, key_words_, true);
-  parallel_for_blocked(
-      pool, n_, 1024, [&](std::size_t range_begin, std::size_t range_end) {
-        for (NodeId u = static_cast<NodeId>(range_begin);
-             u < static_cast<NodeId>(range_end); ++u) {
-          if (!eligible(u)) continue;
-          for (int ti = 0; ti < 4; ++ti) {
-            if (zones_.members(u, kAllZoneTypes[ti]).empty()) {
-              const std::uint32_t k = key(u, ti);
-              init[k >> 6] |= 1ull << (k & 63);
-            }
-          }
+  auto scan = [&](std::size_t lo, std::size_t hi) {
+    for_each_set_bit(elig_ + lo, hi - lo, [&](std::uint32_t bit) {
+      const auto u = static_cast<NodeId>(lo * 64 + bit);
+      for (int ti = 0; ti < 4; ++ti) {
+        if (zones_.members(u, kAllZoneTypes[ti]).empty()) {
+          const std::uint32_t k = key(u, ti);
+          init[k >> 6] |= 1ull << (k & 63);
         }
-      });
-  for (std::size_t w = 0; w < key_words_; ++w) {
-    std::uint64_t bits = init[w];
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      ++stats_.init_flips;
-      apply_flip(static_cast<std::uint32_t>(w * 64 + b));
-    }
-  }
+      }
+    });
+  };
+  parallel_for_blocked(pool, node_words_, 16, scan);
+  for_each_set_bit(init, key_words_, [&](std::uint32_t k) {
+    ++stats_.init_flips;
+    apply_flip(k);
+  });
 }
 
 std::size_t FlatLabeler::drain(TaskPool* pool) {
@@ -206,9 +220,9 @@ std::size_t FlatLabeler::parallel_round(TaskPool* pool) {
   // a later flip — no transitively-required flip is ever lost. Outcomes per
   // slot make the stats deterministic for every worker count.
   if (round_state_ == nullptr) {
-    round_state_ = static_cast<std::uint8_t*>(arena_.allocate(4 * n_, 1));
+    round_state_ = static_cast<std::uint8_t*>(arena_.allocate(fifo_cap_, 1));
   }
-  if (round_.capacity() == 0) round_.reserve(4 * n_);
+  if (round_.capacity() == 0) round_.reserve(fifo_cap_);
   round_.clear();
   for (std::size_t i = 0, pos = fifo_head_; i < fifo_count_; ++i) {
     round_.push_back(fifo_[pos]);
@@ -291,16 +305,10 @@ std::span<const std::uint32_t> FlatLabeler::raise_clusters(
 
   // Collect ascending from the bit words — claim-order invariant — and
   // re-raise the bits.
-  for (std::size_t w = 0; w < key_words_; ++w) {
-    std::uint64_t bits = mark_[w];
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      const auto k = static_cast<std::uint32_t>(w * 64 + b);
-      set_safe_bit(key_node(k), key_type(k));
-      raised_.push_back(k);
-    }
-  }
+  for_each_set_bit(mark_, key_words_, [&](std::uint32_t k) {
+    set_safe_bit(key_node(k), key_type(k));
+    raised_.push_back(k);
+  });
   return {raised_.data(), raised_.size()};
 }
 

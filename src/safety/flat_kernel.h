@@ -13,8 +13,10 @@
 ///  * **Bitset SoA statuses**: one packed 64-bit word array per zone type.
 ///    The fixpoint loop probes single bits of a 4·n/8-byte working set
 ///    instead of reading ~168-byte SafetyTuple records; eligibility
-///    (alive ∧ ¬edge-pinned) is a fifth word array; worklist dedup and
-///    round masks are per-(node,type) keyed bit arrays.
+///    (in scope ∧ alive ∧ ¬edge-pinned) is a fifth word array; worklist
+///    dedup and round masks are per-(node,type) keyed bit arrays. A scope
+///    (the owned ids of a spatial tile, shard/sharded_network.h) narrows
+///    eligibility and sizes the worklist, over the same global graph.
 ///  * **Arena-backed scratch**: every worklist, flip list, bitmap and
 ///    cluster walk allocates from a caller-owned Arena (util/arena.h) with
 ///    exact reservations, so a steady-state repin epoch does zero general
@@ -31,6 +33,7 @@
 ///
 /// (node, type) pairs travel as packed keys `u*4 + zone_index(t)`.
 
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -43,6 +46,20 @@ namespace spr {
 
 class SafetyInfo;
 class TaskPool;
+
+/// Calls fn(i) for every set bit i of a bitmap of `words` 64-bit words,
+/// ascending — a node bitmap, or a keyed one (`FlatLabeler::key`).
+template <typename Fn>
+void for_each_set_bit(const std::uint64_t* bits, std::size_t words, Fn&& fn) {
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = bits[w];
+    while (word != 0) {
+      const int b = std::countr_zero(word);
+      word &= word - 1;
+      fn(static_cast<std::uint32_t>(w * 64 + b));
+    }
+  }
+}
 
 /// Counters of one kernel run; `bench_micro` surfaces them so flat-vs-scalar
 /// speedups are attributable to work saved, not just cycles.
@@ -69,10 +86,23 @@ class FlatLabeler {
   /// resets the arena between epochs (see `scratch()`).
   FlatLabeler(const UnitDiskGraph& g, const InterestArea* area, Arena& arena);
 
+  /// As above, restricted to `scope` (ids of `g`): only scope
+  /// nodes are eligible, so only they are evaluated, enqueued or flipped,
+  /// and the worklist and flip list hold 4 x scope.size() keys. Every other
+  /// node contributes status bits only. A spatial tile binds one to the
+  /// global graph with its owned ids as the scope, so it holds O(n/64)
+  /// status words plus O(owned); an empty scope gives a labeler that only
+  /// carries statuses (a snapshot, or the cluster raise).
+  FlatLabeler(const UnitDiskGraph& g, const InterestArea* area, Arena& arena,
+              std::span<const NodeId> scope);
+
   /// Statuses all safe — the fixpoint's starting point.
   void start_all_safe();
   /// Statuses from an existing labeling (incremental continuation).
   void start_from(const SafetyInfo& info);
+  /// Statuses copied word for word from `snapshot`, a labeler over the same
+  /// graph: the tiles of one epoch all start from one packed labeling.
+  void start_from(const FlatLabeler& snapshot);
 
   bool safe_bit(NodeId u, int type_index) const noexcept {
     return (safe_[type_index][u >> 6] >> (u & 63)) & 1u;
@@ -104,20 +134,8 @@ class FlatLabeler {
     return {flips_.data(), flips_.size()};
   }
 
-  /// Seeds one status bit directly, outside the worklist discipline — the
-  /// spatial-tile layer uses it to initialize a shard's bits from the global
-  /// labeling (ghost replicas included) and to mirror cross-halo promotions.
-  /// No flip record, no observer fan-out.
-  void set_status(NodeId u, int type_index, bool safe) noexcept {
-    if (safe) {
-      set_safe_bit(u, type_index);
-    } else {
-      clear_safe_bit(u, type_index);
-    }
-  }
-
-  /// Applies an externally-decided demotion of (u, type) — the halo mirror
-  /// of a flip the owning shard performed: clears the bit and enqueues the
+  /// Applies an externally-decided demotion of (u, type) — the mirror of a
+  /// flip the tile owning u performed: clears the bit and enqueues the
   /// eligible, still-safe observers exactly as a local flip would, but
   /// records no flip (the owner did). Returns false (no-op) when the bit is
   /// already clear.
@@ -158,6 +176,7 @@ class FlatLabeler {
   void set_safe_bit(NodeId u, int type_index) noexcept {
     safe_[type_index][u >> 6] |= 1ull << (u & 63);
   }
+  FlatLabeler(const UnitDiskGraph& g, Arena& arena, std::size_t capacity);
   void apply_flip(std::uint32_t k);
   std::size_t parallel_round(TaskPool* pool);
 
@@ -168,10 +187,11 @@ class FlatLabeler {
   std::size_t node_words_ = 0;
   std::size_t key_words_ = 0;
   std::uint64_t* safe_[4] = {nullptr, nullptr, nullptr, nullptr};
-  std::uint64_t* elig_ = nullptr;   ///< alive ∧ ¬edge-pinned
+  std::uint64_t* elig_ = nullptr;   ///< in scope ∧ alive ∧ ¬edge-pinned
   std::uint64_t* pend_ = nullptr;   ///< worklist membership, keyed
-  /// FIFO worklist as a fixed 4n ring: the pend bits cap the queue at one
-  /// entry per (node, type), so the ring never overflows or regrows.
+  /// FIFO worklist as a fixed ring of 4 keys per eligible-or-scoped node:
+  /// the pend bits cap the queue at one entry per (node, type), and only
+  /// scope nodes are ever enqueued, so the ring never overflows or regrows.
   std::uint32_t* fifo_ = nullptr;
   std::size_t fifo_cap_ = 0;
   std::size_t fifo_head_ = 0;

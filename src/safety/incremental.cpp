@@ -1,7 +1,6 @@
 #include "safety/incremental.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -28,19 +27,6 @@ bool test_bit(const std::uint64_t* bits, std::uint32_t i) {
   return (bits[i >> 6] >> (i & 63)) & 1u;
 }
 
-/// Calls fn(key) for every set bit, ascending.
-template <typename Fn>
-void for_each_key(const std::uint64_t* bits, std::size_t words, Fn&& fn) {
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t word = bits[w];
-    while (word != 0) {
-      const int b = std::countr_zero(word);
-      word &= word - 1;
-      fn(static_cast<std::uint32_t>(w * 64 + b));
-    }
-  }
-}
-
 /// Replays the kernel's demotions into the tuple form.
 void apply_flips(const FlatLabeler& labeler, SafetyInfo& info) {
   for (const std::uint32_t k : labeler.flipped()) {
@@ -50,6 +36,46 @@ void apply_flips(const FlatLabeler& labeler, SafetyInfo& info) {
 }
 
 }  // namespace
+
+void failure_seed_nodes(const UnitDiskGraph& degraded,
+                        const std::vector<NodeId>& failed,
+                        std::vector<NodeId>& out) {
+  const std::size_t n = degraded.size();
+  out.clear();
+  for (const NodeId f : failed) {
+    if (f >= n) continue;
+    degraded.grid().query_radius(degraded.position(f), degraded.range(), f,
+                                 out);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  out.erase(std::remove_if(out.begin(), out.end(),
+                           [&](NodeId u) { return !degraded.alive(u); }),
+            out.end());
+}
+
+std::size_t raise_touched_clusters(FlatLabeler& labeler,
+                                   const std::uint64_t* promote_src,
+                                   std::uint64_t* demote_seed,
+                                   SafetyInfo& info, Arena& arena,
+                                   TaskPool* pool) {
+  const std::size_t key_words = (4 * info.size() + 63) / 64;
+  ArenaVector<std::uint32_t> sources{ArenaAllocator<std::uint32_t>(arena)};
+  sources.reserve(4 * info.size());
+  for_each_set_bit(promote_src, key_words,
+                   [&](std::uint32_t k) { sources.push_back(k); });
+  std::size_t raised = 0;
+  for (const std::uint32_t k :
+       labeler.raise_clusters({sources.data(), sources.size()}, pool)) {
+    const NodeId u = FlatLabeler::key_node(k);
+    const ZoneType t = kAllZoneTypes[FlatLabeler::key_type(k)];
+    info.tuple(u).set_safe(t, true);
+    info.tuple(u).anchors_for(t) = ShapeAnchors{};
+    set_bit(demote_seed, k);
+    ++raised;
+  }
+  return raised;
+}
 
 void mark_move_frontier(const UnitDiskGraph& before,
                         const InterestArea& area_before,
@@ -154,20 +180,10 @@ IncrementalStats update_safety_after_failures(const UnitDiskGraph& degraded,
   labeler.start_from(info);
 
   // Seed: every alive node that could have had a failed node in one of its
-  // quadrants — i.e. within radio range of a failed position. Positions are
-  // retained for dead nodes, so each failure is one disc query on the
-  // shared spatial grid rather than a scan of all n nodes.
+  // quadrants — i.e. within radio range of a failed position.
   static thread_local std::vector<NodeId> near;
-  near.clear();
-  for (NodeId f : failed) {
-    if (f >= n) continue;
-    degraded.grid().query_radius(degraded.position(f), degraded.range(), f,
-                                 near);
-  }
-  std::sort(near.begin(), near.end());
-  near.erase(std::unique(near.begin(), near.end()), near.end());
+  failure_seed_nodes(degraded, failed, near);
   for (NodeId u : near) {
-    if (!degraded.alive(u)) continue;
     for (int ti = 0; ti < 4; ++ti) {
       if (labeler.enqueue(u, ti)) ++stats.seeds;
     }
@@ -219,26 +235,14 @@ IncrementalStats update_safety_after_moves(const UnitDiskGraph& before,
   // acyclic — a supporter lies strictly inside the quadrant direction), to
   // a source inside its own cluster, so the raised state is again an
   // over-approximation of the new fixpoint and the demotion worklist below
-  // converges onto it exactly. Raised pairs shed their stale anchors (safe
-  // pairs carry none) and re-enter the worklist.
-  ArenaVector<std::uint32_t> sources{ArenaAllocator<std::uint32_t>(arena)};
-  sources.reserve(4 * n);
-  for_each_key(promote_src, key_words,
-               [&](std::uint32_t k) { sources.push_back(k); });
-  for (const std::uint32_t k :
-       labeler.raise_clusters({sources.data(), sources.size()}, pool)) {
-    const NodeId u = FlatLabeler::key_node(k);
-    const ZoneType t = kAllZoneTypes[FlatLabeler::key_type(k)];
-    info.tuple(u).set_safe(t, true);
-    info.tuple(u).anchors_for(t) = ShapeAnchors{};
-    set_bit(demote_seed, k);
-    ++stats.promotions;
-  }
+  // converges onto it exactly.
+  stats.promotions = raise_touched_clusters(labeler, promote_src, demote_seed,
+                                            info, arena, pool);
 
   // Phase 3 — demotion worklist on the new graph, exactly the failure
   // updater's monotone continuation, seeded with every pair whose support
   // shrank, lost its pin, or was optimistically raised.
-  for_each_key(demote_seed, key_words, [&](std::uint32_t k) {
+  for_each_set_bit(demote_seed, key_words, [&](std::uint32_t k) {
     const NodeId u = FlatLabeler::key_node(k);
     if (!after.alive(u)) return;
     if (labeler.enqueue(u, FlatLabeler::key_type(k))) ++stats.seeds;

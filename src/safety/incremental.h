@@ -103,6 +103,16 @@ IncrementalStats update_safety_after_moves(const UnitDiskGraph& before,
                                            SafetyInfo& info,
                                            TaskPool* pool = nullptr);
 
+/// The failure updater's seed rule, shared with
+/// `ShardedNetwork::apply_failures`: every alive node of `degraded` within
+/// radio range of a casualty's position, ascending and deduplicated, into
+/// `out` (cleared first). Positions are retained for dead nodes, so each
+/// casualty is one disc query on the spatial grid rather than a scan of all
+/// n nodes. Out-of-range casualty ids are skipped.
+void failure_seed_nodes(const UnitDiskGraph& degraded,
+                        const std::vector<NodeId>& failed,
+                        std::vector<NodeId>& out);
+
 /// The move frontier of one mobility epoch: the delta walk shared by
 /// `update_safety_after_moves` and `ShardedNetwork::apply_moves`. `before` /
 /// `area_before` and `after` / `area_after` are the epoch's two snapshots
@@ -131,5 +141,19 @@ void mark_move_frontier(const UnitDiskGraph& before,
                         const SafetyInfo& old_info, std::uint64_t* touched,
                         std::uint64_t* demote_seed,
                         std::uint64_t* promote_src, TaskPool* pool);
+
+/// The promotion phase of a mobility epoch, shared by
+/// `update_safety_after_moves` and `ShardedNetwork::apply_moves`: re-raises
+/// to safe the connected type-t unsafe cluster (full adjacency) of every
+/// key set in `promote_src` (`mark_move_frontier`'s bitmap) on `labeler`,
+/// whose status bits must match `info`. Each raised pair goes safe in
+/// `info`, sheds its stale anchors (safe pairs carry none) and gets its
+/// key set in `demote_seed`, so the demotion worklist re-examines it.
+/// `arena` holds the source list. Returns the number of raised pairs.
+std::size_t raise_touched_clusters(FlatLabeler& labeler,
+                                   const std::uint64_t* promote_src,
+                                   std::uint64_t* demote_seed,
+                                   SafetyInfo& info, Arena& arena,
+                                   TaskPool* pool);
 
 }  // namespace spr

@@ -1,45 +1,45 @@
 #pragma once
 
 /// \file sharded_network.h
-/// Spatial tile sharding of a deployment: million-node fields as a grid of
-/// rectangular tiles, each owning its own SpatialGrid / UnitDiskGraph /
-/// QuadrantZones / FlatLabeler shard over *local* ids, glued back into the
-/// global address space by LID<->GID maps (the owner/ghost structure of the
-/// Galois edge-cut exemplar, specialized to geometry).
+/// Spatial tile sharding of a deployment: the safety labeling's demotion
+/// fixpoint split into a grid of rectangular tiles, each owning the nodes
+/// whose positions fall in its rect — the owner/ghost edge-cut of the
+/// Galois exemplar, specialized to geometry, and the sub-lattice
+/// decomposition of the message-passing Swendsen–Wang algorithms.
 ///
-/// **Tiles and halos.** Every node is owned by exactly one tile (the tile
-/// rect containing it at partition build). A tile also replicates, as
-/// *ghosts*, every node within `halo` of its rect, where halo = radio range
-/// + slack: an owned node's complete unit-disk neighborhood is then local,
-/// so Definition 1's flip test for owned nodes never needs a remote read.
-/// Ghost rows are intentionally partial (only locally-present neighbors) —
-/// ghosts are never *evaluated* locally, they only contribute their status
-/// bits, which the owning tile keeps authoritative.
+/// **Tiles are owner lists.** There is one graph, one quadrant view and one
+/// interest area, all in global ids. A tile is the ascending list of ids
+/// it owns (`Tiling::owner_tile` of each node's current position, computed
+/// at construction and after every move) and one `FlatLabeler` bound to
+/// the global graph with those ids as its scope: it evaluates and flips
+/// only owned nodes and holds O(n/64) status words plus O(owned) worklist.
+/// A tile's *ghosts* are the non-owned neighbors of its owned nodes — the
+/// one-hop ring whose status bits its flip tests read. Ids stay global, so
+/// a tile needs no graph of its own, and motion needs no bound: a moved
+/// node simply gets the owner of its new position.
 ///
-/// **Halo-synced labeling.** `safety()` runs the labeling fixpoint as
+/// **Halo-synced demotion.** Each epoch every tile starts from one packed
+/// snapshot of the labeling. `safety()` and the updaters then run the
 /// tile-local worklists on the TaskPool with barrier-synchronized frontier
-/// exchange: each round, every tile applies its inbox of cross-halo
-/// demotion keys (mirror the ghost bit, re-enqueue local observers), drains
-/// its own worklist, and the owned flips route to every other tile
-/// replicating that node; rounds repeat until no tile flips and no key
-/// crosses. Stale ghost bits are always an *over*-approximation (bits only
-/// fall, mirrors only lag), so a local flip justified against inflated
-/// ghost bits is justified globally — the exchange terminates in exactly
-/// the global greatest fixpoint. Promotions (mobility) run the same way in
-/// reverse first: cluster re-raises forward their crossing keys to the
-/// neighbor's owner until quiescence, then every raised replica syncs up
-/// before the demotion rounds start. The incremental updaters
-/// (`apply_failures` / `apply_moves`) stay shard-local unless the worklist
-/// frontier actually crosses a halo — a localized wave never wakes distant
-/// tiles.
+/// exchange: each round, every tile applies its inbox of demotion keys
+/// (clear the ghost bit, re-enqueue owned observers) and drains its
+/// worklist; between rounds, each new owned flip is written to the global
+/// tuples and mirrored only into the tiles that own a neighbor of the
+/// flipped node. Rounds repeat until no tile flips and no key crosses.
+/// Stale ghost bits are always an *over*-approximation (bits only fall,
+/// mirrors only lag), so a local flip justified against them is justified
+/// globally — the exchange terminates in exactly the global greatest
+/// fixpoint. The steps before the fixpoint run once over the global graph
+/// through the helpers of safety/incremental.h: the failure seed rule, the
+/// move frontier and the touched-cluster raise of mobility promotions.
 ///
 /// **Invariance contract.** Statuses AND anchors are bit-identical to the
 /// single-shard `compute_safety` / `update_safety_after_*` results for
 /// every tile grid and thread count (the anchor pass of Algorithm 2 chains
-/// first/last greedy paths across tile borders, so it runs over the glued
-/// global graph — identical inputs, identical code path). Property tests
-/// assert equality across {1x1, 2x2, 4x4} grids, seeds, staged failure
-/// waves and mobility epochs.
+/// first/last greedy paths across tile borders, so it runs on the global
+/// graph — identical inputs, identical code path). Property tests assert
+/// equality across {1x1, 2x2, 3x2, 4x4} grids, seeds, staged failure waves
+/// and mobility epochs.
 
 #include <cstdint>
 #include <memory>
@@ -62,23 +62,21 @@ class TaskPool;
 /// What one sharded labeling epoch (compute or incremental update) did.
 struct ShardStats {
   std::size_t exchange_rounds = 0;  ///< barrier rounds of the demotion loop
-  std::size_t halo_demotions = 0;   ///< demotion keys mirrored across halos
-  std::size_t halo_raises = 0;      ///< promotion sources forwarded to owners
-  std::size_t repartitions = 0;     ///< 1 when this epoch rebuilt the tiling
+  std::size_t halo_demotions = 0;   ///< demotion keys mirrored across tiles
   IncrementalStats incremental;     ///< aggregate kernel counters
 };
 
 /// A deployment partitioned into spatial tiles with halo-synced safety
-/// labeling. Owns the glued global graph/area (routing, anchors and
-/// serialization address global ids) plus one shard per tile.
+/// labeling. Owns the global graph and area (routing, anchors and
+/// serialization address global ids) plus one owner list per tile.
 class ShardedNetwork {
  public:
-  /// The tile grid. Every tile's halo is two radio ranges wide: one range
-  /// so an owned node's neighborhood is present locally, plus one range of
-  /// slack. Mobility epochs whose cumulative drift since the last partition
-  /// build stays within half the slack keep the tiling (tiles patch their
-  /// local graphs incrementally); larger drift re-partitions from current
-  /// positions.
+  /// The most tiles a grid may have. Each tile holds n/64 status words per
+  /// zone type, and every caller uses at most 16 tiles.
+  static constexpr std::int64_t kMaxTiles = 64;
+
+  /// The tile grid: `tile_rows` and `tile_cols` at least 1, and at most
+  /// `kMaxTiles` tiles in all (both checked by the constructor).
   struct Config {
     int tile_rows = 2;
     int tile_cols = 2;
@@ -102,8 +100,9 @@ class ShardedNetwork {
   double edge_band() const noexcept { return band_; }
   int tile_count() const noexcept { return tiling_.tile_count(); }
 
-  /// Global ids replicated in tile `t`: owned ascending, then ghosts
-  /// ascending. `tile_owned(t)` is the length of the owned prefix.
+  /// Global ids tile `t` reads: owned ascending, then ghosts (the non-owned
+  /// neighbors of owned ids) ascending. `tile_owned(t)` is the length of
+  /// the owned prefix.
   std::span<const NodeId> tile_members(int t) const noexcept;
   std::size_t tile_owned(int t) const noexcept;
 
@@ -116,58 +115,46 @@ class ShardedNetwork {
   /// Stats of the most recent labeling epoch (compute or update).
   const ShardStats& last_stats() const noexcept { return stats_; }
 
-  /// Marks `failed` dead everywhere they are replicated, patches each
-  /// affected tile's graph/zones, and continues the labeling shard-locally
-  /// — demotion keys cross halos only when the worklist frontier does.
-  /// Equivalent to Network::with_failures + update_safety_after_failures
-  /// (statuses and anchors; property tests assert equality). Forces the
-  /// labeling if not yet built.
+  /// Marks `failed` dead and continues the labeling: the casualties'
+  /// neighbors seed their owners' worklists, and demotion keys cross tiles
+  /// only when the worklist frontier does. Equivalent to
+  /// Network::with_failures + update_safety_after_failures (statuses and
+  /// anchors; property tests assert equality). Forces the labeling if not
+  /// yet built.
   void apply_failures(const std::vector<NodeId>& failed);
 
   /// Moves the whole node set to `positions` (size() entries): the global
-  /// graph patches via with_moves, tiles patch locally while cumulative
-  /// drift permits (else the partition rebuilds), and the labeling
-  /// continues through the bidirectional promote/demote exchange.
-  /// Equivalent to Network::with_moves + update_safety_after_moves.
-  /// `diff`, when non-null, receives the global edge delta.
-  void apply_moves(const std::vector<Vec2>& positions, EdgeDiff* diff = nullptr);
+  /// graph patches via with_moves, every node goes to the tile holding its
+  /// new position, the touched clusters are raised once globally, and the
+  /// demotion exchange closes the labeling. Equivalent to
+  /// Network::with_moves + update_safety_after_moves.
+  void apply_moves(const std::vector<Vec2>& positions);
 
  private:
   struct Tile {
-    std::vector<NodeId> gids;  ///< owned ascending, then ghosts ascending
+    std::vector<NodeId> members;  ///< owned ascending, then ghosts ascending
     std::size_t owned = 0;
-    std::unique_ptr<UnitDiskGraph> graph;  ///< local-id shard graph
-    std::unique_ptr<InterestArea> area;    ///< global edge flags; ghosts pinned
-    std::unique_ptr<Arena> arena;          ///< retained across epochs
+    std::unique_ptr<Arena> arena;  ///< retained across epochs
     // Per-epoch exchange state.
     std::unique_ptr<FlatLabeler> labeler;
     std::size_t flip_cursor = 0;
-    std::vector<std::uint32_t> inbox;        ///< local demotion keys to mirror
-    std::vector<std::uint32_t> raise_inbox;  ///< local promotion flood sources
-    std::vector<std::uint32_t> raised_out;   ///< scratch: last raise results
-
-    /// Local id of `gid` (binary search of both segments); kInvalidNode when
-    /// not replicated here.
-    NodeId lid_of(NodeId gid) const noexcept;
+    std::vector<std::uint32_t> inbox;  ///< demotion keys to mirror
   };
 
-  void build_partition();
-  void refresh_tile_area(Tile& tile) const;
-  void begin_epoch(bool from_info);
-  void route_tiles_of(NodeId gid, std::vector<int>& out) const;
+  void assign_tiles();
+  void begin_epoch(const FlatLabeler* snapshot);
   void demotion_exchange();
-  void finish_epoch(const UnitDiskGraph& anchor_graph);
+  void finish_epoch();
 
   Tiling tiling_;
   std::vector<Tile> tiles_;
+  std::vector<std::uint8_t> owner_;  ///< owner tile of every node
   std::unique_ptr<UnitDiskGraph> global_;
   std::unique_ptr<InterestArea> area_;
-  std::vector<Vec2> build_positions_;  ///< positions at partition build
   SafetyInfo info_;
   bool labeled_ = false;
   TaskPool* pool_ = nullptr;
   double band_ = 0.0;
-  double slack_ = 0.0;
   ShardStats stats_;
 };
 

@@ -5,11 +5,8 @@
 
 namespace spr {
 
-Tiling::Tiling(Rect field, int rows, int cols, double halo)
-    : field_(field),
-      rows_(rows < 1 ? 1 : rows),
-      cols_(cols < 1 ? 1 : cols),
-      halo_(halo < 0.0 ? 0.0 : halo) {
+Tiling::Tiling(Rect field, int rows, int cols)
+    : field_(field), rows_(rows < 1 ? 1 : rows), cols_(cols < 1 ? 1 : cols) {
   tile_w_ = field_.width() / static_cast<double>(cols_);
   tile_h_ = field_.height() / static_cast<double>(rows_);
 }
@@ -27,40 +24,16 @@ Rect Tiling::tile_rect(int index) const noexcept {
 }
 
 int Tiling::owner_tile(Vec2 p) const noexcept {
+  // Clamped in double before the cast: a finite but far-outside coordinate
+  // (1e300) would overflow `int`.
   auto clamp_index = [](double offset, double step, int count) {
-    int i = step > 0.0 ? static_cast<int>(std::floor(offset / step)) : 0;
-    return std::clamp(i, 0, count - 1);
+    const double i = step > 0.0 ? std::floor(offset / step) : 0.0;
+    return static_cast<int>(
+        std::clamp(i, 0.0, static_cast<double>(count - 1)));
   };
   const int c = clamp_index(p.x - field_.lo().x, tile_w_, cols_);
   const int r = clamp_index(p.y - field_.lo().y, tile_h_, rows_);
   return r * cols_ + c;
-}
-
-void Tiling::tiles_containing(Vec2 p, std::vector<int>& out) const {
-  // Candidate index ranges from floor arithmetic, then the exact closed
-  // predicate per candidate — the one-sample expansion makes boundary
-  // points (distance exactly halo) immune to floor rounding.
-  auto range = [](double offset, double step, int count, double halo, int& lo,
-                  int& hi) {
-    if (step <= 0.0) {
-      lo = 0;
-      hi = count - 1;
-      return;
-    }
-    lo = std::clamp(
-        static_cast<int>(std::floor((offset - halo) / step)) - 1, 0, count - 1);
-    hi = std::clamp(
-        static_cast<int>(std::floor((offset + halo) / step)) + 1, 0, count - 1);
-  };
-  int c_lo, c_hi, r_lo, r_hi;
-  range(p.x - field_.lo().x, tile_w_, cols_, halo_, c_lo, c_hi);
-  range(p.y - field_.lo().y, tile_h_, rows_, halo_, r_lo, r_hi);
-  for (int r = r_lo; r <= r_hi; ++r) {
-    for (int c = c_lo; c <= c_hi; ++c) {
-      const int index = r * cols_ + c;
-      if (tile_rect(index).distance_to(p) <= halo_) out.push_back(index);
-    }
-  }
 }
 
 }  // namespace spr

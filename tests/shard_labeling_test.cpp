@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -41,6 +42,45 @@ std::vector<NodeId> draw_casualties(const UnitDiskGraph& g, Rng& rng,
   return failed;
 }
 
+/// The owner lists of every tile: each node owned exactly once, by the tile
+/// holding its current position, and each tile's ghosts exactly the
+/// non-owned neighbors of its owned nodes, both segments ascending.
+void expect_owner_lists(const ShardedNetwork& sharded,
+                        const std::string& where) {
+  const UnitDiskGraph& g = sharded.graph();
+  std::vector<int> owner(g.size(), -1);
+  for (int t = 0; t < sharded.tile_count(); ++t) {
+    const auto members = sharded.tile_members(t);
+    const std::size_t owned = sharded.tile_owned(t);
+    ASSERT_LE(owned, members.size()) << where;
+    for (std::size_t i = 0; i < owned; ++i) {
+      EXPECT_EQ(owner[members[i]], -1)
+          << where << ": node " << members[i] << " owned twice";
+      owner[members[i]] = t;
+    }
+  }
+  for (NodeId u = 0; u < g.size(); ++u) {
+    EXPECT_EQ(owner[u], sharded.tiling().owner_tile(g.position(u)))
+        << where << ": node " << u;
+  }
+  for (int t = 0; t < sharded.tile_count(); ++t) {
+    const auto members = sharded.tile_members(t);
+    const auto owned_end =
+        members.begin() + static_cast<std::ptrdiff_t>(sharded.tile_owned(t));
+    std::vector<NodeId> ghosts;
+    for (auto it = members.begin(); it != owned_end; ++it) {
+      for (const NodeId v : g.neighbors(*it)) {
+        if (owner[v] != t) ghosts.push_back(v);
+      }
+    }
+    std::sort(ghosts.begin(), ghosts.end());
+    ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
+    EXPECT_TRUE(std::is_sorted(members.begin(), owned_end)) << where;
+    EXPECT_EQ(std::vector<NodeId>(owned_end, members.end()), ghosts)
+        << where << ": ghosts of tile " << t;
+  }
+}
+
 const std::vector<std::pair<int, int>>& tile_grids() {
   static const std::vector<std::pair<int, int>> grids = {
       {1, 1}, {2, 2}, {3, 2}, {4, 4}};
@@ -69,11 +109,12 @@ TEST(ShardedLabeling, ComputeMatchesSingleShardAcrossGrids) {
 }
 
 /// The partition itself: every node owned exactly once, and every neighbor
-/// of an owned node is replicated in the tile (the halo invariant the
-/// local flip evaluation relies on).
+/// of an owned node is listed in the tile (the ghost ring the local flip
+/// evaluation reads).
 TEST(ShardedLabeling, PartitionOwnsEachNodeOnceAndCoversNeighborhoods) {
   Network net = test::random_network(400, 11, DeployModel::kForbiddenAreas);
   ShardedNetwork sharded(net.graph(), -1.0, ShardedNetwork::Config{3, 2});
+  expect_owner_lists(sharded, "built");
   std::vector<int> owners(net.graph().size(), 0);
   for (int t = 0; t < sharded.tile_count(); ++t) {
     const auto members = sharded.tile_members(t);
@@ -161,9 +202,8 @@ TEST(ShardedLabeling, CornerHoleCrossesHalos) {
   EXPECT_EQ(sharded.safety(), compute_safety(sharded.graph(), sharded.area()));
 }
 
-/// Mobility epochs: small whole-field jitter rides the frozen partition
-/// (in-slack fast path) until cumulative drift forces a re-partition;
-/// either way every epoch lands exactly on the from-scratch fixpoint.
+/// Mobility epochs: whole-field jitter moves some nodes into a neighboring
+/// tile, and every epoch lands exactly on the from-scratch fixpoint.
 TEST(ShardedLabeling, MobilityEpochsMatchFullRecompute) {
   std::size_t total_promotions = 0;
   for (const std::uint64_t seed : test::property_seeds()) {
@@ -186,9 +226,9 @@ TEST(ShardedLabeling, MobilityEpochsMatchFullRecompute) {
       << "whole-field jitter should promote somewhere across the sweep";
 }
 
-/// Large motion exceeds the drift slack and must re-partition — and still
-/// match the from-scratch fixpoint on the moved field.
-TEST(ShardedLabeling, LargeMotionRepartitionsAndMatches) {
+/// Large motion (up to three radio ranges a side) still matches the
+/// from-scratch fixpoint on the moved field.
+TEST(ShardedLabeling, LargeMotionMatches) {
   Network net = test::random_network(400, 33, DeployModel::kForbiddenAreas);
   ShardedNetwork sharded(net.graph(), -1.0, ShardedNetwork::Config{2, 2});
   sharded.safety();
@@ -196,18 +236,55 @@ TEST(ShardedLabeling, LargeMotionRepartitionsAndMatches) {
   const std::vector<Vec2> moved = jitter_positions(
       sharded.graph().positions(), net.deployment().field, 60.0, rng);
   sharded.apply_moves(moved);
-  EXPECT_EQ(sharded.last_stats().repartitions, 1u);
   EXPECT_EQ(sharded.safety(), compute_safety(sharded.graph(), sharded.area()));
 }
 
-/// Promotion forwarding: a wide rectangular hole straddles the tile
+/// Tiles follow their nodes. The first epoch reflects every node within
+/// 5 m of the vertical tile border onto its other side; the second carries
+/// 40 nodes of the lower-left tile through the field's center into the
+/// upper-right one, several radio ranges away. After each, every node is
+/// owned by the tile holding its new position, each tile's ghosts are
+/// exactly the non-owned neighbors of its owned nodes, and the labeling
+/// equals compute_safety on the moved field.
+TEST(ShardedLabeling, MovesReassignOwnersAndGhosts) {
+  Network net = test::random_network(400, 33, DeployModel::kForbiddenAreas);
+  ShardedNetwork sharded(net.graph(), -1.0, ShardedNetwork::Config{2, 2});
+  sharded.safety();
+  const Rect field = net.deployment().field;
+  const double border = sharded.tiling().tile_rect(0).hi().x;
+
+  std::vector<Vec2> moved = sharded.graph().positions();
+  int crossed = 0;
+  for (Vec2& p : moved) {
+    if (std::abs(p.x - border) >= 5.0 || p.x == border) continue;
+    p.x = 2.0 * border - p.x;
+    ++crossed;
+  }
+  ASSERT_GT(crossed, 5);
+  sharded.apply_moves(moved);
+  expect_owner_lists(sharded, "border epoch");
+  EXPECT_EQ(sharded.safety(), compute_safety(sharded.graph(), sharded.area()));
+
+  moved = sharded.graph().positions();
+  int carried = 0;
+  for (NodeId u = 0; u < moved.size() && carried < 40; ++u) {
+    if (sharded.tiling().owner_tile(moved[u]) != 0) continue;
+    moved[u] = field.lo() + field.hi() - moved[u];
+    ++carried;
+  }
+  ASSERT_EQ(carried, 40);
+  sharded.apply_moves(moved);
+  expect_owner_lists(sharded, "far epoch");
+  EXPECT_EQ(sharded.safety(), compute_safety(sharded.graph(), sharded.area()));
+}
+
+/// A cross-tile cluster raise: a wide rectangular hole straddles the tile
 /// boundary, then fillers march into its *western* end only — every
 /// promotion source lands in the left tile (fillers stay more than a radio
 /// range west of the boundary), while the unsafe band hugging the hole
-/// extends east past the left tile's halo. Raising the whole band
-/// therefore requires forwarding raised ghosts to the right tile's owner
-/// copies.
-TEST(ShardedLabeling, OneSidedHoleFillingForwardsRaisesAcrossHalos) {
+/// extends east into the right tile. The one global raise must reach the
+/// right tile's share of the band.
+TEST(ShardedLabeling, OneSidedHoleFillingRaisesAcrossTiles) {
   Deployment d = test::dense_grid_deployment(700, 13);
   UnitDiskGraph g(d.positions, d.radio_range, d.field);
   ShardedNetwork sharded(g, -1.0, ShardedNetwork::Config{1, 2});
@@ -236,8 +313,6 @@ TEST(ShardedLabeling, OneSidedHoleFillingForwardsRaisesAcrossHalos) {
   ASSERT_GT(movers, 10);
   sharded.apply_moves(moved);
   EXPECT_GT(sharded.last_stats().incremental.promotions, 0u);
-  EXPECT_GT(sharded.last_stats().halo_raises, 0u)
-      << "a cross-tile cluster raise must forward to owners";
   EXPECT_EQ(sharded.safety(), compute_safety(sharded.graph(), sharded.area()));
 }
 
@@ -280,7 +355,6 @@ TEST(ShardedLabeling, InterleavedFailureAndMoveChainsMatch) {
       EXPECT_EQ(threaded.last_stats().halo_demotions,
                 serial.last_stats().halo_demotions);
       EXPECT_EQ(coarse.last_stats().halo_demotions, 0u);
-      EXPECT_EQ(coarse.last_stats().halo_raises, 0u);
     }
   }
 }

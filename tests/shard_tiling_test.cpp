@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <vector>
-
 #include "deploy/rng.h"
 
 namespace spr {
@@ -12,7 +9,7 @@ namespace {
 
 TEST(Tiling, TileRectsPartitionTheField) {
   const Rect field = Rect::from_bounds({10.0, -5.0}, {210.0, 95.0});
-  const Tiling tiling(field, 3, 4, 25.0);
+  const Tiling tiling(field, 3, 4);
   ASSERT_EQ(tiling.tile_count(), 12);
   double area = 0.0;
   for (int t = 0; t < tiling.tile_count(); ++t) {
@@ -31,7 +28,7 @@ TEST(Tiling, TileRectsPartitionTheField) {
 
 TEST(Tiling, OwnerTileContainsThePoint) {
   const Rect field = Rect::from_bounds({0.0, 0.0}, {200.0, 200.0});
-  const Tiling tiling(field, 4, 4, 20.0);
+  const Tiling tiling(field, 4, 4);
   Rng rng(17);
   for (int i = 0; i < 500; ++i) {
     const Vec2 p{rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)};
@@ -46,48 +43,21 @@ TEST(Tiling, OwnerTileContainsThePoint) {
   EXPECT_EQ(tiling.owner_tile({205.0, 205.0}), tiling.tile_count() - 1);
 }
 
-TEST(Tiling, TilesContainingMatchesBruteForce) {
-  const Rect field = Rect::from_bounds({0.0, 0.0}, {180.0, 120.0});
-  for (const double halo : {0.0, 15.0, 40.0}) {
-    const Tiling tiling(field, 2, 3, halo);
-    Rng rng(23);
-    std::vector<int> got;
-    for (int i = 0; i < 400; ++i) {
-      const Vec2 p{rng.uniform(-10.0, 190.0), rng.uniform(-10.0, 130.0)};
-      got.clear();
-      tiling.tiles_containing(p, got);
-      std::vector<int> expected;
-      for (int t = 0; t < tiling.tile_count(); ++t) {
-        if (tiling.tile_rect(t).distance_to(p) <= halo) expected.push_back(t);
-      }
-      ASSERT_EQ(got, expected) << "halo " << halo << " point (" << p.x << ", "
-                               << p.y << ")";
-      EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-    }
-  }
-}
-
-TEST(Tiling, InFieldPointsAlwaysHaveTheirOwnerInContaining) {
-  const Tiling tiling(Rect::from_bounds({0.0, 0.0}, {100.0, 100.0}), 2, 2,
-                      10.0);
-  Rng rng(5);
-  std::vector<int> touching;
-  for (int i = 0; i < 300; ++i) {
-    const Vec2 p{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
-    touching.clear();
-    tiling.tiles_containing(p, touching);
-    EXPECT_TRUE(std::find(touching.begin(), touching.end(),
-                          tiling.owner_tile(p)) != touching.end());
-  }
-}
-
 TEST(Tiling, SingleTileOwnsEverything) {
-  const Tiling tiling(Rect::from_bounds({0.0, 0.0}, {50.0, 50.0}), 1, 1, 30.0);
+  const Tiling tiling(Rect::from_bounds({0.0, 0.0}, {50.0, 50.0}), 1, 1);
   EXPECT_EQ(tiling.tile_count(), 1);
-  std::vector<int> touching;
-  tiling.tiles_containing({25.0, 25.0}, touching);
-  EXPECT_EQ(touching, std::vector<int>{0});
+  EXPECT_EQ(tiling.owner_tile({25.0, 25.0}), 0);
   EXPECT_EQ(tiling.owner_tile({-100.0, 400.0}), 0);
+}
+
+/// Finite coordinates far outside the field still snap to a border tile:
+/// the index is clamped before it is narrowed to `int`.
+TEST(Tiling, FarOutsidePointsSnapToBorderTiles) {
+  const Tiling tiling(Rect::from_bounds({0.0, 0.0}, {100.0, 100.0}), 2, 3);
+  EXPECT_EQ(tiling.owner_tile({1e300, 1e300}), tiling.tile_count() - 1);
+  EXPECT_EQ(tiling.owner_tile({-1e300, -1e300}), 0);
+  EXPECT_EQ(tiling.owner_tile({1e300, -1e300}), 2);
+  EXPECT_EQ(tiling.owner_tile({-1e300, 50.0}), 3);
 }
 
 }  // namespace

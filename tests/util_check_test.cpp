@@ -5,8 +5,10 @@
 #include <utility>
 #include <vector>
 
+#include "deploy/deployment.h"
 #include "geometry/rect.h"
 #include "graph/unit_disk.h"
+#include "shard/sharded_network.h"
 #include "util/task_pool.h"
 
 namespace spr {
@@ -64,59 +66,30 @@ std::vector<Vec2> three_positions() {
   return {{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}};
 }
 
-TEST(CheckedInvariants, FromPartsRejectsOffsetCountMismatch) {
-  // Always-on SPR_CHECK: fires in every build type.
+TEST(CheckedInvariants, ShardedNetworkRejectsTileGridsPastTheCap) {
   ScopedCheckHandler guard(&throwing_check_handler);
   const Rect bounds = Rect::from_bounds({0.0, 0.0}, {3.0, 1.0});
-  std::vector<std::size_t> offsets{0, 0};  // needs 4 entries for 3 nodes
-  EXPECT_THROW(UnitDiskGraph::from_parts(three_positions(), 1.5, bounds,
-                                         std::vector<bool>(3, true),
-                                         std::move(offsets), {}),
-               CheckError);
-}
-
-TEST(CheckedInvariants, FromPartsRejectsDanglingAdjacencyTail) {
-  ScopedCheckHandler guard(&throwing_check_handler);
-  const Rect bounds = Rect::from_bounds({0.0, 0.0}, {3.0, 1.0});
-  std::vector<std::size_t> offsets{0, 1, 2, 2};  // claims 2 entries...
-  std::vector<NodeId> adjacency{1, 0, 2};        // ...but hands over 3
-  EXPECT_THROW(UnitDiskGraph::from_parts(three_positions(), 1.5, bounds,
-                                         std::vector<bool>(3, true),
-                                         std::move(offsets),
-                                         std::move(adjacency)),
-               CheckError);
-}
-
-TEST(CheckedInvariants, FromPartsRejectsUnsortedRowUnderDchecks) {
-  if (!kDchecksEnabled) {
-    GTEST_SKIP() << "SPR_DCHECK inactive in this build type";
+  const UnitDiskGraph line(three_positions(), 1.5, bounds);
+  // An empty row count, one tile past the 64-tile cap, and a grid whose
+  // 2^32 tiles wrap to 0 in 32-bit arithmetic.
+  for (const auto& [rows, cols] :
+       {std::pair{0, 2}, std::pair{9, 8}, std::pair{65536, 65536}}) {
+    EXPECT_THROW(ShardedNetwork(line, -1.0, ShardedNetwork::Config{rows, cols}),
+                 CheckError)
+        << rows << "x" << cols;
   }
-  ScopedCheckHandler guard(&throwing_check_handler);
-  const Rect bounds = Rect::from_bounds({0.0, 0.0}, {3.0, 1.0});
-  // Node 1's row lists {2, 0} — violates the sorted-row CSR contract the
-  // quadrant bucketing and tandem merges silently rely on.
-  std::vector<std::size_t> offsets{0, 1, 3, 4};
-  std::vector<NodeId> adjacency{1, 2, 0, 1};
-  EXPECT_THROW(UnitDiskGraph::from_parts(three_positions(), 1.5, bounds,
-                                         std::vector<bool>(3, true),
-                                         std::move(offsets),
-                                         std::move(adjacency)),
-               CheckError);
+  const ShardedNetwork widest(line, -1.0, ShardedNetwork::Config{8, 8});
+  EXPECT_EQ(widest.tile_count(), ShardedNetwork::kMaxTiles);
 }
 
-TEST(CheckedInvariants, FromPartsRejectsOutOfRangeNeighborUnderDchecks) {
-  if (!kDchecksEnabled) {
-    GTEST_SKIP() << "SPR_DCHECK inactive in this build type";
-  }
+TEST(CheckedInvariants, DeployRejectsNodeCountsPastTheCap) {
   ScopedCheckHandler guard(&throwing_check_handler);
-  const Rect bounds = Rect::from_bounds({0.0, 0.0}, {3.0, 1.0});
-  std::vector<std::size_t> offsets{0, 1, 1, 1};
-  std::vector<NodeId> adjacency{7};  // node 7 of a 3-node graph
-  EXPECT_THROW(UnitDiskGraph::from_parts(three_positions(), 1.5, bounds,
-                                         std::vector<bool>(3, true),
-                                         std::move(offsets),
-                                         std::move(adjacency)),
-               CheckError);
+  for (const int nodes : {-1, kMaxDeployNodes + 1, 2000000000}) {
+    DeploymentConfig config;
+    config.node_count = nodes;
+    Rng rng(1);
+    EXPECT_THROW(deploy(config, rng), CheckError) << nodes;
+  }
 }
 
 TEST(CheckedInvariants, ZonesPatchRejectsUnmarkedChangedRowUnderDchecks) {

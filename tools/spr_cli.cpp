@@ -64,11 +64,17 @@ void add_common(FlagSet& flags, CommonArgs& args, bool with_nodes = true) {
 }
 
 /// Rejects common values no network can be built from: a negative node
-/// count, or a radio range that is not finite and positive. Prints the
-/// reason; callers exit 2, as for a negative count at `run`.
+/// count or one past `kMaxDeployNodes`, or a radio range that is not finite
+/// and positive. Prints the reason; callers exit 2, as for a negative count
+/// at `run`.
 bool valid_common(const CommonArgs& args) {
   if (args.nodes < 0) {
     std::fprintf(stderr, "nodes must be >= 0, got %d\n", args.nodes);
+    return false;
+  }
+  if (args.nodes > kMaxDeployNodes) {
+    std::fprintf(stderr, "nodes must be at most %d, got %d\n",
+                 kMaxDeployNodes, args.nodes);
     return false;
   }
   if (!std::isfinite(args.range) || args.range <= 0.0) {
@@ -155,9 +161,16 @@ int cmd_label(int argc, const char* const* argv) {
   if (!valid_common(args)) return 2;
   int tile_rows = 0, tile_cols = 0;
   if (!parse_tile_grid(tiles_spec, tile_rows, tile_cols)) return 1;
-  // Every tile holds its own grid and shard: more tiles than nodes is
-  // memory spent on empty tiles, and 1000x1000 exhausts it.
+  // Every tile holds n/64 status words per zone type: the grid is capped at
+  // ShardedNetwork::kMaxTiles, and more tiles than nodes only adds empty
+  // ones.
   const auto tile_count = static_cast<std::int64_t>(tile_rows) * tile_cols;
+  if (tile_count > ShardedNetwork::kMaxTiles) {
+    std::fprintf(stderr, "--tiles must give at most %lld tiles, got %dx%d\n",
+                 static_cast<long long>(ShardedNetwork::kMaxTiles), tile_rows,
+                 tile_cols);
+    return 2;
+  }
   if (tile_count > std::max<std::int64_t>(args.nodes, 1)) {
     std::fprintf(stderr,
                  "--tiles must give at most max(--nodes, 1) = %d tiles, got "
