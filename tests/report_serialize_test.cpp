@@ -380,6 +380,85 @@ TEST(Serialize, WirePinSweepSlice) {
                   pin_cell_wire() + "}]}");
 }
 
+// ------------------------------------------------------- stats-form pins
+// The report shapes, pinned literally: every key, its order, the derived
+// values (pair_shortfall, delivery_ratio) and the number formatting.
+
+TEST(Serialize, StatsPinSweepSection) {
+  SweepSection section;
+  section.model = DeployModel::kForbiddenAreas;
+  section.networks_per_point = 2;
+  section.pairs_per_network = 12;
+  section.base_seed = 41;
+  section.threads = 3;
+  section.wall_seconds = 0.75;
+  SweepPoint point;
+  point.node_count = 450;
+  point.by_scheme = pin_cell();
+  // A -0 sample, 1/3, an empty Summary; both schemes fall one pair short.
+  point.by_scheme.at("GF").local_minima = summary_of({-0.0, 1.0 / 3.0});
+  point.by_scheme.at("SLGF2").backup_hops = Summary{};
+  section.points.push_back(point);
+  EXPECT_EQ(sweep_section_to_json(section).dump(),
+      R"({"model":"FA","networks_per_point":2,"pairs_per_network":12,)"
+      R"("base_seed":41,"threads":3,"wall_seconds":0.75,)"
+      R"("points":[{"nodes":450,"schemes":{"GF":{"requested":12,)"
+      R"("attempted":11,"pair_shortfall":1,"delivered":9,)"
+      R"("delivery_ratio":0.81818181818181823,"hops":{"count":2,"mean":4.5,)"
+      R"("min":4,"max":5,"stddev":0.70710678118654757},"length":{"count":1,)"
+      R"("mean":41.5,"min":41.5,"max":41.5,"stddev":0},)"
+      R"("stretch_hops":{"count":1,"mean":1.25,"min":1.25,"max":1.25,)"
+      R"("stddev":0},"stretch_length":{"count":1,)"
+      R"("mean":0.33333333333333331,"min":0.33333333333333331,)"
+      R"("max":0.33333333333333331,"stddev":0},"perimeter_hops":{"count":1,)"
+      R"("mean":2,"min":2,"max":2,"stddev":0},"backup_hops":{"count":1,)"
+      R"("mean":2,"min":2,"max":2,"stddev":0},"local_minima":{"count":2,)"
+      R"("mean":0.16666666666666666,"min":-0,"max":0.33333333333333331,)"
+      R"("stddev":0.23570226039551584}},"SLGF2":{"requested":12,)"
+      R"("attempted":11,"pair_shortfall":1,"delivered":10,)"
+      R"("delivery_ratio":0.90909090909090906,"hops":{"count":2,"mean":5,)"
+      R"("min":5,"max":5,"stddev":0},"length":{"count":1,"mean":83,)"
+      R"("min":83,"max":83,"stddev":0},"stretch_hops":{"count":1,)"
+      R"("mean":1.25,"min":1.25,"max":1.25,"stddev":0},)"
+      R"("stretch_length":{"count":1,"mean":0.33333333333333331,)"
+      R"("min":0.33333333333333331,"max":0.33333333333333331,"stddev":0},)"
+      R"("perimeter_hops":{"count":1,"mean":2,"min":2,"max":2,"stddev":0},)"
+      R"("backup_hops":{"count":0,"mean":0,"min":0,"max":0,"stddev":0},)"
+      R"("local_minima":{"count":1,"mean":4,"min":4,"max":4,)"
+      R"("stddev":0}}}}]})");
+}
+
+TEST(Serialize, StatsPinStreamStats) {
+  StreamStats stats;
+  stats.virtual_time = 12.5;
+  stats.events = 345;
+  stats.repins = 1;
+  // An unverified wave writes no matches_full_recompute; a verified re-pin
+  // does.
+  stats.waves.push_back(pin_wave());
+  stats.waves.back().verified = false;
+  stats.repin_records.push_back(pin_repin());
+  stats.schemes.push_back(pin_scheme());
+  EXPECT_EQ(stream_stats_json(stats).dump(),
+      R"({"virtual_time":12.5,"events":345,"repins":1,"waves":[{"time":2.5,)"
+      R"("casualties":6,"packets_in_flight":3,"packets_dropped":1,)"
+      R"("relabel_seeds":1,"relabel_reevaluations":2,"relabel_flips":3}],)"
+      R"("repin_records":[{"time":7.75,"moved":40,"edges_added":12,)"
+      R"("edges_removed":9,"packets_in_flight":2,"packets_dropped":1,)"
+      R"("relabel_seeds":1,"relabel_reevaluations":2,"relabel_demotions":3,)"
+      R"("relabel_promotions":4,"matches_full_recompute":true}],)"
+      R"("schemes":{"SLGF2":{"injected":6,"delivered":5,"dead_end":1,)"
+      R"("ttl_expired":2,"node_failed":3,)"
+      R"("delivery_ratio":0.83333333333333337,"hops":{"count":2,"mean":4.5,)"
+      R"("min":-0,"max":9,"stddev":6.3639610306789276},"length":{"count":1,)"
+      R"("mean":120.5,"min":120.5,"max":120.5,"stddev":0},)"
+      R"("stretch_hops":{"count":1,"mean":1.5,"min":1.5,"max":1.5,)"
+      R"("stddev":0},"latency":{"count":1,"mean":4.75,"min":4.75,)"
+      R"("max":4.75,"stddev":0},"replans":{"count":1,"mean":1,"min":1,)"
+      R"("max":1,"stddev":0},"local_minima":{"count":1,"mean":2,"min":2,)"
+      R"("max":2,"stddev":0}}}})");
+}
+
 SweepConfig small_sweep_config() {
   SweepConfig config;
   config.node_counts = {400, 500};
