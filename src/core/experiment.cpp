@@ -239,17 +239,6 @@ std::vector<SweepPoint> merge_cell_results(
   return points;
 }
 
-void SweepTimings::merge(const SweepTimings& other) {
-  construction_seconds += other.construction_seconds;
-  pair_draw_seconds += other.pair_draw_seconds;
-  oracle_seconds += other.oracle_seconds;
-  routing_seconds += other.routing_seconds;
-  bfs_searches += other.bfs_searches;
-  dijkstra_searches += other.dijkstra_searches;
-  pairs_requested += other.pairs_requested;
-  pairs_routed += other.pairs_routed;
-}
-
 std::vector<std::pair<NodeId, NodeId>> sweep_cell_pairs(
     const SweepConfig& config, const Network& network, int node_count,
     int net_index) {

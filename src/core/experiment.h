@@ -84,6 +84,13 @@ struct SliceCell {
   CellResult result;
 
   bool operator==(const SliceCell&) const = default;
+
+  /// The members in wire order (util/fields.h).
+  static constexpr std::tuple fields{
+      field("node_count", &SliceCell::node_count),
+      field("net_index", &SliceCell::net_index),
+      field("results", &SliceCell::result),
+  };
 };
 
 /// Progress callback: (node_count, network_index, networks_total). Invoked
@@ -107,9 +114,21 @@ struct SweepTimings {
   std::uint64_t pairs_routed = 0;     ///< pairs actually drawn and routed
 
   /// Accumulates another breakdown (the sweep's cell-order reduction).
-  void merge(const SweepTimings& other);
+  void merge(const SweepTimings& other) { merge_fields(*this, other); }
 
   bool operator==(const SweepTimings&) const = default;
+
+  /// The members in wire order (util/fields.h).
+  static constexpr std::tuple fields{
+      field("construction_seconds", &SweepTimings::construction_seconds),
+      field("pair_draw_seconds", &SweepTimings::pair_draw_seconds),
+      field("oracle_seconds", &SweepTimings::oracle_seconds),
+      field("routing_seconds", &SweepTimings::routing_seconds),
+      field("oracle_bfs_searches", &SweepTimings::bfs_searches),
+      field("oracle_dijkstra_searches", &SweepTimings::dijkstra_searches),
+      field("pairs_requested", &SweepTimings::pairs_requested),
+      field("pairs_routed", &SweepTimings::pairs_routed),
+  };
 };
 
 /// Runs the sweep; one SweepPoint per node count, in order. Deterministic:

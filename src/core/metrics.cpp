@@ -22,17 +22,4 @@ void RouteAggregate::record(const PathResult& result,
   }
 }
 
-void RouteAggregate::merge(const RouteAggregate& other) {
-  hops.merge(other.hops);
-  length.merge(other.length);
-  stretch_hops.merge(other.stretch_hops);
-  stretch_length.merge(other.stretch_length);
-  perimeter_hops.merge(other.perimeter_hops);
-  backup_hops.merge(other.backup_hops);
-  local_minima.merge(other.local_minima);
-  requested += other.requested;
-  attempted += other.attempted;
-  delivered += other.delivered;
-}
-
 }  // namespace spr

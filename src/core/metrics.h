@@ -10,6 +10,7 @@
 #include "graph/graph_algos.h"
 #include "routing/packet.h"
 #include "stats/summary.h"
+#include "util/fields.h"
 
 namespace spr {
 
@@ -46,9 +47,27 @@ struct RouteAggregate {
   void record(const PathResult& result, const ShortestPath* oracle_hop,
               const ShortestPath* oracle_len);
 
-  void merge(const RouteAggregate& other);
+  /// Accumulates another aggregate (the sweep's cell-order reduction).
+  void merge(const RouteAggregate& other) { merge_fields(*this, other); }
 
   bool operator==(const RouteAggregate&) const = default;
+
+  /// The members in wire order, with the derived values where the report
+  /// shows them (util/fields.h).
+  static constexpr std::tuple fields{
+      field("requested", &RouteAggregate::requested),
+      field("attempted", &RouteAggregate::attempted),
+      derived("pair_shortfall", &RouteAggregate::pair_shortfall),
+      field("delivered", &RouteAggregate::delivered),
+      derived("delivery_ratio", &RouteAggregate::delivery_ratio),
+      field("hops", &RouteAggregate::hops),
+      field("length", &RouteAggregate::length),
+      field("stretch_hops", &RouteAggregate::stretch_hops),
+      field("stretch_length", &RouteAggregate::stretch_length),
+      field("perimeter_hops", &RouteAggregate::perimeter_hops),
+      field("backup_hops", &RouteAggregate::backup_hops),
+      field("local_minima", &RouteAggregate::local_minima),
+  };
 };
 
 }  // namespace spr

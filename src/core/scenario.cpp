@@ -653,23 +653,6 @@ int run_mobile_stream(const ScenarioOptions& opts, ScenarioReport& report) {
   return 0;
 }
 
-/// Accumulates one stream's per-scheme totals into a running aggregate
-/// (same label, Summary::merge in call order — deterministic).
-void merge_stream_scheme(StreamSchemeStats& into,
-                         const StreamSchemeStats& from) {
-  into.injected += from.injected;
-  into.delivered += from.delivered;
-  into.dead_end += from.dead_end;
-  into.ttl_expired += from.ttl_expired;
-  into.node_failed += from.node_failed;
-  into.hops.merge(from.hops);
-  into.length.merge(from.length);
-  into.stretch_hops.merge(from.stretch_hops);
-  into.latency.merge(from.latency);
-  into.replans.merge(from.replans);
-  into.local_minima.merge(from.local_minima);
-}
-
 /// The per-scheme values the stream tables and curves show; an empty
 /// accumulator (no delivered copy) reads 0.
 double stream_delivery(const StreamSchemeStats& s) {
@@ -779,7 +762,7 @@ class StreamGrid {
       StreamPoint& point = points_[ci / per_point];
       for (std::size_t k = 0;
            k < stats.schemes.size() && k < point.schemes.size(); ++k) {
-        merge_stream_scheme(point.schemes[k], stats.schemes[k]);
+        point.schemes[k].merge(stats.schemes[k]);
       }
       point.repins += stats.repins;
       auto add_update = [&](const auto& record) {

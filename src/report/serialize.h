@@ -1,35 +1,35 @@
 #pragma once
 
 /// \file serialize.h
-/// JSON round-trip for the sweep result model. Two forms coexist:
+/// JSON forms of the sweep and stream result records. Two forms coexist:
 ///
-/// - *Stats* form (`summary_stats` / `sweep_section_to_json`): the
-///   compact derived-moments shape the scenario reports have always
-///   emitted (count/mean/min/max/stddev). Lossy — for human and dashboard
-///   consumption.
-/// - *Full* form (`to_json` / `from_json`): retains every Summary sample,
+/// - *Stats* form (`summary_stats`, `sweep_section_to_json`,
+///   `stream_stats_json`): the compact derived-moments shape the scenario
+///   reports have always emitted (count/mean/min/max/stddev per Summary,
+///   plus derived values such as `delivery_ratio`). Lossy, for human and
+///   dashboard consumption; nothing reads it back.
+/// - *Wire* form (`to_json` / `from_json`): retains every Summary sample,
 ///   so deserializing re-adds the samples in order and reconstructs the
 ///   accumulator bit-identically. This is what makes the sweep cell the
 ///   unit of cross-process distribution: run slices anywhere, serialize
 ///   their `CellResult`s, and `merge_slices` reproduces the in-process
 ///   `run_sweep` aggregates exactly.
 ///
-/// Each record has one field list in serialize.cpp — wire key plus member
-/// pointer, in wire order — that drives both directions through one
-/// generic builder and its inverse reader: `to_json(x)` returns the
-/// JsonValue that `from_json` reads back, and `to_json(x).dump()` (or
-/// `.write_file(path)`) is the text. A new persisted member is one line
-/// there. The wire format is frozen: the tests pin every record's text
-/// (keys, order, number formatting), so slice files written by older
-/// builds still merge.
+/// One builder writes both forms, walking the member list each record
+/// keeps beside its struct (util/fields.h); a derived entry, such as
+/// `delivery_ratio`, is written only in the stats form. The wire reader
+/// walks the same lists: `to_json(x)` returns the JsonValue that
+/// `from_json` reads back, and `to_json(x).dump()` (or
+/// `.write_file(path)`) is the text. The wire format is frozen: the tests
+/// pin every record's text (keys, order, number formatting), so slice
+/// files written by older builds still merge.
 ///
 /// The reader is strict. It rejects a missing member, a fractional or
 /// out-of-range number in an integer member, a negative count, a
 /// non-number, null or non-finite double, a duplicate scheme label, and in
 /// slice files a wrong `spr_shard` version, an unknown model, a negative
 /// node count or a slice index outside [0, shard_count). Unknown members
-/// are ignored, and `arena_high_water` may be absent (older artifacts lack
-/// it).
+/// are ignored.
 ///
 /// Doubles are emitted with %.17g and parsed with from_chars, so every
 /// finite double survives the trip bit-exactly; a non-finite one is
@@ -51,18 +51,18 @@ namespace spr {
 JsonValue summary_stats(const Summary& s);
 /// One sweep section in the report shape (the "models" array element).
 JsonValue sweep_section_to_json(const SweepSection& section);
+/// One StreamSim run in the report shape (the stream scenarios' per-cell
+/// "stats"): per-scheme delivery/hops/stretch/latency summaries plus the
+/// per-wave and per-re-pin incremental-relabeling records.
+JsonValue stream_stats_json(const StreamStats& stats);
 
-// ------------------------------------------------------------- full form
+// ------------------------------------------------------------- wire form
 /// {"values": [...]} — everything needed to rebuild the accumulator.
 JsonValue to_json(const Summary& s);
 bool from_json(const JsonValue& v, Summary& out);
 
 JsonValue to_json(const RouteAggregate& agg);
 bool from_json(const JsonValue& v, RouteAggregate& out);
-
-/// {"nodes": n, "schemes": {label: aggregate...}}
-JsonValue to_json(const SweepPoint& point);
-bool from_json(const JsonValue& v, SweepPoint& out);
 
 /// {label: aggregate...}
 JsonValue to_json(const CellResult& cell);
@@ -71,33 +71,12 @@ bool from_json(const JsonValue& v, CellResult& out);
 JsonValue to_json(const SweepTimings& t);
 bool from_json(const JsonValue& v, SweepTimings& out);
 
-// --------------------------------------------------------- stream results
-/// Stats form of one StreamSim run (the streaming-delivery scenario's
-/// report shape): per-scheme delivery/hops/stretch/latency summaries plus
-/// the per-wave incremental-relabeling records, as a DOM that report
-/// params and the example exports embed directly.
-JsonValue stream_stats_json(const StreamStats& stats);
-
-/// Full (sample-retaining) forms: a deserialized StreamStats reconstructs
-/// every Summary accumulator bit-identically, like the sweep cell forms.
-JsonValue to_json(const IncrementalStats& stats);
-bool from_json(const JsonValue& v, IncrementalStats& out);
-
-JsonValue to_json(const WaveRecord& record);
-bool from_json(const JsonValue& v, WaveRecord& out);
-
-JsonValue to_json(const RepinRecord& record);
-bool from_json(const JsonValue& v, RepinRecord& out);
-
-JsonValue to_json(const StreamSchemeStats& stats);
-bool from_json(const JsonValue& v, StreamSchemeStats& out);
-
-JsonValue to_json(const StreamStats& stats);
-bool from_json(const JsonValue& v, StreamStats& out);
-
 // ------------------------------------------------------------ slice files
+/// The slice file format's version, its `spr_shard` member.
+inline constexpr int kShardFormatVersion = 1;
+
 /// A serialized sweep *slice*: the sweep's identity (enough to check that
-/// two slices came from the same sweep) plus the computed cells in full
+/// two slices came from the same sweep) plus the computed cells in wire
 /// form. ("Slice" = a modular subset of a sweep's cells for cross-process
 /// distribution — distinct from the *spatial tiles* of shard/, which
 /// partition one deployment's field. The JSON wire keys keep the historical
@@ -112,8 +91,24 @@ struct SweepSlice {
   int slice_index = 0;
   int slice_count = 1;
   std::vector<SliceCell> cells;
+  /// The wire format's version: a file with any other value is not read.
+  int format_version = kShardFormatVersion;
 
   bool operator==(const SweepSlice&) const = default;
+
+  /// The members in wire order (util/fields.h).
+  static constexpr std::tuple fields{
+      field("spr_shard", &SweepSlice::format_version),
+      field("model", &SweepSlice::model_tag),
+      field("node_counts", &SweepSlice::node_counts),
+      field("networks_per_point", &SweepSlice::networks_per_point),
+      field("pairs_per_network", &SweepSlice::pairs_per_network),
+      field("base_seed", &SweepSlice::base_seed),
+      field("schemes", &SweepSlice::scheme_labels),
+      field("shard_index", &SweepSlice::slice_index),
+      field("shard_count", &SweepSlice::slice_count),
+      field("cells", &SweepSlice::cells),
+  };
 };
 
 /// Builds the slice header from the config that ran the cells.

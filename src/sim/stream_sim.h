@@ -106,6 +106,7 @@
 #include "routing/packet.h"
 #include "safety/incremental.h"
 #include "stats/summary.h"
+#include "util/fields.h"
 
 namespace spr {
 
@@ -193,7 +194,28 @@ struct StreamSchemeStats {
                : static_cast<double>(delivered) / static_cast<double>(injected);
   }
 
+  /// Accumulates another run's totals of the same scheme (the stream
+  /// grid's cell-order reduction); the label stays.
+  void merge(const StreamSchemeStats& other) { merge_fields(*this, other); }
+
   bool operator==(const StreamSchemeStats&) const = default;
+
+  /// The members in report order, `label` aside: it keys the report's
+  /// scheme object and is never merged (util/fields.h).
+  static constexpr std::tuple fields{
+      field("injected", &StreamSchemeStats::injected),
+      field("delivered", &StreamSchemeStats::delivered),
+      field("dead_end", &StreamSchemeStats::dead_end),
+      field("ttl_expired", &StreamSchemeStats::ttl_expired),
+      field("node_failed", &StreamSchemeStats::node_failed),
+      derived("delivery_ratio", &StreamSchemeStats::delivery_ratio),
+      field("hops", &StreamSchemeStats::hops),
+      field("length", &StreamSchemeStats::length),
+      field("stretch_hops", &StreamSchemeStats::stretch_hops),
+      field("latency", &StreamSchemeStats::latency),
+      field("replans", &StreamSchemeStats::replans),
+      field("local_minima", &StreamSchemeStats::local_minima),
+  };
 };
 
 /// The full result of one stream run.

@@ -1,9 +1,9 @@
 /// \file report_serialize_test.cpp
 /// Exact JSON round-trip of the sweep result model (Summary,
-/// RouteAggregate, SweepPoint, CellResult, SweepTimings, shard files) and
-/// the acceptance check behind distributed sweeps: merging N single-cell
-/// shard JSONs reproduces the in-process run_sweep aggregates
-/// bit-identically.
+/// RouteAggregate, CellResult, SweepTimings, shard files), the literal
+/// report stats forms, and the acceptance check behind distributed sweeps:
+/// merging N single-cell shard JSONs reproduces the in-process run_sweep
+/// aggregates bit-identically.
 
 #include "report/serialize.h"
 
@@ -112,20 +112,13 @@ TEST(Serialize, RouteAggregateRoundTrip) {
   EXPECT_EQ(round_trip(original), original);
 }
 
-TEST(Serialize, CellResultAndSweepPointRoundTrip) {
+TEST(Serialize, CellResultRoundTrip) {
   CellResult cell;
   cell.emplace("GF", sample_aggregate(1));
   cell.emplace("SLGF2", sample_aggregate(2));
   CellResult cell_copy = round_trip(cell);
   ASSERT_EQ(cell_copy.size(), 2u);
   EXPECT_EQ(cell_copy, cell);
-
-  SweepPoint point;
-  point.node_count = 600;
-  point.by_scheme = cell;
-  SweepPoint point_copy = round_trip(point);
-  EXPECT_EQ(point_copy.node_count, 600);
-  EXPECT_EQ(point_copy, point);
 }
 
 TEST(Serialize, SweepTimingsRoundTrip) {
@@ -225,10 +218,6 @@ IncrementalStats pin_relabel() {
   return stats;
 }
 
-const char* const kRelabelWire =
-    R"({"seeds":1,"reevaluations":2,"flips":3,"promotions":4,)"
-    R"("anchor_recomputes":5,"arena_high_water":4096})";
-
 WaveRecord pin_wave() {
   WaveRecord record;
   record.time = 2.5;
@@ -239,12 +228,6 @@ WaveRecord pin_wave() {
   record.verified = true;
   record.matches_full_recompute = true;
   return record;
-}
-
-std::string pin_wave_wire() {
-  return std::string(R"({"time":2.5,"casualties":6,"packets_in_flight":3,)"
-                     R"("packets_dropped":1,"relabel":)") +
-         kRelabelWire + R"(,"verified":true,"matches_full_recompute":true})";
 }
 
 RepinRecord pin_repin() {
@@ -259,13 +242,6 @@ RepinRecord pin_repin() {
   record.verified = true;
   record.matches_full_recompute = true;
   return record;
-}
-
-std::string pin_repin_wire() {
-  return std::string(R"({"time":7.75,"moved":40,"edges_added":12,)"
-                     R"("edges_removed":9,"packets_in_flight":2,)"
-                     R"("packets_dropped":1,"relabel":)") +
-         kRelabelWire + R"(,"verified":true,"matches_full_recompute":true})";
 }
 
 StreamSchemeStats pin_scheme() {
@@ -285,13 +261,6 @@ StreamSchemeStats pin_scheme() {
   return stats;
 }
 
-const char* const kSchemeWire =
-    R"({"label":"SLGF2","injected":6,"delivered":5,"dead_end":1,)"
-    R"("ttl_expired":2,"node_failed":3,"hops":{"values":[9,-0]},)"
-    R"("length":{"values":[120.5]},"stretch_hops":{"values":[1.5]},)"
-    R"("latency":{"values":[4.75]},"replans":{"values":[1]},)"
-    R"("local_minima":{"values":[2]}})";
-
 TEST(Serialize, WirePinSummary) {
   expect_wire(summary_of({1.0 / 3.0, -2.5, -0.0, 1e-300, 123456.789}),
               R"({"values":[0.33333333333333331,-2.5,-0,1e-300,123456.789]})");
@@ -303,13 +272,6 @@ TEST(Serialize, WirePinRouteAggregate) {
 
 TEST(Serialize, WirePinCellResult) {
   expect_wire(pin_cell(), pin_cell_wire());
-}
-
-TEST(Serialize, WirePinSweepPoint) {
-  SweepPoint point;
-  point.node_count = 450;
-  point.by_scheme = pin_cell();
-  expect_wire(point, R"({"nodes":450,"schemes":)" + pin_cell_wire() + "}");
 }
 
 TEST(Serialize, WirePinSweepTimings) {
@@ -327,34 +289,6 @@ TEST(Serialize, WirePinSweepTimings) {
                  R"("routing_seconds":0.125,"oracle_bfs_searches":7,)"
                  R"("oracle_dijkstra_searches":8,"pairs_requested":40,)"
                  R"("pairs_routed":39})");
-}
-
-TEST(Serialize, WirePinIncrementalStats) {
-  expect_wire(pin_relabel(), kRelabelWire);
-}
-
-TEST(Serialize, WirePinWaveRecord) { expect_wire(pin_wave(), pin_wave_wire()); }
-
-TEST(Serialize, WirePinRepinRecord) {
-  expect_wire(pin_repin(), pin_repin_wire());
-}
-
-TEST(Serialize, WirePinStreamSchemeStats) {
-  expect_wire(pin_scheme(), kSchemeWire);
-}
-
-TEST(Serialize, WirePinStreamStats) {
-  StreamStats stats;
-  stats.virtual_time = 12.5;
-  stats.events = 345;
-  stats.repins = 1;
-  stats.waves.push_back(pin_wave());
-  stats.repin_records.push_back(pin_repin());
-  stats.schemes.push_back(pin_scheme());
-  expect_wire(stats, R"({"virtual_time":12.5,"events":345,"repins":1,)"
-                     R"("waves":[)" + pin_wave_wire() +
-                         R"(],"repin_records":[)" + pin_repin_wire() +
-                         R"(],"schemes":[)" + kSchemeWire + "]}");
 }
 
 TEST(Serialize, WirePinSweepSlice) {
@@ -578,23 +512,18 @@ TEST(Serialize, IntegerFieldsRejectFractionalNumbers) {
   ASSERT_TRUE(JsonValue::parse(kGfWire, v));
   v.set("requested", JsonValue::of(-5));
   EXPECT_FALSE(from_json(v, agg));
-  SweepPoint point;
-  ASSERT_TRUE(JsonValue::parse(R"({"nodes":400.5,"schemes":{}})", v));
-  EXPECT_FALSE(from_json(v, point));
 
-  // arena_high_water may be absent (older artifacts); present, it is a
-  // count like any other.
-  IncrementalStats stats;
-  ASSERT_TRUE(JsonValue::parse(
-      R"({"seeds":1,"reevaluations":2,"flips":3,"promotions":4,)"
-      R"("anchor_recomputes":5})",
-      v));
-  EXPECT_TRUE(from_json(v, stats));
-  EXPECT_EQ(stats.arena_high_water, 0u);
-  v.set("arena_high_water", JsonValue::of(-1));
-  EXPECT_FALSE(from_json(v, stats));
-  v.set("arena_high_water", JsonValue::of(0.5));
-  EXPECT_FALSE(from_json(v, stats));
+  // The case above, in a slice file: a cell at net_index 1.7.
+  SweepSlice slice = make_slice(small_sweep_config(), 1, 2, {});
+  slice.cells.push_back({400, 1, pin_cell()});
+  std::string text = to_json(slice).dump();
+  ASSERT_TRUE(JsonValue::parse(text, v));
+  ASSERT_TRUE(from_json(v, slice));
+  const std::string index = R"("net_index":1,)";
+  ASSERT_NE(text.find(index), std::string::npos);
+  text.replace(text.find(index), index.size(), R"("net_index":1.7,)");
+  ASSERT_TRUE(JsonValue::parse(text, v));
+  EXPECT_FALSE(from_json(v, slice));
 }
 
 TEST(Shards, ShardFileRejectsForeignJson) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -33,8 +35,20 @@ std::pair<NodeId, NodeId> far_pair(const Network& net, std::uint64_t seed) {
   return {s, d};
 }
 
-std::string stream_json(const StreamStats& stats) {
-  return to_json(stats).dump();
+/// The report text of `stats`, then the bit pattern of every Summary
+/// sample: two runs give the same string only when they also agree on the
+/// sign of every zero, which `==` (like double ==) does not check.
+std::string stream_bits(const StreamStats& stats) {
+  std::string out = stream_stats_json(stats).dump();
+  for (const StreamSchemeStats& s : stats.schemes) {
+    for (const Summary* summary : {&s.hops, &s.length, &s.stretch_hops,
+                                   &s.latency, &s.replans, &s.local_minima}) {
+      for (double v : summary->values()) {
+        out += ' ' + std::to_string(std::bit_cast<std::uint64_t>(v));
+      }
+    }
+  }
+  return out;
 }
 
 /// With no world events, the stream is the atomic route repeated: per
@@ -127,7 +141,8 @@ TEST(StreamSim, MidStreamWaveRelabelsIncrementallyAndConsistently) {
   EXPECT_FALSE(sim.network().graph().alive(wave.casualties.front()));
 }
 
-/// Same (network, config) twice => byte-identical full stream stats.
+/// Same (network, config) twice => identical stream stats, down to the
+/// sign of every zero.
 TEST(StreamSim, RunIsAPureFunctionOfItsInputs) {
   auto run_once = [] {
     Network net = test::random_network(500, 23, DeployModel::kForbiddenAreas);
@@ -145,12 +160,13 @@ TEST(StreamSim, RunIsAPureFunctionOfItsInputs) {
     config.mobility_interval = 6.0;  // exercise the re-pin path too
     config.mobility_dt = 15.0;
     StreamSim sim(std::move(net), config);
-    return stream_json(sim.run());
+    return sim.run();
   };
-  std::string first = run_once();
-  std::string second = run_once();
-  EXPECT_EQ(first, second);
-  EXPECT_FALSE(first.empty());
+  StreamStats first = run_once();
+  StreamStats second = run_once();
+  EXPECT_TRUE(first == second);
+  EXPECT_EQ(stream_bits(first), stream_bits(second));
+  EXPECT_FALSE(first.schemes.empty());
 }
 
 /// No endpoints means no traffic: the run terminates immediately even
@@ -449,37 +465,6 @@ TEST(StreamSim, MobilityRepinsRebuildTheSnapshot) {
   }
 }
 
-/// Full-form StreamStats JSON round-trips bit-identically (samples and
-/// all), like the sweep cell forms.
-TEST(StreamSim, StreamStatsJsonRoundTrip) {
-  Network net = test::random_network(500, 8, DeployModel::kForbiddenAreas);
-  auto [s, d] = far_pair(net, 0x8);
-  ASSERT_NE(s, kInvalidNode);
-  StreamConfig config;
-  config.pairs.emplace_back(s, d);
-  config.packets = 6;
-  StreamWave wave;
-  wave.time = 2.0;
-  for (NodeId u = 0; u < 40; ++u) {
-    if (u != s && u != d) wave.casualties.push_back(u);
-  }
-  config.waves.push_back(std::move(wave));
-  config.verify_relabeling = true;
-  config.mobility_interval = 2.5;  // repin_records round-trip too
-  config.mobility_dt = 8.0;
-  StreamSim sim(std::move(net), config);
-  StreamStats stats = sim.run();
-  ASSERT_GT(stats.repin_records.size(), 0u);
-
-  std::string text = stream_json(stats);
-  JsonValue parsed;
-  ASSERT_TRUE(JsonValue::parse(text, parsed));
-  StreamStats decoded;
-  ASSERT_TRUE(from_json(parsed, decoded));
-  EXPECT_EQ(stream_json(decoded), text);
-  EXPECT_EQ(decoded, stats);
-}
-
 /// The acceptance contract of the flight-record mode: everything in
 /// StreamStats except `events` is byte-identical to the per-hop reference
 /// mode — across seeds, failure waves, mobility re-pins, their
@@ -613,10 +598,10 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
     std::size_t tick_events = 0;
     StreamStats ref = run(StreamEngine::kPerHopEvents, 1, &ref_events);
     StreamStats tick = run(StreamEngine::kFlightRecord, 1, &tick_events);
-    // Struct equality sees every field; the JSON text also sees the sign
-    // of zero.
+    // Struct equality sees every field; the report text and the sample
+    // bits also see the sign of zero.
     EXPECT_TRUE(tick == ref) << where;
-    EXPECT_EQ(stream_json(tick), stream_json(ref)) << where;
+    EXPECT_EQ(stream_bits(tick), stream_bits(ref)) << where;
     EXPECT_EQ(tick_events, c.events) << where;
     for (int threads : {2, 4}) {
       std::size_t threaded_events = 0;
@@ -624,7 +609,7 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
           run(StreamEngine::kFlightRecord, threads, &threaded_events);
       EXPECT_TRUE(threaded == tick)
           << where << ": " << threads << " threads changed the stats";
-      EXPECT_EQ(stream_json(threaded), stream_json(tick))
+      EXPECT_EQ(stream_bits(threaded), stream_bits(tick))
           << where << ": " << threads << " threads changed the report";
       EXPECT_EQ(threaded_events, c.events) << where << ", " << threads
                                            << " threads";
