@@ -80,9 +80,9 @@ endif()
 
 # Hostile-input probes: a negative count, a node count past `int` or past
 # the 10^6-node cap, a non-finite or non-positive range, more tiles than
-# nodes or than the 64-tile cap, a malformed node id, a flag the command
-# does not take and a removed verb or alias must each be rejected, never
-# fall back to a default workload. A rejection is
+# nodes or than the 64-tile cap, a malformed node id, a value on a `--no-`
+# flag, a flag the command does not take and a removed verb or alias must
+# each be rejected, never fall back to a default workload. A rejection is
 # exit status 1 (bad usage) or 2 (bad value); any other result, a signal
 # included (which execute_process reports as a string such as "Child
 # aborted"), is a crash and fails the gate.
@@ -116,6 +116,7 @@ expect_rejected(label --nodes=10000 --tiles=100x100)
 expect_rejected(label --tiles=9x8)
 expect_rejected(label --nodes=1000001)
 expect_rejected(info --nodes=2000000000)
+expect_rejected(info --no-fa=true)
 expect_rejected(sweep --tiles 2x2)
 expect_rejected(sweep --range=nan --networks 1 --pairs 1)
 expect_rejected(route abc 5)

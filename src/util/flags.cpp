@@ -134,6 +134,13 @@ bool FlagSet::parse(int argc, const char* const* argv) {
         negated = true;
       }
     }
+    if (negated && inline_value) {
+      // `--no-fa=true` would otherwise set what it negates.
+      std::fprintf(stderr, "bad value '%.*s' for flag --no-%s\n",
+                   static_cast<int>(inline_value->size()),
+                   inline_value->data(), name.c_str());
+      return false;
+    }
     if (it != flags_.end() && it->second.is_bool && !inline_value) {
       if (!apply(name, negated ? "false" : "true")) return false;
       continue;

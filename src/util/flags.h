@@ -4,7 +4,8 @@
 /// Tiny declarative command-line flag parser used by examples and benches.
 ///
 /// Supports `--name=value`, `--name value`, and boolean `--name` /
-/// `--no-name`. Unknown flags are reported; `--help` prints usage.
+/// `--no-name` (which takes no value). Unknown flags are reported;
+/// `--help` prints usage.
 
 #include <functional>
 #include <map>

@@ -46,6 +46,18 @@ TEST(Flags, BoolExplicitValue) {
   EXPECT_TRUE(flag);
 }
 
+TEST(Flags, NegatedBoolRejectsAValue) {
+  // A value on `--no-` must not set the flag it negates.
+  for (const char* arg : {"--no-flag=true", "--no-flag=false", "--no-flag="}) {
+    bool flag = true;
+    FlagSet flags("test");
+    flags.add_bool("flag", &flag, "f");
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(flags.parse(2, argv)) << arg;
+    EXPECT_TRUE(flag) << arg;
+  }
+}
+
 TEST(Flags, StringAndUint64) {
   std::string name = "default";
   unsigned long long seed = 0;
