@@ -512,9 +512,13 @@ BENCHMARK(BM_StreamSimCell);
 /// per distinct hop instant, advancing each tick's batch (optionally in
 /// parallel). Network construction is excluded from the timed region; the
 /// `events` counter shows the heap-traffic collapse. The `Pairs` arms take
-/// the pair count as a second argument: with 16 pairs a batch arms at most
-/// 16 first walks, under the pooled stepper's grain, so only the 256-pair
-/// registration steps flights on the pool.
+/// the pair count as a second argument. The pooled arms pin event parity
+/// with the serial arms; they do not time pooled stepping. No barrier ever
+/// invalidates the walk memo, so each pair's walk steps once, in the first
+/// batch: 16 first walks sit under the pooled stepper's grain, and 256
+/// step on the pool once. Every other injection replays from the memo on
+/// the event-loop thread (at 10^6 flights and 256 pairs, 999,744 of
+/// them).
 enum class StreamEngineMode { kPerHop, kFlightRecord, kFlightRecordParallel };
 
 void stream_engine_bench(benchmark::State& state, StreamEngineMode mode,
