@@ -2,7 +2,7 @@
 
 /// \file fields.h
 /// A record's member list, kept in its struct as `static constexpr
-/// std::tuple fields{...}`: outside the struct body, the one place that
+/// std::tuple fields{...}`: besides the declarations, the one place that
 /// names its members. An entry is data, a key plus a member pointer
 /// (`field`) or a key plus a const getter for a derived value (`derived`).
 /// `merge_fields` and the JSON forms (report/serialize.cpp) walk the list,
