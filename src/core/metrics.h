@@ -52,8 +52,7 @@ struct RouteAggregate {
 
   bool operator==(const RouteAggregate&) const = default;
 
-  /// The members in wire order, with the derived values where the report
-  /// shows them (util/fields.h).
+  /// Members in wire order, plus the report's derived values (util/fields.h).
   static constexpr std::tuple fields{
       field("requested", &RouteAggregate::requested),
       field("attempted", &RouteAggregate::attempted),

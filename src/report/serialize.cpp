@@ -13,177 +13,6 @@
 
 namespace spr {
 
-namespace {
-
-template <typename T>
-constexpr bool kIsVector = false;
-template <typename T>
-constexpr bool kIsVector<std::vector<T>> = true;
-
-template <typename T>
-constexpr bool kIsLabelMap = false;
-template <typename T>
-constexpr bool kIsLabelMap<std::map<std::string, T>> = true;
-
-/// The two shapes the one builder writes. The wire form keeps every
-/// Summary sample; the stats form writes a Summary's moments and a
-/// record's derived values too.
-enum class Form { kWire, kStats };
-
-template <Form form, typename T>
-JsonValue to_value(const T& value);
-
-/// A member under its key, a derived value only in the stats form.
-template <Form form, typename T, typename M>
-void write_entry(JsonValue& out, const T& record, const Field<T, M>& entry) {
-  out.set(entry.key, to_value<form>(record.*entry.member));
-}
-
-template <Form form, typename T, typename R>
-void write_entry(JsonValue& out, const T& record,
-                 const Derived<T, R>& entry) {
-  if constexpr (form == Form::kStats) {
-    out.set(entry.key, to_value<form>((record.*entry.get)()));
-  }
-}
-
-/// The one builder. A Summary is {"values": [...]} on the wire and
-/// summary_stats in the stats form, a vector an array, a label-keyed map
-/// an object, a record an object in list order.
-template <Form form, typename T>
-JsonValue to_value(const T& value) {
-  if constexpr (std::is_same_v<T, Summary> && form == Form::kStats) {
-    return summary_stats(value);
-  } else if constexpr (std::is_same_v<T, Summary>) {
-    JsonValue v = JsonValue::object();
-    v.set("values", to_value<form>(value.values()));
-    return v;
-  } else if constexpr (kIsVector<T>) {
-    JsonValue items = JsonValue::array(value.size());
-    for (const auto& item : value) items.push(to_value<form>(item));
-    return items;
-  } else if constexpr (kIsLabelMap<T>) {
-    JsonValue items = JsonValue::object();
-    for (const auto& [label, item] : value) {
-      items.set(label, to_value<form>(item));
-    }
-    return items;
-  } else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, int> ||
-                       std::is_same_v<T, double> ||
-                       std::is_same_v<T, std::string>) {
-    return JsonValue::of(value);
-  } else if constexpr (std::is_unsigned_v<T>) {
-    return JsonValue::of(static_cast<std::uint64_t>(value));
-  } else {
-    JsonValue record = JsonValue::object();
-    std::apply(
-        [&](const auto&... entry) {
-          (write_entry<form>(record, value, entry), ...);
-        },
-        T::fields);
-    return record;
-  }
-}
-
-template <typename T>
-bool read_value(const JsonValue& v, T& out);
-
-/// A member must be present and valid.
-template <typename T, typename M>
-bool read_entry(const JsonValue& v, T& record, const Field<T, M>& entry) {
-  return read_value(v.get(entry.key), record.*entry.member);
-}
-
-template <typename T, typename R>
-bool read_entry(const JsonValue& /*v*/, T& /*record*/,
-                const Derived<T, R>& /*entry*/) {
-  return true;
-}
-
-/// The one reader, the wire builder's inverse. Integers must be integral
-/// tokens that fit the member (no sign for counts), doubles finite numbers
-/// (the builder writes a non-finite one as null), labels must be unique
-/// and every member present; unknown members are ignored. Writes `out`
-/// only on success.
-template <typename T>
-bool read_value(const JsonValue& v, T& out) {
-  if constexpr (std::is_same_v<T, Summary>) {
-    std::vector<double> values;
-    if (!read_value(v.get("values"), values)) return false;
-    Summary s;
-    for (double value : values) s.add(value);
-    out = std::move(s);
-  } else if constexpr (kIsVector<T>) {
-    if (!v.is_array()) return false;
-    T items;
-    for (const JsonValue& item : v.items()) {
-      if (!read_value(item, items.emplace_back())) return false;
-    }
-    out = std::move(items);
-  } else if constexpr (kIsLabelMap<T>) {
-    if (!v.is_object()) return false;
-    T items;
-    for (const auto& [label, item] : v.members()) {
-      typename T::mapped_type value;
-      if (!read_value(item, value) ||
-          !items.emplace(label, std::move(value)).second) {
-        return false;
-      }
-    }
-    out = std::move(items);
-  } else if constexpr (std::is_same_v<T, bool>) {
-    if (!v.is_bool()) return false;
-    out = v.as_bool();
-  } else if constexpr (std::is_same_v<T, int>) {
-    const std::int64_t i = v.as_int64(INT64_MIN);
-    if (!v.is_integer() || !std::in_range<int>(i)) return false;
-    out = static_cast<int>(i);
-  } else if constexpr (std::is_unsigned_v<T>) {
-    // as_uint64() reads a negative integer as 0, so check the sign first.
-    if (!v.is_integer() || v.as_int64(0) < 0 ||
-        !std::in_range<T>(v.as_uint64())) {
-      return false;
-    }
-    out = static_cast<T>(v.as_uint64());
-  } else if constexpr (std::is_same_v<T, double>) {
-    if (!v.is_number() || !std::isfinite(v.as_double())) return false;
-    out = v.as_double();
-  } else if constexpr (std::is_same_v<T, std::string>) {
-    if (!v.is_string()) return false;
-    out = v.as_string();
-  } else {
-    if (!v.is_object()) return false;
-    T record;
-    if (!std::apply(
-            [&](const auto&... entry) {
-              return (read_entry(v, record, entry) && ...);
-            },
-            T::fields)) {
-      return false;
-    }
-    out = std::move(record);
-  }
-  return true;
-}
-
-/// What the member types cannot check in a slice file: its version, a
-/// known model, no negative node count, and a slice index inside its count
-/// (the bounds `spr_cli sweep --slice` enforces when writing).
-bool valid_slice(const SweepSlice& slice) {
-  DeployModel model = DeployModel::kIdeal;
-  return slice.format_version == kShardFormatVersion &&
-         deploy_model_from_tag(slice.model_tag, model) &&
-         std::ranges::none_of(slice.node_counts, [](int n) { return n < 0; }) &&
-         slice.slice_count >= 1 && slice.slice_index >= 0 &&
-         slice.slice_index < slice.slice_count;
-}
-
-JsonValue uint_of(std::size_t n) {
-  return JsonValue::of(static_cast<std::uint64_t>(n));
-}
-
-}  // namespace
-
 // ------------------------------------------------------------ stats form
 
 JsonValue summary_stats(const Summary& s) {
@@ -195,6 +24,23 @@ JsonValue summary_stats(const Summary& s) {
   v.set("stddev", JsonValue::of(s.stddev()));
   return v;
 }
+
+namespace {
+
+JsonValue uint_of(std::size_t n) {
+  return JsonValue::of(static_cast<std::uint64_t>(n));
+}
+
+/// The two shapes the one builder writes. The wire form keeps every
+/// Summary sample; the stats form writes a Summary's moments and a
+/// record's derived values too.
+enum class Form { kWire, kStats };
+
+/// The one builder, defined with the wire form below.
+template <Form form, typename T>
+JsonValue to_value(const T& value);
+
+}  // namespace
 
 JsonValue sweep_section_to_json(const SweepSection& section) {
   JsonValue points = JsonValue::array();
@@ -267,6 +113,168 @@ JsonValue stream_stats_json(const StreamStats& stats) {
 
 // ------------------------------------------------------------- wire form
 
+namespace {
+
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+template <typename T>
+constexpr bool kIsLabelMap = false;
+template <typename T>
+constexpr bool kIsLabelMap<std::map<std::string, T>> = true;
+
+/// A member under its key, a derived value only in the stats form.
+template <Form form, typename T, typename M>
+void write_entry(JsonValue& out, const T& record, const Field<T, M>& entry) {
+  out.set(entry.key, to_value<form>(record.*entry.member));
+}
+
+template <Form form, typename T, typename R>
+void write_entry(JsonValue& out, const T& record,
+                 const Derived<T, R>& entry) {
+  if constexpr (form == Form::kStats) {
+    out.set(entry.key, to_value<form>((record.*entry.get)()));
+  }
+}
+
+/// The one builder. A Summary is {"values": [...]} on the wire and
+/// summary_stats in the stats form, a vector an array, a label-keyed map
+/// an object, a record an object in list order.
+template <Form form, typename T>
+JsonValue to_value(const T& value) {
+  if constexpr (std::is_same_v<T, Summary> && form == Form::kStats) {
+    return summary_stats(value);
+  } else if constexpr (std::is_same_v<T, Summary>) {
+    JsonValue v = JsonValue::object();
+    v.set("values", to_value<form>(value.values()));
+    return v;
+  } else if constexpr (kIsVector<T>) {
+    JsonValue items = JsonValue::array(value.size());
+    for (const auto& item : value) items.push(to_value<form>(item));
+    return items;
+  } else if constexpr (kIsLabelMap<T>) {
+    JsonValue items = JsonValue::object();
+    for (const auto& [label, item] : value) {
+      items.set(label, to_value<form>(item));
+    }
+    return items;
+  } else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, int> ||
+                       std::is_same_v<T, double> ||
+                       std::is_same_v<T, std::string>) {
+    return JsonValue::of(value);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    return JsonValue::of(static_cast<std::uint64_t>(value));
+  } else {
+    JsonValue record = JsonValue::object();
+    std::apply(
+        [&](const auto&... entry) {
+          (write_entry<form>(record, value, entry), ...);
+        },
+        T::fields);
+    return record;
+  }
+}
+
+/// What the member types cannot check in a slice file: its version, a
+/// known model, no negative node count, and a slice index inside its count
+/// (the bounds `spr_cli sweep --slice` enforces when writing).
+bool valid_slice(const SweepSlice& slice) {
+  DeployModel model = DeployModel::kIdeal;
+  return slice.format_version == kShardFormatVersion &&
+         deploy_model_from_tag(slice.model_tag, model) &&
+         std::ranges::none_of(slice.node_counts, [](int n) { return n < 0; }) &&
+         slice.slice_count >= 1 && slice.slice_index >= 0 &&
+         slice.slice_index < slice.slice_count;
+}
+
+template <typename T>
+bool read_value(const JsonValue& v, T& out);
+
+/// A member must be present and valid.
+template <typename T, typename M>
+bool read_entry(const JsonValue& v, T& record, const Field<T, M>& entry) {
+  return read_value(v.get(entry.key), record.*entry.member);
+}
+
+template <typename T, typename R>
+bool read_entry(const JsonValue& /*v*/, T& /*record*/,
+                const Derived<T, R>& /*entry*/) {
+  return true;
+}
+
+/// The one reader, the wire builder's inverse. Integers must be integral
+/// tokens that fit the member (no sign for counts), doubles finite numbers
+/// (the builder writes a non-finite one as null), labels must be unique,
+/// every member present and a slice valid; unknown members are ignored.
+/// Writes `out` only on success.
+template <typename T>
+bool read_value(const JsonValue& v, T& out) {
+  if constexpr (std::is_same_v<T, Summary>) {
+    std::vector<double> values;
+    if (!read_value(v.get("values"), values)) return false;
+    Summary s;
+    for (double value : values) s.add(value);
+    out = std::move(s);
+  } else if constexpr (kIsVector<T>) {
+    if (!v.is_array()) return false;
+    T items;
+    for (const JsonValue& item : v.items()) {
+      if (!read_value(item, items.emplace_back())) return false;
+    }
+    out = std::move(items);
+  } else if constexpr (kIsLabelMap<T>) {
+    if (!v.is_object()) return false;
+    T items;
+    for (const auto& [label, item] : v.members()) {
+      typename T::mapped_type value;
+      if (!read_value(item, value) ||
+          !items.emplace(label, std::move(value)).second) {
+        return false;
+      }
+    }
+    out = std::move(items);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) return false;
+    out = v.as_bool();
+  } else if constexpr (std::is_same_v<T, int>) {
+    const std::int64_t i = v.as_int64(INT64_MIN);
+    if (!v.is_integer() || !std::in_range<int>(i)) return false;
+    out = static_cast<int>(i);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    // as_uint64() reads a negative integer as 0, so check the sign first.
+    if (!v.is_integer() || v.as_int64(0) < 0 ||
+        !std::in_range<T>(v.as_uint64())) {
+      return false;
+    }
+    out = static_cast<T>(v.as_uint64());
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (!v.is_number() || !std::isfinite(v.as_double())) return false;
+    out = v.as_double();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!v.is_string()) return false;
+    out = v.as_string();
+  } else {
+    if (!v.is_object()) return false;
+    T record;
+    if (!std::apply(
+            [&](const auto&... entry) {
+              return (read_entry(v, record, entry) && ...);
+            },
+            T::fields)) {
+      return false;
+    }
+    if constexpr (std::is_same_v<T, SweepSlice>) {
+      if (!valid_slice(record)) return false;
+    }
+    out = std::move(record);
+  }
+  return true;
+}
+
+}  // namespace
+
 JsonValue to_json(const Summary& value) { return to_value<Form::kWire>(value); }
 bool from_json(const JsonValue& v, Summary& out) { return read_value(v, out); }
 JsonValue to_json(const RouteAggregate& value) {
@@ -288,12 +296,7 @@ bool from_json(const JsonValue& v, SweepTimings& out) {
 JsonValue to_json(const SweepSlice& value) {
   return to_value<Form::kWire>(value);
 }
-bool from_json(const JsonValue& v, SweepSlice& out) {
-  SweepSlice slice;
-  if (!read_value(v, slice) || !valid_slice(slice)) return false;
-  out = std::move(slice);
-  return true;
-}
+bool from_json(const JsonValue& v, SweepSlice& out) { return read_value(v, out); }
 
 // ------------------------------------------------------------ slice files
 

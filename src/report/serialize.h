@@ -1,28 +1,27 @@
 #pragma once
 
 /// \file serialize.h
-/// JSON forms of the sweep and stream result records. Two forms coexist:
+/// JSON forms of the sweep and stream result records:
 ///
-/// - *Stats* form (`summary_stats`, `sweep_section_to_json`,
-///   `stream_stats_json`): the compact derived-moments shape the scenario
-///   reports have always emitted (count/mean/min/max/stddev per Summary,
-///   plus derived values such as `delivery_ratio`). Lossy, for human and
-///   dashboard consumption; nothing reads it back.
-/// - *Wire* form (`to_json` / `from_json`): retains every Summary sample,
-///   so deserializing re-adds the samples in order and reconstructs the
-///   accumulator bit-identically. This is what makes the sweep cell the
-///   unit of cross-process distribution: run slices anywhere, serialize
-///   their `CellResult`s, and `merge_slices` reproduces the in-process
-///   `run_sweep` aggregates exactly.
+/// - the *stats* form (`summary_stats`, `sweep_section_to_json`,
+///   `stream_stats_json`) is the reports' shape: each Summary's
+///   count/mean/min/max/stddev, plus derived values such as
+///   `delivery_ratio`. Lossy; nothing reads it back.
+/// - the *wire* form (`to_json` / `from_json`) retains every Summary
+///   sample, so deserializing reconstructs each accumulator
+///   bit-identically. That makes the sweep cell the unit of cross-process
+///   distribution: run slices anywhere, and `merge_slices` reproduces the
+///   in-process `run_sweep` aggregates exactly.
 ///
-/// One builder writes both forms, walking the member list each record
-/// keeps beside its struct (util/fields.h); a derived entry, such as
-/// `delivery_ratio`, is written only in the stats form. The wire reader
-/// walks the same lists: `to_json(x)` returns the JsonValue that
-/// `from_json` reads back, and `to_json(x).dump()` (or
-/// `.write_file(path)`) is the text. The wire format is frozen: the tests
-/// pin every record's text (keys, order, number formatting), so slice
-/// files written by older builds still merge.
+/// One builder writes a record in either form by walking the member list
+/// the record keeps beside its struct (util/fields.h); a derived entry is
+/// written only in the stats form. The section header and the stream's
+/// wave and re-pin rows around those records are written by hand. The
+/// wire reader walks the same lists: `to_json(x)` returns the JsonValue
+/// that `from_json` reads back, and `to_json(x).dump()` (or
+/// `.write_file(path)`) is the text. Both forms are frozen: the tests pin
+/// their text (keys, order, number formatting), so slice files written by
+/// older builds still merge.
 ///
 /// The reader is strict. It rejects a missing member, a fractional or
 /// out-of-range number in an integer member, a negative count, a

@@ -194,8 +194,7 @@ struct StreamSchemeStats {
                : static_cast<double>(delivered) / static_cast<double>(injected);
   }
 
-  /// Accumulates another run's totals of the same scheme (the stream
-  /// grid's cell-order reduction); the label stays.
+  /// Adds another run's totals of the same scheme; the label stays.
   void merge(const StreamSchemeStats& other) { merge_fields(*this, other); }
 
   bool operator==(const StreamSchemeStats&) const = default;
