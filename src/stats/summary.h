@@ -48,7 +48,7 @@ class Summary {
   void merge(const Summary& other);
 
   /// The retained samples, in insertion order — what merge() replays and
-  /// what the full JSON form (report/serialize.h) persists so a
+  /// what the wire JSON form (report/serialize.h) persists so a
   /// deserialized Summary reconstructs the accumulator bit-identically.
   const std::vector<double>& values() const noexcept { return values_; }
 

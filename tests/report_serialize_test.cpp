@@ -141,7 +141,7 @@ TEST(Serialize, SweepTimingsRoundTrip) {
 
 // ------------------------------------------------------- wire-format pins
 // Every persisted record, every field set to a non-default value, against
-// its exact full-form text. Slice files written by one build must merge in
+// its exact wire-form text. Slice files written by one build must merge in
 // another, so the keys, their order and the number formatting are frozen.
 
 /// to_json(value) writes exactly `wire`, and from_json(wire) re-serializes
