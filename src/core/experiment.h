@@ -87,9 +87,9 @@ struct SliceCell {
 
   /// The members in wire order (util/fields.h).
   static constexpr std::tuple fields{
-      field("node_count", &SliceCell::node_count),
-      field("net_index", &SliceCell::net_index),
-      field("results", &SliceCell::result),
+      Field{"node_count", &SliceCell::node_count},
+      Field{"net_index", &SliceCell::net_index},
+      Field{"results", &SliceCell::result},
   };
 };
 
@@ -120,14 +120,14 @@ struct SweepTimings {
 
   /// The members in wire order (util/fields.h).
   static constexpr std::tuple fields{
-      field("construction_seconds", &SweepTimings::construction_seconds),
-      field("pair_draw_seconds", &SweepTimings::pair_draw_seconds),
-      field("oracle_seconds", &SweepTimings::oracle_seconds),
-      field("routing_seconds", &SweepTimings::routing_seconds),
-      field("oracle_bfs_searches", &SweepTimings::bfs_searches),
-      field("oracle_dijkstra_searches", &SweepTimings::dijkstra_searches),
-      field("pairs_requested", &SweepTimings::pairs_requested),
-      field("pairs_routed", &SweepTimings::pairs_routed),
+      Field{"construction_seconds", &SweepTimings::construction_seconds},
+      Field{"pair_draw_seconds", &SweepTimings::pair_draw_seconds},
+      Field{"oracle_seconds", &SweepTimings::oracle_seconds},
+      Field{"routing_seconds", &SweepTimings::routing_seconds},
+      Field{"oracle_bfs_searches", &SweepTimings::bfs_searches},
+      Field{"oracle_dijkstra_searches", &SweepTimings::dijkstra_searches},
+      Field{"pairs_requested", &SweepTimings::pairs_requested},
+      Field{"pairs_routed", &SweepTimings::pairs_routed},
   };
 };
 

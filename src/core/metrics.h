@@ -54,18 +54,18 @@ struct RouteAggregate {
 
   /// Members in wire order, plus the report's derived values (util/fields.h).
   static constexpr std::tuple fields{
-      field("requested", &RouteAggregate::requested),
-      field("attempted", &RouteAggregate::attempted),
-      derived("pair_shortfall", &RouteAggregate::pair_shortfall),
-      field("delivered", &RouteAggregate::delivered),
-      derived("delivery_ratio", &RouteAggregate::delivery_ratio),
-      field("hops", &RouteAggregate::hops),
-      field("length", &RouteAggregate::length),
-      field("stretch_hops", &RouteAggregate::stretch_hops),
-      field("stretch_length", &RouteAggregate::stretch_length),
-      field("perimeter_hops", &RouteAggregate::perimeter_hops),
-      field("backup_hops", &RouteAggregate::backup_hops),
-      field("local_minima", &RouteAggregate::local_minima),
+      Field{"requested", &RouteAggregate::requested},
+      Field{"attempted", &RouteAggregate::attempted},
+      Derived{"pair_shortfall", &RouteAggregate::pair_shortfall},
+      Field{"delivered", &RouteAggregate::delivered},
+      Derived{"delivery_ratio", &RouteAggregate::delivery_ratio},
+      Field{"hops", &RouteAggregate::hops},
+      Field{"length", &RouteAggregate::length},
+      Field{"stretch_hops", &RouteAggregate::stretch_hops},
+      Field{"stretch_length", &RouteAggregate::stretch_length},
+      Field{"perimeter_hops", &RouteAggregate::perimeter_hops},
+      Field{"backup_hops", &RouteAggregate::backup_hops},
+      Field{"local_minima", &RouteAggregate::local_minima},
   };
 };
 

@@ -139,6 +139,11 @@ void write_entry(JsonValue& out, const T& record,
   }
 }
 
+template <Form form, typename T>
+void write_entry(JsonValue& out, const T& /*record*/, const Constant& entry) {
+  out.set(entry.key, JsonValue::of(entry.value));
+}
+
 /// The one builder. A Summary is {"values": [...]} on the wire and
 /// summary_stats in the stats form, a vector an array, a label-keyed map
 /// an object, a record an object in list order.
@@ -177,18 +182,6 @@ JsonValue to_value(const T& value) {
   }
 }
 
-/// What the member types cannot check in a slice file: its version, a
-/// known model, no negative node count, and a slice index inside its count
-/// (the bounds `spr_cli sweep --slice` enforces when writing).
-bool valid_slice(const SweepSlice& slice) {
-  DeployModel model = DeployModel::kIdeal;
-  return slice.format_version == kShardFormatVersion &&
-         deploy_model_from_tag(slice.model_tag, model) &&
-         std::ranges::none_of(slice.node_counts, [](int n) { return n < 0; }) &&
-         slice.slice_count >= 1 && slice.slice_index >= 0 &&
-         slice.slice_index < slice.slice_count;
-}
-
 template <typename T>
 bool read_value(const JsonValue& v, T& out);
 
@@ -204,10 +197,16 @@ bool read_entry(const JsonValue& /*v*/, T& /*record*/,
   return true;
 }
 
+template <typename T>
+bool read_entry(const JsonValue& v, T& /*record*/, const Constant& entry) {
+  int found = 0;
+  return read_value(v.get(entry.key), found) && found == entry.value;
+}
+
 /// The one reader, the wire builder's inverse. Integers must be integral
 /// tokens that fit the member (no sign for counts), doubles finite numbers
 /// (the builder writes a non-finite one as null), labels must be unique,
-/// every member present and a slice valid; unknown members are ignored.
+/// every member present and a constant equal; unknown members are ignored.
 /// Writes `out` only on success.
 template <typename T>
 bool read_value(const JsonValue& v, T& out) {
@@ -265,9 +264,6 @@ bool read_value(const JsonValue& v, T& out) {
             T::fields)) {
       return false;
     }
-    if constexpr (std::is_same_v<T, SweepSlice>) {
-      if (!valid_slice(record)) return false;
-    }
     out = std::move(record);
   }
   return true;
@@ -296,7 +292,20 @@ bool from_json(const JsonValue& v, SweepTimings& out) {
 JsonValue to_json(const SweepSlice& value) {
   return to_value<Form::kWire>(value);
 }
-bool from_json(const JsonValue& v, SweepSlice& out) { return read_value(v, out); }
+/// Past what the member types check, a slice file needs a known model, no
+/// negative node count and a slice index inside its count (the bounds
+/// `spr_cli sweep --slice` enforces when writing).
+bool from_json(const JsonValue& v, SweepSlice& out) {
+  SweepSlice slice;
+  DeployModel model = DeployModel::kIdeal;
+  if (!read_value(v, slice) || !deploy_model_from_tag(slice.model_tag, model) ||
+      std::ranges::any_of(slice.node_counts, [](int n) { return n < 0; }) ||
+      slice.slice_index < 0 || slice.slice_index >= slice.slice_count) {
+    return false;
+  }
+  out = std::move(slice);
+  return true;
+}
 
 // ------------------------------------------------------------ slice files
 

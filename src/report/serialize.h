@@ -41,6 +41,7 @@
 #include "report/report.h"
 #include "sim/stream_sim.h"
 #include "stats/summary.h"
+#include "util/fields.h"
 #include "util/json.h"
 
 namespace spr {
@@ -71,9 +72,6 @@ JsonValue to_json(const SweepTimings& t);
 bool from_json(const JsonValue& v, SweepTimings& out);
 
 // ------------------------------------------------------------ slice files
-/// The slice file format's version, its `spr_shard` member.
-inline constexpr int kShardFormatVersion = 1;
-
 /// A serialized sweep *slice*: the sweep's identity (enough to check that
 /// two slices came from the same sweep) plus the computed cells in wire
 /// form. ("Slice" = a modular subset of a sweep's cells for cross-process
@@ -90,23 +88,22 @@ struct SweepSlice {
   int slice_index = 0;
   int slice_count = 1;
   std::vector<SliceCell> cells;
-  /// The wire format's version: a file with any other value is not read.
-  int format_version = kShardFormatVersion;
 
   bool operator==(const SweepSlice&) const = default;
 
-  /// The members in wire order (util/fields.h).
+  /// The members in wire order after the file format's version
+  /// (util/fields.h).
   static constexpr std::tuple fields{
-      field("spr_shard", &SweepSlice::format_version),
-      field("model", &SweepSlice::model_tag),
-      field("node_counts", &SweepSlice::node_counts),
-      field("networks_per_point", &SweepSlice::networks_per_point),
-      field("pairs_per_network", &SweepSlice::pairs_per_network),
-      field("base_seed", &SweepSlice::base_seed),
-      field("schemes", &SweepSlice::scheme_labels),
-      field("shard_index", &SweepSlice::slice_index),
-      field("shard_count", &SweepSlice::slice_count),
-      field("cells", &SweepSlice::cells),
+      Constant{"spr_shard", 1},
+      Field{"model", &SweepSlice::model_tag},
+      Field{"node_counts", &SweepSlice::node_counts},
+      Field{"networks_per_point", &SweepSlice::networks_per_point},
+      Field{"pairs_per_network", &SweepSlice::pairs_per_network},
+      Field{"base_seed", &SweepSlice::base_seed},
+      Field{"schemes", &SweepSlice::scheme_labels},
+      Field{"shard_index", &SweepSlice::slice_index},
+      Field{"shard_count", &SweepSlice::slice_count},
+      Field{"cells", &SweepSlice::cells},
   };
 };
 

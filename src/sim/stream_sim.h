@@ -202,18 +202,18 @@ struct StreamSchemeStats {
   /// The members in report order, `label` aside: it keys the report's
   /// scheme object and is never merged (util/fields.h).
   static constexpr std::tuple fields{
-      field("injected", &StreamSchemeStats::injected),
-      field("delivered", &StreamSchemeStats::delivered),
-      field("dead_end", &StreamSchemeStats::dead_end),
-      field("ttl_expired", &StreamSchemeStats::ttl_expired),
-      field("node_failed", &StreamSchemeStats::node_failed),
-      derived("delivery_ratio", &StreamSchemeStats::delivery_ratio),
-      field("hops", &StreamSchemeStats::hops),
-      field("length", &StreamSchemeStats::length),
-      field("stretch_hops", &StreamSchemeStats::stretch_hops),
-      field("latency", &StreamSchemeStats::latency),
-      field("replans", &StreamSchemeStats::replans),
-      field("local_minima", &StreamSchemeStats::local_minima),
+      Field{"injected", &StreamSchemeStats::injected},
+      Field{"delivered", &StreamSchemeStats::delivered},
+      Field{"dead_end", &StreamSchemeStats::dead_end},
+      Field{"ttl_expired", &StreamSchemeStats::ttl_expired},
+      Field{"node_failed", &StreamSchemeStats::node_failed},
+      Derived{"delivery_ratio", &StreamSchemeStats::delivery_ratio},
+      Field{"hops", &StreamSchemeStats::hops},
+      Field{"length", &StreamSchemeStats::length},
+      Field{"stretch_hops", &StreamSchemeStats::stretch_hops},
+      Field{"latency", &StreamSchemeStats::latency},
+      Field{"replans", &StreamSchemeStats::replans},
+      Field{"local_minima", &StreamSchemeStats::local_minima},
   };
 };
 

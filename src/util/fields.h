@@ -3,8 +3,9 @@
 /// \file fields.h
 /// A record's member list, kept in its struct as `static constexpr
 /// std::tuple fields{...}`: besides the declarations, the one place that
-/// names its members. An entry is data, a key plus a member pointer
-/// (`field`) or a key plus a const getter for a derived value (`derived`).
+/// names its members. An entry is data: a key plus a member pointer
+/// (`Field`), a key plus a const getter for a derived value (`Derived`),
+/// or a key plus the one value a format version accepts (`Constant`).
 /// `merge_fields` and the JSON forms (report/serialize.cpp) walk the list,
 /// so a new member is one line in the struct and one in its list.
 
@@ -26,20 +27,15 @@ struct Derived {
   R (T::*get)() const noexcept;
 };
 
-template <typename T, typename M>
-constexpr Field<T, M> field(const char* key, M T::*member) {
-  return {key, member};
-}
-
-template <typename T, typename R>
-constexpr Derived<T, R> derived(const char* key,
-                                R (T::*get)() const noexcept) {
-  return {key, get};
-}
+/// Written as is; a file with any other value is not read.
+struct Constant {
+  const char* key;
+  int value;
+};
 
 /// Accumulates `from` into `into` in list order: a member with a `merge`
 /// (a Summary) merges, any other (a count, a seconds value) adds, and a
-/// derived entry is skipped.
+/// derived or constant entry is skipped.
 template <typename T>
 void merge_fields(T& into, const T& from) {
   auto merge_one = [&](const auto& entry) {

@@ -536,13 +536,14 @@ TEST(Shards, ShardFileRejectsForeignJson) {
   ASSERT_TRUE(JsonValue::parse("[1,2,3]", v));
   EXPECT_FALSE(from_json(v, shard));
 
-  // A well-formed slice whose header is out of range: the slice index must
-  // lie in [0, shard_count), and the seed and counts carry no sign.
+  // A well-formed slice whose header is out of range: the version must be
+  // this build's, the slice index must lie in [0, shard_count), and the
+  // seed and counts carry no sign.
   const JsonValue valid = to_json(make_slice(small_sweep_config(), 1, 2, {}));
   ASSERT_TRUE(from_json(valid, shard));
   const std::pair<const char*, std::int64_t> corruptions[] = {
-      {"shard_count", 0},  {"shard_index", -3}, {"shard_index", 2},
-      {"base_seed", -77},
+      {"spr_shard", 2},    {"spr_shard", 0},    {"shard_count", 0},
+      {"shard_index", -3}, {"shard_index", 2},  {"base_seed", -77},
   };
   for (const auto& [key, value] : corruptions) {
     v = valid;

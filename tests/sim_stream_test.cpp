@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
+#include <type_traits>
 
 #include "core/scenario.h"
 #include "graph/graph_algos.h"
@@ -36,17 +38,24 @@ std::pair<NodeId, NodeId> far_pair(const Network& net, std::uint64_t seed) {
 }
 
 /// The report text of `stats`, then the bit pattern of every Summary
-/// sample: two runs give the same string only when they also agree on the
-/// sign of every zero, which `==` (like double ==) does not check.
+/// sample in each scheme's member list: two runs give the same string only
+/// when they also agree on the sign of every zero, which `==` (like
+/// double ==) does not check.
 std::string stream_bits(const StreamStats& stats) {
   std::string out = stream_stats_json(stats).dump();
-  for (const StreamSchemeStats& s : stats.schemes) {
-    for (const Summary* summary : {&s.hops, &s.length, &s.stretch_hops,
-                                   &s.latency, &s.replans, &s.local_minima}) {
-      for (double v : summary->values()) {
-        out += ' ' + std::to_string(std::bit_cast<std::uint64_t>(v));
+  auto append_bits = [&](const StreamSchemeStats& s, const auto& entry) {
+    if constexpr (requires { entry.member; }) {
+      using Member = std::remove_cvref_t<decltype(s.*entry.member)>;
+      if constexpr (std::is_same_v<Member, Summary>) {
+        for (double v : (s.*entry.member).values()) {
+          out += ' ' + std::to_string(std::bit_cast<std::uint64_t>(v));
+        }
       }
     }
+  };
+  for (const StreamSchemeStats& s : stats.schemes) {
+    std::apply([&](const auto&... entry) { (append_bits(s, entry), ...); },
+               StreamSchemeStats::fields);
   }
   return out;
 }
