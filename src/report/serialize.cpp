@@ -125,7 +125,7 @@ constexpr bool kIsLabelMap = false;
 template <typename T>
 constexpr bool kIsLabelMap<std::map<std::string, T>> = true;
 
-/// A member under its key, a derived value only in the stats form.
+/// A member or a constant under its key, a derived value in stats only.
 template <Form form, typename T, typename M>
 void write_entry(JsonValue& out, const T& record, const Field<T, M>& entry) {
   out.set(entry.key, to_value<form>(record.*entry.member));

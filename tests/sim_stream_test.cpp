@@ -7,7 +7,6 @@
 #include <limits>
 #include <string>
 #include <tuple>
-#include <type_traits>
 
 #include "core/scenario.h"
 #include "graph/graph_algos.h"
@@ -44,12 +43,9 @@ std::pair<NodeId, NodeId> far_pair(const Network& net, std::uint64_t seed) {
 std::string stream_bits(const StreamStats& stats) {
   std::string out = stream_stats_json(stats).dump();
   auto append_bits = [&](const StreamSchemeStats& s, const auto& entry) {
-    if constexpr (requires { entry.member; }) {
-      using Member = std::remove_cvref_t<decltype(s.*entry.member)>;
-      if constexpr (std::is_same_v<Member, Summary>) {
-        for (double v : (s.*entry.member).values()) {
-          out += ' ' + std::to_string(std::bit_cast<std::uint64_t>(v));
-        }
+    if constexpr (requires { (s.*entry.member).values(); }) {
+      for (double v : (s.*entry.member).values()) {
+        out += ' ' + std::to_string(std::bit_cast<std::uint64_t>(v));
       }
     }
   };
