@@ -252,16 +252,25 @@ void BM_DistributedSafety(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributedSafety)->Arg(400)->Arg(800);
 
-void BM_BoundHole(benchmark::State& state) {
-  Deployment dep = make_deployment(static_cast<int>(state.range(0)),
-                                   DeployModel::kForbiddenAreas);
+/// One BOUNDHOLE build (TENT rule, bearing table, boundary walks) on an FA
+/// network (`BM_BoundHole`) and an IA one (`BM_BoundHoleIdeal`), the two
+/// models of the sweep's cells.
+void boundhole_bench(benchmark::State& state, DeployModel model) {
+  Deployment dep = make_deployment(static_cast<int>(state.range(0)), model);
   UnitDiskGraph g(dep.positions, dep.radio_range, dep.field);
   for (auto _ : state) {
     BoundHoleInfo info(g);
     benchmark::DoNotOptimize(info.stuck_count());
   }
 }
+void BM_BoundHole(benchmark::State& state) {
+  boundhole_bench(state, DeployModel::kForbiddenAreas);
+}
+void BM_BoundHoleIdeal(benchmark::State& state) {
+  boundhole_bench(state, DeployModel::kIdeal);
+}
 BENCHMARK(BM_BoundHole)->Arg(400)->Arg(800);
+BENCHMARK(BM_BoundHoleIdeal)->Arg(800);
 
 void route_scheme_bench(benchmark::State& state, Scheme scheme) {
   NetworkConfig config;

@@ -81,7 +81,8 @@ endif()
 # Hostile-input probes: a negative count, a node count past `int` or past
 # the 10^6-node cap, a non-finite or non-positive range, more tiles than
 # nodes or than the 64-tile cap, a malformed node id, a value on a `--no-`
-# flag, a flag the command does not take and a removed verb or alias must
+# flag, a flag the command does not take, a positional argument it does not
+# take (`--fa false` leaves "false" as one) and a removed verb or alias must
 # each be rejected, never fall back to a default workload. A rejection is
 # exit status 1 (bad usage) or 2 (bad value); any other result, a signal
 # included (which execute_process reports as a string such as "Child
@@ -124,3 +125,10 @@ expect_rejected(route 99999999999999999999 5)
 expect_rejected(run tile-scaling --networks 3000000)
 expect_rejected(run tile-scaling --networks 1001)
 expect_rejected(run tile-scaling --networks 2147483)
+expect_rejected(info --nodes=300 --fa false)
+expect_rejected(label --nodes=50 stray)
+expect_rejected(sweep --networks 1 --pairs 1 stray)
+expect_rejected(render --nodes=50 "${OUT_DIR}/artifact-gate-render.svg" stray)
+expect_rejected(route 1 2 3)
+expect_rejected(route 5)
+expect_rejected(run fig6-avg-hops extra)

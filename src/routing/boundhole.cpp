@@ -18,6 +18,10 @@ namespace {
 /// is discarded.
 constexpr std::size_t kMaxCycleFactor = 2;
 
+/// A TENT gap below this never passes (see tent_stuck), so its alphas are
+/// not computed.
+constexpr double kTentMinGap = 2.09;
+
 using AngleScratch = std::vector<std::pair<double, NodeId>>;
 
 /// Writes the bearing from u to each of its neighbors, in neighbor order.
@@ -53,7 +57,10 @@ bool tent_stuck(const UnitDiskGraph& g, NodeId u, std::span<const double> row,
   // i.e. angle(theta, v_i) > alpha_i with alpha_i = arccos(|u v_i| / 2r).
   // Such a theta exists iff gap > alpha_1 + alpha_2. With |u v_i| <= r the
   // alphas are in [60, 90] degrees, recovering the classic "every gap below
-  // 120 degrees is never stuck" bound.
+  // 120 degrees is never stuck" bound. Every neighbour lies within `range`
+  // (the graph's own radius test), so alpha_1 + alpha_2 + 1e-12 > 2.0943
+  // up to rounding in the last bits: a gap under kTentMinGap fails the
+  // test, and skipping its two acos calls changes no result.
   Vec2 pu = g.position(u);
   const double range = g.range();
   auto alpha = [&](NodeId v) {
@@ -67,7 +74,7 @@ bool tent_stuck(const UnitDiskGraph& g, NodeId u, std::span<const double> row,
     // covers the remainder of the circle (2*pi when all bearings coincide).
     double gap = ccw_delta(a1, a2);
     if (i + 1 == by_angle.size() && gap == 0.0) gap = kTwoPi;
-    if (gap == 0.0) continue;
+    if (gap < kTentMinGap) continue;
     if (gap > alpha(v1) + alpha(v2) + 1e-12) return true;
   }
   return false;
@@ -150,7 +157,9 @@ BoundHoleInfo::BoundHoleInfo(const UnitDiskGraph& g) {
   // One bearing per dart, shared by the TENT rule, the first-step aim and
   // every sweep; and the sweep successor of each dart, filled on its first
   // visit. Discarded walks make later stuck nodes re-walk the same orbits,
-  // so most steps are memo hits.
+  // so most steps are memo hits. A memo entry is a pure function of its
+  // dart, so which walk fills it, or whether a walk stops early, never
+  // changes a step.
   std::vector<double> bearings(g.directed_edge_count());
   std::vector<SweepStep> steps(bearings.size());
   auto row_of = [&](NodeId u) {
@@ -166,6 +175,15 @@ BoundHoleInfo::BoundHoleInfo(const UnitDiskGraph& g) {
     }
   }
 
+  // Discard degenerate mega-walks: a genuine hole boundary is a small
+  // fraction of the network (its node count scales with the hole
+  // perimeter). Self-crossing sweeps can "close" after wandering most of
+  // the graph; walking those during recovery would dwarf the detour the
+  // boundary is meant to shorten. A walk whose cycle outgrows `keep` is
+  // discarded whether it would close or not, so it stops there: the cycle
+  // starts with two nodes and gains one per step, so a walk takes at most
+  // keep - 1 steps, and the 2n-step cap binds first only below 8 nodes.
+  const std::size_t keep = std::max<std::size_t>(16, n / 4);
   const std::size_t cap = kMaxCycleFactor * std::max<std::size_t>(n, 1);
   for (NodeId t0 = 0; t0 < n; ++t0) {
     if (!stuck_[t0] || boundary_of_[t0] != -1) continue;
@@ -190,7 +208,7 @@ BoundHoleInfo::BoundHoleInfo(const UnitDiskGraph& g) {
     NodeId cur = t1;
     std::size_t back = g.neighbor_offset(t1) + rank_in_row(g, t1, t0);
     bool closed = false;
-    for (std::size_t step = 0; step < cap; ++step) {
+    for (std::size_t step = 0; step < cap && cycle.size() <= keep; ++step) {
       SweepStep& s = steps[back];
       if (s.next == kInvalidNode) {
         s.next = sweep_successor(g, bearings, cur, back);
@@ -205,13 +223,6 @@ BoundHoleInfo::BoundHoleInfo(const UnitDiskGraph& g) {
       back = g.neighbor_offset(cur) + s.back_rank;
     }
     if (!closed || cycle.size() < 3) continue;
-
-    // Discard degenerate mega-walks: a genuine hole boundary is a small
-    // fraction of the network (its node count scales with the hole
-    // perimeter). Self-crossing sweeps can "close" after wandering most of
-    // the graph; walking those during recovery would dwarf the detour the
-    // boundary is meant to shorten.
-    if (cycle.size() > std::max<std::size_t>(16, n / 4)) continue;
 
     // Discard the outer face: a "boundary" that encircles most of the
     // deployment is the network edge, not a hole (the BOUNDHOLE paper

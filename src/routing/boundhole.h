@@ -37,7 +37,8 @@ bool tent_rule_stuck(const UnitDiskGraph& g, NodeId u);
 class BoundHoleInfo {
  public:
   /// Detects stuck nodes and builds boundaries. A boundary walk that has
-  /// not closed after 2n steps is discarded.
+  /// not closed after 2n steps, or whose cycle holds more than
+  /// max(16, n/4) nodes, is discarded.
   explicit BoundHoleInfo(const UnitDiskGraph& g);
 
   bool is_stuck(NodeId u) const noexcept { return stuck_[u]; }

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "geometry/angle.h"
 #include "test_helpers.h"
 
 namespace spr {
@@ -66,6 +69,30 @@ UnitDiskGraph blast_sibling(const Network& net) {
   return g.with_failures(casualties);
 }
 
+/// The TENT rule without tent_rule_stuck's short-gap guard: every gap
+/// between angularly adjacent neighbours runs the arccos test.
+bool unguarded_tent_stuck(const UnitDiskGraph& g, NodeId u) {
+  auto nbrs = g.neighbors(u);
+  if (nbrs.size() < 2) return true;
+  const Vec2 pu = g.position(u);
+  std::vector<std::pair<double, NodeId>> by_angle;
+  for (NodeId v : nbrs) by_angle.emplace_back(bearing(pu, g.position(v)), v);
+  std::sort(by_angle.begin(), by_angle.end());
+  auto alpha = [&](NodeId v) {
+    return std::acos(std::clamp(
+        distance(pu, g.position(v)) / (2.0 * g.range()), 0.0, 1.0));
+  };
+  for (std::size_t i = 0; i < by_angle.size(); ++i) {
+    const auto& [a1, v1] = by_angle[i];
+    const auto& [a2, v2] = by_angle[(i + 1) % by_angle.size()];
+    double gap = ccw_delta(a1, a2);
+    if (i + 1 == by_angle.size() && gap == 0.0) gap = kTwoPi;
+    if (gap == 0.0) continue;
+    if (gap > alpha(v1) + alpha(v2) + 1e-12) return true;
+  }
+  return false;
+}
+
 TEST(TentRule, IsolatedAndLeafNodesAreStuck) {
   auto g = test::make_graph({{0.0, 0.0}, {10.0, 0.0}, {100.0, 100.0}}, 12.0);
   EXPECT_TRUE(tent_rule_stuck(g, 0));  // single neighbor
@@ -101,6 +128,62 @@ TEST(TentRule, VoidEdgeNodesAreStuck) {
   }
   ASSERT_NE(wall, kInvalidNode);
   EXPECT_TRUE(tent_rule_stuck(g, wall));
+}
+
+/// The short-gap guard changes no verdict on any node of the networks
+/// `PinnedOutputOnRandomNetworks` digests, blasted or not.
+TEST(TentRule, GuardMatchesUnguardedRuleOnPinnedNetworks) {
+  std::size_t nodes = 0, stuck = 0;
+  for (DeployModel model : {DeployModel::kIdeal, DeployModel::kForbiddenAreas}) {
+    for (int n : {400, 800}) {
+      for (std::uint64_t seed : test::property_seeds()) {
+        Network net = test::random_network(n, seed, model);
+        for (const UnitDiskGraph& g : {net.graph(), blast_sibling(net)}) {
+          for (NodeId u = 0; u < g.size(); ++u) {
+            const bool expected = unguarded_tent_stuck(g, u);
+            ASSERT_EQ(tent_rule_stuck(g, u), expected)
+                << n << " nodes, seed " << seed << ", node " << u;
+            ++nodes;
+            stuck += expected ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(stuck, 0u);
+  EXPECT_LT(stuck, nodes);
+}
+
+/// Hand-built rows at the guard's edges. Node 0 sits at the origin with
+/// every neighbour at the radio range (1e-15 of it inside, so the graph's
+/// radius test keeps them whatever the last bit of sin and cos): two
+/// neighbours `gap` apart, and four more spreading the rest of the circle
+/// in gaps of about 0.84 rad. Both alphas are then pi/3, so only a gap over
+/// 2*pi/3 passes: 2*pi/3 + 1e-9 is stuck, 2*pi/3 - 1e-9 is not, and
+/// 2.09 +- 1e-9 straddles the guard's bound with both verdicts "not stuck".
+TEST(TentRule, GuardMatchesUnguardedRuleAtTheGapBounds) {
+  const double range = 10.0;
+  const double third = kTwoPi / 3.0;
+  const struct {
+    double gap;
+    bool stuck;
+  } rows[] = {{third + 1e-9, true},
+              {third - 1e-9, false},
+              {2.09 + 1e-9, false},
+              {2.09 - 1e-9, false}};
+  for (const auto& row : rows) {
+    std::vector<double> bearings = {0.0, row.gap};
+    for (int k = 1; k <= 4; ++k) {
+      bearings.push_back(row.gap + (kTwoPi - row.gap) * k / 5.0);
+    }
+    std::vector<Vec2> pts = {{0.0, 0.0}};
+    const double at = range * (1.0 - 1e-15);
+    for (double b : bearings) pts.push_back({at * std::cos(b), at * std::sin(b)});
+    UnitDiskGraph g = test::make_graph(pts, range);
+    ASSERT_EQ(g.degree(0), bearings.size()) << "gap " << row.gap;
+    EXPECT_EQ(unguarded_tent_stuck(g, 0), row.stuck) << "gap " << row.gap;
+    EXPECT_EQ(tent_rule_stuck(g, 0), row.stuck) << "gap " << row.gap;
+  }
 }
 
 TEST(BoundHole, FindsBoundaryAroundVoid) {
@@ -211,6 +294,50 @@ TEST(BoundHole, PinnedOutputOnVoidGrid) {
   BoundHoleDigest digest;
   digest.add(g);
   EXPECT_EQ(digest.hex(), "a4f810cc2f4cd618");
+}
+
+/// A ring of `ring` nodes 10 m apart around a void, each linked only to
+/// its two ring neighbours (12 m range), plus `isolated` edgeless nodes
+/// 30 m apart, in a 1000 m field. Every ring node is stuck and the first
+/// walk closes after visiting each of them once, so its cycle holds `ring`
+/// nodes; the isolated nodes only raise n.
+UnitDiskGraph void_ring(int ring, int isolated) {
+  std::vector<Vec2> pts;
+  const double radius = 5.0 / std::sin(kTwoPi / (2.0 * ring));
+  for (int i = 0; i < ring; ++i) {
+    const double theta = kTwoPi * i / ring;
+    pts.push_back({500.0 + radius * std::cos(theta),
+                   500.0 + radius * std::sin(theta)});
+  }
+  for (int i = 0; i < isolated; ++i) {
+    pts.push_back({10.0 + 30.0 * (i % 30), 10.0 + 30.0 * (i / 30)});
+  }
+  return UnitDiskGraph(std::move(pts), 12.0,
+                       Rect::from_bounds({0.0, 0.0}, {1000.0, 1000.0}));
+}
+
+/// The keep bound is inclusive: a boundary of exactly max(16, n/4) nodes
+/// is kept, one of a node more is discarded, under the 16-node floor and
+/// under n/4 alike.
+TEST(BoundHole, KeepsBoundariesOfAtMostAQuarterOfTheNodes) {
+  const struct {
+    int ring;
+    int isolated;
+    bool kept;
+  } rows[] = {{16, 0, true}, {17, 0, false}, {20, 60, true}, {21, 60, false}};
+  for (const auto& row : rows) {
+    UnitDiskGraph g = void_ring(row.ring, row.isolated);
+    const auto keep = std::max<std::size_t>(16, g.size() / 4);
+    ASSERT_EQ(keep + (row.kept ? 0 : 1), static_cast<std::size_t>(row.ring));
+    BoundHoleInfo info(g);
+    EXPECT_EQ(info.stuck_count(), static_cast<std::size_t>(row.ring));
+    if (row.kept) {
+      ASSERT_EQ(info.boundaries().size(), 1u) << row.ring << "-node ring";
+      EXPECT_EQ(info.boundaries()[0].cycle.size(), keep);
+    } else {
+      EXPECT_TRUE(info.boundaries().empty()) << row.ring << "-node ring";
+    }
+  }
 }
 
 /// A hand-built hole holding the sweep's float tie cases. A 7x7 grid at

@@ -3,7 +3,7 @@
 ///
 ///   spr_cli info     [flags]            network structure summary
 ///   spr_cli label    [flags]            safety labeling summary / dump
-///   spr_cli route    [flags] <s> <d>    route one pair with every scheme
+///   spr_cli route    [flags] [<s> <d>]  route one pair with every scheme
 ///   spr_cli sweep    [flags]            mini figure sweep (table output);
 ///                                       --slice i/m writes a slice JSON
 ///   spr_cli merge    [flags] <slice.json>...  merge sweep slices
@@ -13,7 +13,8 @@
 ///   spr_cli render   [flags] <out.svg>  render deployment + unsafe areas
 ///
 /// Common flags: --nodes (not on `sweep`, whose grid fixes the node
-/// counts), --seed, --fa, --range.
+/// counts), --seed, --fa, --range. A positional argument a command does not
+/// take exits 1 (so `--fa false` is rejected; write `--fa=false`).
 ///
 /// Distributed sweeps: the sweep's (node_count, network_index) cells are
 /// independent, so `sweep --slice i/m` computes every i-th cell and
@@ -85,6 +86,17 @@ bool valid_common(const CommonArgs& args) {
   return true;
 }
 
+/// Rejects the positional arguments past the first `most`: a command must
+/// not drop a token it does not read (`info --fa false` would otherwise
+/// build the FA field). Prints the first stray token; callers exit 1, as for
+/// an unknown flag.
+bool at_most_positionals(const FlagSet& flags, std::size_t most) {
+  const auto& tokens = flags.positional();
+  if (tokens.size() <= most) return true;
+  std::fprintf(stderr, "unexpected argument '%s'\n", tokens[most].c_str());
+  return false;
+}
+
 /// Parses a whole token as a number ("5x" is an error, not 5).
 template <typename T>
 bool parse_full(std::string_view token, T& out) {
@@ -107,7 +119,7 @@ int cmd_info(int argc, const char* const* argv) {
   CommonArgs args;
   FlagSet flags("spr_cli info: network structure summary");
   add_common(flags, args);
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv) || !at_most_positionals(flags, 0)) return 1;
   if (!valid_common(args)) return 2;
   Network net = build_network(args);
   const auto& g = net.graph();
@@ -157,7 +169,7 @@ int cmd_label(int argc, const char* const* argv) {
                  "run the distributed construction and report its cost");
   flags.add_string("tiles", &tiles_spec,
                    "also label via an RxC spatial-tile grid and compare");
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv) || !at_most_positionals(flags, 0)) return 1;
   if (!valid_common(args)) return 2;
   int tile_rows = 0, tile_cols = 0;
   if (!parse_tile_grid(tiles_spec, tile_rows, tile_cols)) return 1;
@@ -238,20 +250,25 @@ int cmd_label(int argc, const char* const* argv) {
 
 int cmd_route(int argc, const char* const* argv) {
   CommonArgs args;
-  FlagSet flags("spr_cli route <s> <d>: route one pair with every scheme");
+  FlagSet flags("spr_cli route [<s> <d>]: route one pair with every scheme");
   add_common(flags, args);
-  if (!flags.parse(argc, argv)) return 1;
-  if (!valid_common(args)) return 2;
+  if (!flags.parse(argc, argv) || !at_most_positionals(flags, 2)) return 1;
   const auto& ids = flags.positional();
+  if (ids.size() == 1) {
+    std::fprintf(stderr, "route takes two node ids or none, got only '%s'\n",
+                 ids[0].c_str());
+    return 1;
+  }
+  if (!valid_common(args)) return 2;
   NodeId s = kInvalidNode, d = kInvalidNode;
-  if (ids.size() >= 2 &&
+  if (ids.size() == 2 &&
       (!parse_full(ids[0], s) || !parse_full(ids[1], d))) {
     std::fprintf(stderr, "node ids must be non-negative integers, got %s %s\n",
                  ids[0].c_str(), ids[1].c_str());
     return 1;
   }
   Network net = build_network(args);
-  if (ids.size() >= 2) {
+  if (ids.size() == 2) {
     if (s >= net.graph().size() || d >= net.graph().size()) {
       std::fprintf(stderr, "node ids out of range (network has %zu nodes)\n",
                    net.graph().size());
@@ -330,7 +347,7 @@ int cmd_sweep(int argc, const char* const* argv) {
                    "compute only slice i/m of the sweep's cells");
   flags.add_string("json", &json_path,
                    "write the per-cell aggregates as a slice JSON here");
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv) || !at_most_positionals(flags, 0)) return 1;
   const std::string count_error =
       negative_count_error(networks, pairs, threads);
   if (!count_error.empty()) {
@@ -495,7 +512,9 @@ int cmd_run(int argc, const char* const* argv) {
   flags.add_string("json", &json_path, "also write a JSON report here");
   flags.add_string("csv", &csv_path, "also write CSV table exports here");
   flags.add_string("svg", &svg_path, "also write an SVG sweep plot here");
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv) || !at_most_positionals(flags, list ? 0 : 1)) {
+    return 1;
+  }
 
   const auto& suite = ScenarioSuite::builtin();
   if (list || flags.positional().empty()) {
@@ -522,7 +541,7 @@ int cmd_render(int argc, const char* const* argv) {
   CommonArgs args;
   FlagSet flags("spr_cli render <out.svg>: render the deployment");
   add_common(flags, args);
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv) || !at_most_positionals(flags, 1)) return 1;
   if (!valid_common(args)) return 2;
   if (flags.positional().empty()) {
     std::fprintf(stderr, "usage: spr_cli render [flags] <out.svg>\n");
